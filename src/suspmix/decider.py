@@ -10,11 +10,10 @@ semidecisions.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from suspmix.exact import QVector, RealBasis, setwise_commensurate, span_rank
 from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, roof_as_edge_weights
@@ -23,8 +22,8 @@ from suspmix.shift import (
     EdgeShift,
     EventuallyPeriodicPoint,
     Word,
-    base_period,
     cycles_up_to,
+    determinize,
     higher_block_recode,
     is_transitive,
     is_word_admissible,
@@ -106,29 +105,17 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
         raise HypothesisError("weighted presentation is not strongly connected")
     basis = weighted.weights[0].basis
     root = min(shift.vertices, key=str)
-    # in-tree toward the root: parent edge of v goes from v toward the root
-    parent_edge: dict = {}
+    # in-tree toward the root: the tree edge v -> u found from u has cycle
+    # value zero, so p(v) + w = p(u)
+    potentials = {root: basis.zero()}
     frontier = [root]
-    reached = {root}
     while frontier:
         u = frontier.pop()
         for i in shift.in_edges(u):
             v = shift.edges[i].source
-            if v not in reached:
-                reached.add(v)
-                parent_edge[v] = i
+            if v not in potentials:
+                potentials[v] = potentials[u] - weighted.weights[i]
                 frontier.append(v)
-    potentials = {root: basis.zero()}
-
-    def potential(v):
-        if v not in potentials:
-            e = parent_edge[v]
-            # tree edge v -> parent has cycle value zero: p(v) + w = p(parent)
-            potentials[v] = potential(shift.edges[e].target) - weighted.weights[e]
-        return potentials[v]
-
-    for v in shift.vertices:
-        potential(v)
     values = tuple(
         potentials[e.source] + weighted.weights[i] - potentials[e.target]
         for i, e in enumerate(shift.edges)
@@ -315,9 +302,6 @@ class CohomologyResult:
     transfer: Optional[TransferFunction]
     witness_orbit: Optional[EventuallyPeriodicPoint] = None
 
-    def __iter__(self):
-        return iter((self.cohomologous, self.transfer))
-
 
 def _block_presentation(shift: EdgeShift, k: int):
     """Recode with blocks of length >= k so block names pin vertices.
@@ -325,23 +309,14 @@ def _block_presentation(shift: EdgeShift, k: int):
     Returns (recoded shift, window map, block length).  Raises if no
     block length up to k + |V| separates the vertices.
     """
+    base = shift if shift.is_right_resolving() else determinize(shift)
     for kk in range(k, k + len(shift.vertices) + 2):
-        recoded, windows = higher_block_recode(shift, kk)
+        recoded, windows = higher_block_recode(base, kk)
         if all(isinstance(v, Word) for v in recoded.vertices):
             return recoded, windows, kk
     raise HypothesisError(
         "no block length up to %d makes vertices symbol-determined" % (k + len(shift.vertices) + 1)
     )
-
-
-def _sub_window(window: Word, k: int, future: int, roof_past: int, roof_future: int) -> Word:
-    """The roof window inside a (k+1)-block edge window.
-
-    The edge window covers positions [i-k, i]; the roof is evaluated at
-    position j = i - future.
-    """
-    lo = k - future - roof_past
-    return window[lo : lo + roof_past + roof_future + 1]
 
 
 def are_cohomologous(
@@ -359,9 +334,10 @@ def are_cohomologous(
     past = max(r.past, s.past)
     future = max(r.future, s.future)
     recoded, windows, k = _block_presentation(shift, past + future + 1)
+    # an edge window covers positions [i-k, i]; both roofs are read at
+    # position i - future
     diffs = tuple(
-        r.value_on_window(_sub_window(windows[i], k, future, r.past, r.future))
-        - s.value_on_window(_sub_window(windows[i], k, future, s.past, s.future))
+        r.value_at(windows[i], k - future) - s.value_at(windows[i], k - future)
         for i in range(len(recoded.edges))
     )
     weighted = WeightedShift(recoded, diffs, windows)
@@ -449,10 +425,7 @@ def normalize_to_delta_grid(
     same containment.
     """
     recoded, windows, k = _block_presentation(shift, max(roof.past + roof.future, 1))
-    weights = tuple(
-        roof.value_on_window(_sub_window(windows[i], k, roof.future, roof.past, roof.future))
-        for i in range(len(recoded.edges))
-    )
+    weights = tuple(roof.value_at(windows[i], k - roof.future) for i in range(len(recoded.edges)))
     weighted = WeightedShift(recoded, weights, windows)
     data = cycle_data(weighted)
     for c in data.cycle_values:
@@ -494,11 +467,10 @@ def unit_cross_section(
         # the section at height 0 is the base itself
         return shift
     # recode so the roof value is a function of the (past+future+1)-block vertex
-    recoded, _, k = _block_presentation(shift, roof.past + roof.future + 1)
+    recoded, _, _ = _block_presentation(shift, roof.past + roof.future + 1)
     multiples = {}
     for v in recoded.vertices:
-        window = v[len(v) - (roof.past + roof.future + 1) :]
-        q = roof.value_on_window(window).ratio_to(delta)
+        q = roof.value_at(v, len(v) - 1 - roof.future).ratio_to(delta)
         if q is None or q.denominator != 1 or q < 1:
             raise HypothesisError(
                 "roof value at %s is not a positive integer multiple of %s" % (v, delta)

@@ -113,10 +113,6 @@ class QVector:
     def __float__(self) -> float:
         return math.fsum(float(c) * a for c, a in zip(self.coords, self.basis.approx))
 
-    @property
-    def float_value(self) -> float:
-        return float(self)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

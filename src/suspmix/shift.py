@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 
 class EmptyShiftError(ValueError):
@@ -121,11 +119,12 @@ class EdgeShift:
 
     def __init__(self, vertices, edges, alphabet: Alphabet, essentialize: bool = True):
         vertices = list(dict.fromkeys(vertices))
+        declared = set(vertices)
         edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
         for e in edges:
             if e.label not in alphabet:
                 raise ValueError("edge label %r outside alphabet" % (e.label,))
-            if e.source not in vertices or e.target not in vertices:
+            if e.source not in declared or e.target not in declared:
                 raise ValueError("edge %r uses undeclared vertex" % (e,))
         if essentialize:
             vertices, edges = _essential_part(vertices, edges)
@@ -174,13 +173,6 @@ class EdgeShift:
                 break
         return states
 
-    def digraph(self) -> nx.MultiDiGraph:
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self.vertices)
-        for i, e in enumerate(self.edges):
-            g.add_edge(e.source, e.target, key=i, label=e.label)
-        return g
-
     def __repr__(self) -> str:
         return "EdgeShift(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
@@ -190,8 +182,7 @@ def _essential_part(vertices, edges):
     vset = set(vertices)
     while True:
         kept = [e for e in edges if e.source in vset and e.target in vset]
-        alive = {v for v in vset if any(e.source == v for e in kept)
-                 and any(e.target == v for e in kept)}
+        alive = {e.source for e in kept} & {e.target for e in kept}
         if alive == vset:
             return [v for v in vertices if v in vset], kept
         vset = alive
@@ -337,9 +328,26 @@ def admissible_words(shift: EdgeShift, length: int) -> list[Word]:
     return sorted(Word(b) for b in frontier)
 
 
+def reachable(shift: EdgeShift, root, forward: bool = True) -> set:
+    """Vertices reachable from root along edges (against them if not forward)."""
+    adjacency = shift._out if forward else shift._in
+    seen = {root}
+    stack = [root]
+    while stack:
+        for i in adjacency[stack.pop()]:
+            e = shift.edges[i]
+            v = e.target if forward else e.source
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def is_transitive(shift: EdgeShift) -> bool:
     """True iff the presenting graph is strongly connected."""
-    return nx.is_strongly_connected(shift.digraph())
+    root = shift.vertices[0]
+    n = len(shift.vertices)
+    return len(reachable(shift, root)) == n and len(reachable(shift, root, forward=False)) == n
 
 
 def base_period(shift: EdgeShift) -> int:
@@ -385,19 +393,26 @@ def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
     starting vertex occurrence.  Intended for small graphs and oracles.
     """
     found = []
-
-    def extend(path, start, current):
-        if len(path) >= 1 and current == start:
-            found.append(list(path))
-        if len(path) == length:
-            return
-        for i in shift.out_edges(current):
+    for start in shift.vertices:
+        # depth-first over edge paths from start; stack[d] walks the
+        # out-edges at depth d, so len(stack) == len(path) + 1
+        path: list[int] = []
+        stack = [iter(shift.out_edges(start))] if length >= 1 else []
+        while stack:
+            i = next(stack[-1], None)
+            if i is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
             path.append(i)
-            extend(path, start, shift.edges[i].target)
-            path.pop()
-
-    for v in shift.vertices:
-        extend([], v, v)
+            current = shift.edges[i].target
+            if current == start:
+                found.append(list(path))
+            if len(path) < length:
+                stack.append(iter(shift.out_edges(current)))
+            else:
+                path.pop()
     # deduplicate rotations
     seen = set()
     out = []
@@ -541,14 +556,6 @@ def close_orbit(shift: EdgeShift, w: Word) -> EventuallyPeriodicPoint:
         if v in states:
             return EventuallyPeriodicPoint.periodic(w)
     raise ValueError("no closed path spells %s" % (w,))
-
-
-def point_symbol(p: EventuallyPeriodicPoint, i: int) -> int:
-    return p[i]
-
-
-def shift_point(p: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
-    return p.shift()
 
 
 def contains_point(shift: EdgeShift, p: EventuallyPeriodicPoint) -> bool:

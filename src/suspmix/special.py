@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from suspmix.decider import ShiftOracle
-from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word
+from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word, reachable
 
 
 class PrecisionError(ArithmeticError):
@@ -257,8 +257,6 @@ def build_beta_graph(shift: BetaShift, depth: int) -> EdgeShift:
     nu_n >= 1 falls back to V_1 on every digit 0 .. nu_n - 1.  Only the
     strongly connected core through V_1 is kept.
     """
-    import networkx as nx
-
     if depth > len(shift.nu):
         raise ValueError("depth exceeds the computed expansion prefix")
     nu = list(shift.nu)
@@ -270,11 +268,8 @@ def build_beta_graph(shift: BetaShift, depth: int) -> EdgeShift:
             edges.append(("V%d" % n, "V%d" % (n + 1), digit))
         for c in range(digit):
             edges.append(("V%d" % n, "V1", c))
-    graph = nx.MultiDiGraph()
-    graph.add_nodes_from(vertices)
-    for s, t, c in edges:
-        graph.add_edge(s, t)
-    core = next(comp for comp in nx.strongly_connected_components(graph) if "V1" in comp)
+    graph = EdgeShift(vertices, edges, shift.alphabet(), essentialize=False)
+    core = reachable(graph, "V1") & reachable(graph, "V1", forward=False)
     kept_edges = [(s, t, c) for s, t, c in edges if s in core and t in core]
     return EdgeShift(sorted(core), kept_edges, shift.alphabet())
 
@@ -389,13 +384,12 @@ def _balanced_periodic(w: Word) -> bool:
     return True
 
 
-def coded_member(gen: CodedGenerator, w: Word, slack: int = 8) -> bool:
+def coded_member(gen: CodedGenerator, w: Word) -> bool:
     """Membership of w in the language of the coded subshift.
 
     True iff w is an infix of some bi-infinite concatenation of generator
     words.  Exact in both cases: a closed form for the balanced-23
-    family, a boundary-position dynamic program for explicit generators
-    (``slack`` is accepted for interface stability but not needed).
+    family, a boundary-position dynamic program for explicit generators.
     """
     if gen.family == "balanced-23":
         return _balanced_member(list(w))

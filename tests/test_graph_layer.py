@@ -1,0 +1,170 @@
+"""The stdlib graph layer: reachability, transitivity, iterative traversals.
+
+networkx serves here only as an independent reference; the library itself
+must not load it.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import networkx as nx
+import pytest
+from hypothesis import given, strategies as st
+
+import suspmix
+from suspmix.decider import cycle_data, decide_mixing_sft
+from suspmix.exact import RealBasis
+from suspmix.roofs import LocallyConstantRoof, roof_as_edge_weights
+from suspmix.shift import Alphabet, EdgeShift, EmptyShiftError, cycles_up_to, is_transitive
+from suspmix.special import BetaShift, QuadraticReal, build_beta_graph
+
+BINARY = Alphabet.of_size(2)
+RATIONAL = RealBasis.rational()
+
+multigraphs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1)),
+                 max_size=14),
+        st.booleans(),
+    )
+)
+
+
+def build(n, edges, essentialize):
+    try:
+        return EdgeShift(range(n), edges, BINARY, essentialize=essentialize)
+    except EmptyShiftError:
+        return None
+
+
+def reference_digraph(shift):
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(shift.vertices)
+    g.add_edges_from((e.source, e.target) for e in shift.edges)
+    return g
+
+
+@given(multigraphs)
+def test_is_transitive_matches_networkx(graph):
+    shift = build(*graph)
+    if shift is not None:
+        assert is_transitive(shift) == nx.is_strongly_connected(reference_digraph(shift))
+
+
+def recursive_cycles(shift, length):
+    """cycles_up_to as a plain recursive DFS (the order reference)."""
+    found = []
+
+    def extend(path, start, current):
+        if path and current == start:
+            found.append(list(path))
+        if len(path) == length:
+            return
+        for i in shift.out_edges(current):
+            path.append(i)
+            extend(path, start, shift.edges[i].target)
+            path.pop()
+
+    for v in shift.vertices:
+        extend([], v, v)
+    seen, out = set(), []
+    for cyc in found:
+        key = min(tuple(cyc[r:] + cyc[:r]) for r in range(len(cyc)))
+        if key not in seen:
+            seen.add(key)
+            out.append(cyc)
+    return out
+
+
+@given(multigraphs, st.integers(0, 5))
+def test_cycles_up_to_keeps_the_recursive_order(graph, length):
+    shift = build(*graph)
+    if shift is not None:
+        assert cycles_up_to(shift, length) == recursive_cycles(shift, length)
+
+
+BETAS = [
+    Fraction(3, 2),
+    Fraction(9, 4),
+    Fraction(5, 3),
+    QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5),
+    QuadraticReal(1, 1, 2),
+    QuadraticReal(1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=str)
+@pytest.mark.parametrize("depth", range(2, 7))
+def test_beta_graph_core_is_the_scc_of_v1(beta, depth):
+    shift = BetaShift.create(beta, n_digits=8)
+    nu = list(shift.nu)
+    full = nx.MultiDiGraph()
+    full.add_nodes_from("V%d" % n for n in range(1, depth + 1))
+    for n in range(1, depth + 1):
+        if n < depth:
+            full.add_edge("V%d" % n, "V%d" % (n + 1))
+        for _ in range(nu[n - 1]):
+            full.add_edge("V%d" % n, "V1")
+    scc = next(c for c in nx.strongly_connected_components(full) if "V1" in c)
+    assert set(build_beta_graph(shift, depth).vertices) == scc
+
+
+def ring_with_chord(n, labels):
+    """Vertices 0..n-1 in a ring, plus a chord from n-1 back to n // 2."""
+    edges = [(i, (i + 1) % n, labels[i]) for i in range(n)]
+    edges.append((n - 1, n // 2, 1))
+    return EdgeShift(range(n), edges, BINARY)
+
+
+def test_hundred_thousand_vertex_ring_decides():
+    n = 10**5
+    labels = [(i * i + i // 7) % 2 for i in range(n)]
+    value = {0: 4, 1: 6}
+    roof = LocallyConstantRoof.from_symbols(
+        {s: RATIONAL.from_rational(v) for s, v in value.items()})
+    verdict = decide_mixing_sft(ring_with_chord(n, labels), roof)
+    ring_sum = sum(value[s] for s in labels)
+    chord_sum = value[1] + sum(value[s] for s in labels[n // 2 : n - 1])
+    assert verdict.kind == "NotTopMixing"
+    assert verdict.delta == RATIONAL.from_rational(math.gcd(ring_sum, chord_sum))
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_traversals_need_no_deep_stack():
+    n = 300
+    shift = ring_with_chord(n, [i % 2 for i in range(n)])
+    roof = LocallyConstantRoof.from_symbols({0: RATIONAL.from_rational(1),
+                                             1: RATIONAL.from_rational(2)})
+    weighted = roof_as_edge_weights(roof, shift)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        data = cycle_data(weighted)
+        cycles = cycles_up_to(shift, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(data.potentials) == n
+    assert len(data.nonzero_cycle_values()) == 2
+    # the chord cycle, the ring, and the chord cycle run twice
+    assert sorted(len(c) for c in cycles) == [n // 2, n, n]
+
+
+def test_cli_import_does_not_load_networkx():
+    src = str(Path(suspmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, suspmix.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.stdout.strip() == "False"
