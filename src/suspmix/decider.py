@@ -11,18 +11,18 @@ semidecisions.
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from suspmix.exact import QVector, RealBasis, setwise_commensurate, span_rank
+from suspmix.exact import QVector, RealBasis, setwise_commensurate
 from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, roof_as_edge_weights
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
     EventuallyPeriodicPoint,
     Word,
-    cycles_up_to,
     determinize,
     higher_block_recode,
     is_transitive,
@@ -52,8 +52,12 @@ class MixingVerdict:
     witnesses: tuple = ()
 
     def __post_init__(self):
-        if self.kind in ("NotTopMixing", "NotMixingUpToBound"):
-            assert self.delta is not None and self.delta.is_positive()
+        if self.kind in ("NotTopMixing", "NotMixingUpToBound") and (
+            self.delta is None or not self.delta.is_positive()
+        ):
+            raise ArithmeticError(
+                "%s verdict needs a positive delta, got %s" % (self.kind, self.delta)
+            )
 
     @property
     def is_mixing(self) -> Optional[bool]:
@@ -83,7 +87,8 @@ class CycleData:
 
     ``potentials[v]`` is the weight of a tree path discounted so that tree
     edges have cycle-value zero; ``cycle_values[i] = p(src) + w - p(tgt)``
-    for edge i.  The subgroup generated by closed-walk weight sums equals
+    for edge i.  ``tree[v]`` is the in-tree edge leaving v toward the
+    root, so the tree path from v to the root sums to -p(v).  The subgroup generated by closed-walk weight sums equals
     the subgroup generated by the cycle values: each cycle value is a
     difference of two closed-walk sums through the root, and every
     closed-walk sum telescopes to a sum of cycle values.
@@ -93,6 +98,7 @@ class CycleData:
     root: object
     potentials: dict
     cycle_values: tuple[QVector, ...]
+    tree: dict
 
     def nonzero_cycle_values(self) -> list[QVector]:
         return [c for c in self.cycle_values if not c.is_zero()]
@@ -108,6 +114,7 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
     # in-tree toward the root: the tree edge v -> u found from u has cycle
     # value zero, so p(v) + w = p(u)
     potentials = {root: basis.zero()}
+    tree = {}
     frontier = [root]
     while frontier:
         u = frontier.pop()
@@ -115,12 +122,13 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
             v = shift.edges[i].source
             if v not in potentials:
                 potentials[v] = potentials[u] - weighted.weights[i]
+                tree[v] = i
                 frontier.append(v)
     values = tuple(
         potentials[e.source] + weighted.weights[i] - potentials[e.target]
         for i, e in enumerate(shift.edges)
     )
-    return CycleData(weighted, root, potentials, values)
+    return CycleData(weighted, root, potentials, values, tree)
 
 
 def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerdict:
@@ -159,14 +167,11 @@ class ShiftOracle:
 
     @classmethod
     def from_edge_shift(cls, shift: EdgeShift) -> "ShiftOracle":
-        from suspmix.shift import close_orbit
-
         def periodic(w: Word) -> bool:
-            try:
-                close_orbit(shift, w)
-                return True
-            except ValueError:
-                return False
+            # w-bar is in the shift iff a closed path spells a power of w;
+            # a path spelling w^|V| passes some vertex twice at a boundary
+            # between copies of w, so it exists exactly then
+            return len(w) > 0 and is_word_admissible(shift, w * len(shift.vertices))
 
         return cls(shift.alphabet, lambda w: is_word_admissible(shift, w), periodic)
 
@@ -174,35 +179,78 @@ class ShiftOracle:
 def periodic_words_in_cylinder(
     oracle: ShiftOracle, v: Word, period_bound: int
 ) -> list[Word]:
-    """Words w, |w| <= bound, with w-bar in the shift and in the cylinder [v].
+    """One word w per primitive periodic orbit of period <= bound through [v].
 
-    Enumerated by DFS with admissibility pruning on prefixes.
+    The orbits are enumerated as Lyndon words by a single prenecklace DFS
+    over all lengths (Fredricksen-Kessler-Maiorana), with ``v[0]`` ordered
+    first so that every orbit visiting ``v[0]`` has its Lyndon word start
+    there.  Every prefix of a Lyndon word is a factor of its repetition,
+    so prefixes failing ``is_admissible`` are pruned; ``periodic_admissible``
+    is asked only of Lyndon words.  The returned word is the Lyndon word
+    when ``|v| <= 1``, else its first rotation whose repetition starts with
+    v, so w-bar always lies in [v].  The order is that of the DFS.
     """
+    symbols = list(oracle.alphabet.symbols)
+    if len(v):
+        if v[0] not in symbols:
+            return []
+        symbols.remove(v[0])
+        symbols.insert(0, v[0])
+    rank = {s: i for i, s in enumerate(symbols)}
     found = []
-    for q in range(1, period_bound + 1):
-
-        def matches_cylinder(prefix) -> bool:
-            # positions i of w^inf must equal v_i for i < |v|
-            for i, s in enumerate(prefix):
-                for pos in range(i, len(v), q):
-                    if v[pos] != s:
-                        return False
-            return True
-
-        def dfs(prefix):
-            if len(prefix) == q:
-                w = Word(prefix)
-                if oracle.periodic_admissible(w):
-                    found.append(w)
-                return
-            for s in oracle.alphabet.symbols:
-                prefix.append(s)
-                if matches_cylinder(prefix) and oracle.is_admissible(Word(prefix)):
-                    dfs(prefix)
-                prefix.pop()
-
-        dfs([])
+    prefix: list = []
+    # (length, period, last symbol): the prefix of that length, whose
+    # smallest period is p, is a prenecklace; it is Lyndon iff p == length
+    stack = [(1, 1, s) for s in reversed(symbols[:1] if len(v) else symbols)]
+    while stack:
+        t, p, s = stack.pop()
+        del prefix[t - 1 :]
+        prefix.append(s)
+        word = Word(prefix)
+        if not oracle.is_admissible(word):
+            continue
+        if p == t:
+            w = _rotation_in_cylinder(word, v)
+            if w is not None and oracle.periodic_admissible(word):
+                found.append(w)
+        if t < period_bound:
+            repeat = prefix[t - p]
+            stack.extend(
+                (t + 1, t + 1, symbols[j])
+                for j in range(len(symbols) - 1, rank[repeat], -1)
+            )
+            stack.append((t + 1, p, repeat))
     return found
+
+
+def _rotation_in_cylinder(lyndon: Word, v: Word) -> Optional[Word]:
+    """The first rotation of ``lyndon`` whose repetition starts with v."""
+    if len(v) <= 1:
+        return lyndon
+    n = len(lyndon)
+    for i in range(n):
+        if all(lyndon[(i + k) % n] == v[k] for k in range(len(v))):
+            return lyndon[i:] + lyndon[:i]
+    return None
+
+
+def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
+    """Exact Birkhoff sum over one period of each w-bar.
+
+    The sum depends only on how often each roof window occurs cyclically
+    in w, so one exact sum is computed per distinct vector of such counts.
+    """
+    width = roof.past + roof.future + 1
+    by_counts: dict = {}
+    sums = []
+    for w in words:
+        n = len(w)
+        cyclic = w.symbols * (width // n + 2)
+        counts = frozenset(Counter(cyclic[i : i + width] for i in range(n)).items())
+        if counts not in by_counts:
+            by_counts[counts] = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), n)
+        sums.append(by_counts[counts])
+    return sums
 
 
 def decide_mixing_synchronized(
@@ -215,6 +263,8 @@ def decide_mixing_synchronized(
 
     Orbit-length rank >= 2 certifies mixing; a common grid among the
     orbits found is only evidence and is reported as NotMixingUpToBound.
+    Rank and grid are computed over the distinct orbit sums; every orbit
+    is listed, with its sum, in ``witnesses`` and ``generators``.
     """
     words = periodic_words_in_cylinder(oracle, v, period_bound)
     if not words:
@@ -223,13 +273,11 @@ def decide_mixing_synchronized(
             bound=period_bound,
             reason="no periodic point found in the cylinder within the period bound",
         )
-    sums = []
-    for w in words:
-        p = EventuallyPeriodicPoint.periodic(w)
-        sums.append(birkhoff_sum(roof, p, len(w)))
-    if span_rank(sums) >= 2:
+    sums = _orbit_sums(roof, words)
+    # positive roofs give nonzero sums, so None means rank >= 2
+    delta = setwise_commensurate(list({s.coords: s for s in sums}.values()))
+    if delta is None:
         return MixingVerdict("TopMixing", generators=tuple(sums), witnesses=tuple(words))
-    delta = setwise_commensurate(sums)
     return MixingVerdict(
         "NotMixingUpToBound",
         delta=delta,
@@ -259,8 +307,7 @@ def check_multi_sync(
     """
 
     def on_grid(words) -> bool:
-        for w in words:
-            s = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), len(w))
+        for s in _orbit_sums(roof, words):
             q = s.ratio_to(delta)
             if q is None or q.denominator != 1:
                 return False
@@ -343,7 +390,7 @@ def are_cohomologous(
     weighted = WeightedShift(recoded, diffs, windows)
     data = cycle_data(weighted)
     if any(not c.is_zero() for c in data.cycle_values):
-        witness = _nonzero_cycle_witness(weighted)
+        witness = _nonzero_cycle_witness(data)
         return CohomologyResult(False, None, witness)
     # d(e) = p(target) - p(source) on every edge: g is the potential read
     # on source blocks, which cover positions [j - (k - future), j + future - 1]
@@ -353,22 +400,78 @@ def are_cohomologous(
         table={v: data.potentials[v] for v in recoded.vertices},
     )
     for i, e in enumerate(recoded.edges):
-        assert (diffs[i] - (data.potentials[e.target] - data.potentials[e.source])).is_zero()
+        if not (diffs[i] - (data.potentials[e.target] - data.potentials[e.source])).is_zero():
+            raise ArithmeticError("transfer does not reproduce the difference on edge %d" % i)
     return CohomologyResult(True, g)
 
 
-def _nonzero_cycle_witness(weighted: WeightedShift) -> EventuallyPeriodicPoint:
-    """A periodic orbit whose weight sum is nonzero (exists when some
-    cycle value is nonzero, among simple cycles of length <= |V|)."""
-    shift = weighted.shift
-    for cyc in cycles_up_to(shift, len(shift.vertices)):
-        total = weighted.weights[cyc[0]].basis.zero()
-        for i in cyc:
-            total = total + weighted.weights[i]
-        if not total.is_zero():
-            labels = Word(shift.edges[i].label for i in cyc)
-            return EventuallyPeriodicPoint.periodic(labels)
-    raise AssertionError("nonzero cycle value but no nonzero simple cycle")
+def _nonzero_cycle_witness(data: CycleData) -> EventuallyPeriodicPoint:
+    """The periodic orbit of a simple cycle whose weight sum is nonzero.
+
+    For the first edge e with a nonzero cycle value, take any path P from
+    the root to src(e).  Closed through the in-tree, the walks P then
+    src(e) -> root and P, e then tgt(e) -> root differ in sum by
+    p(src) + w(e) - p(tgt), the cycle value of e, so one of them is
+    nonzero; split into simple cycles, it leaves a nonzero one.  Linear
+    in the size of the graph.
+    """
+    shift = data.weighted.shift
+    weights = data.weighted.weights
+    e = next(i for i, c in enumerate(data.cycle_values) if not c.is_zero())
+    source, target = shift.edges[e].source, shift.edges[e].target
+    # breadth-first out-tree for the root -> src(e) leg
+    parent = {data.root: None}
+    queue = deque([data.root])
+    while queue:
+        u = queue.popleft()
+        for i in shift.out_edges(u):
+            if shift.edges[i].target not in parent:
+                parent[shift.edges[i].target] = i
+                queue.append(shift.edges[i].target)
+    from_root = []
+    x = source
+    while parent[x] is not None:
+        from_root.append(parent[x])
+        x = shift.edges[parent[x]].source
+    from_root.reverse()
+
+    def to_root(x) -> list[int]:
+        edges = []
+        while x in data.tree:
+            edges.append(data.tree[x])
+            x = shift.edges[data.tree[x]].target
+        return edges
+
+    for walk in (from_root + to_root(source), from_root + [e] + to_root(target)):
+        for cyc in _simple_cycles(shift, walk):
+            total = weights[cyc[0]].basis.zero()
+            for i in cyc:
+                total = total + weights[i]
+            if not total.is_zero():
+                return EventuallyPeriodicPoint.periodic(Word(shift.edges[i].label for i in cyc))
+    raise ArithmeticError("nonzero cycle value but no nonzero simple cycle")
+
+
+def _simple_cycles(shift: EdgeShift, walk: list[int]) -> list[list[int]]:
+    """Split a closed walk into simple cycles, each closed as it occurs."""
+    if not walk:
+        return []
+    stack: list[int] = []
+    # vertex -> length of the stack when the current path reached it
+    position = {shift.edges[walk[0]].source: 0}
+    cycles = []
+    for i in walk:
+        stack.append(i)
+        v = shift.edges[i].target
+        if v not in position:
+            position[v] = len(stack)
+            continue
+        cyc = stack[position[v] :]
+        del stack[position[v] :]
+        for j in cyc[:-1]:
+            del position[shift.edges[j].target]
+        cycles.append(cyc)
+    return cycles
 
 
 def periodic_obstruction(
@@ -447,7 +550,8 @@ def normalize_to_delta_grid(
     for i, e in enumerate(recoded.edges):
         s_val = weights[i] - g.table[e.source] + g.table[e.target]
         q = s_val.ratio_to(delta)
-        assert q is not None and q.denominator == 1 and q >= 1
+        if q is None or q.denominator != 1 or q < 1:
+            raise ArithmeticError("normalized value %s is not in %s*N" % (s_val, delta))
         s_table[windows[i]] = s_val
     s = LocallyConstantRoof(past=k - roof.future, future=roof.future, table=s_table)
     return GridNormalization(g, s, delta)

@@ -265,7 +265,8 @@ def setwise_commensurate(values: Sequence[QVector]) -> QVector | None:
     multipliers = []
     for v in nonzero:
         q = v.ratio_to(generator)
-        assert q is not None and q != 0  # rank 1 guarantees exact ratios
+        if q is None or q == 0:
+            raise ArithmeticError("rank-1 values %s and %s have no exact ratio" % (v, generator))
         multipliers.append(q)
     delta = generator.scale(rational_gcd(multipliers))
     if not delta.is_positive():

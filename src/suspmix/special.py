@@ -9,13 +9,14 @@ scaffolded on an aperiodic {3,4}-valued separator sequence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from suspmix.decider import ShiftOracle
+from suspmix.decider import ShiftOracle, periodic_words_in_cylinder
 from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word, reachable
 
 
@@ -434,9 +435,7 @@ def balanced_oracle() -> ShiftOracle:
 def coded_periodic_in_cylinder(
     gen: CodedGenerator, v: Word, period_bound: int
 ) -> list[EventuallyPeriodicPoint]:
-    """All periodic points w-bar with period <= bound lying in [v]."""
-    from suspmix.decider import periodic_words_in_cylinder
-
+    """One periodic point w-bar in [v] per orbit of period <= bound."""
     if gen.family != "balanced-23":
         raise NotImplementedError("periodic enumeration is defined for balanced-23")
     words = periodic_words_in_cylinder(balanced_oracle(), v, period_bound)
@@ -482,26 +481,34 @@ _SEQ_PREFIX_LEN = 4096
 _SEQ_PREFIX = _SEQ.prefix(_SEQ_PREFIX_LEN)
 
 
+@functools.lru_cache(maxsize=None)
+def _scaffold_factors(n: int) -> frozenset:
+    """Every length-n factor of the scaffold prefix (about 3n distinct ones)."""
+    a = _SEQ_PREFIX
+    return frozenset(tuple(a[i : i + n]) for i in range(len(a) - n + 1))
+
+
 def _factor_occurs(interior: list[int], lead: int, trail: int) -> bool:
     """Whether the separator-length pattern occurs in the scaffold sequence.
 
-    ``interior`` must match consecutively; ``lead``/``trail`` are partial
-    boundary separators needing neighbors of at least that size (0 when
-    absent).
+    ``interior`` must match consecutively, at a start i >= 1 that leaves a
+    term after it; ``lead``/``trail`` are partial boundary separators
+    needing neighbors of at least that size (0 when absent).  The
+    neighbors are terms 3 or 4, so the question is whether one of at most
+    four extended patterns is a factor of the prefix.
     """
-    a = _SEQ_PREFIX
     t = len(interior)
     if t == 0:
         return lead <= 4 and trail <= 4
-    for i in range(1, len(a) - t):
-        if a[i : i + t] != interior:
-            continue
-        if lead and a[i - 1] < lead:
-            continue
-        if trail and (i + t >= len(a) or a[i + t] < trail):
-            continue
-        return True
-    return False
+    factors = _scaffold_factors(t + 2)
+    body = tuple(interior)
+    return any(
+        (x,) + body + (y,) in factors
+        for x in (3, 4)
+        if x >= lead
+        for y in (3, 4)
+        if y >= trail
+    )
 
 
 def _is_alternating(seg: list[int]) -> bool:
@@ -649,14 +656,8 @@ def two_orbit_shift_words(i: Optional[int], max_len: int) -> Iterator[Word]:
 
 
 def two_orbit_periodic_words(period_bound: int) -> list[Word]:
-    """All words w with |w| <= bound whose repetition is in the shift."""
-    found = []
-    for q in range(1, period_bound + 1):
-        for bits in itertools.product((0, 1), repeat=q):
-            w = Word(bits)
-            if two_orbit_is_admissible(w) and two_orbit_periodic_admissible(w):
-                found.append(w)
-    return found
+    """One word per periodic orbit of the shift with period <= bound."""
+    return periodic_words_in_cylinder(two_orbit_oracle(), Word(), period_bound)
 
 
 def find_connector(
