@@ -23,10 +23,9 @@ from suspmix.shift import (
     EdgeShift,
     EventuallyPeriodicPoint,
     Word,
-    determinize,
-    higher_block_recode,
     is_transitive,
     is_word_admissible,
+    symbol_named_presentation,
 )
 
 
@@ -58,14 +57,6 @@ class MixingVerdict:
             raise ArithmeticError(
                 "%s verdict needs a positive delta, got %s" % (self.kind, self.delta)
             )
-
-    @property
-    def is_mixing(self) -> Optional[bool]:
-        if self.kind == "TopMixing":
-            return True
-        if self.kind == "NotTopMixing":
-            return False
-        return None
 
     def to_record(self) -> dict:
         rec = {"verdict": self.kind}
@@ -350,20 +341,22 @@ class CohomologyResult:
     witness_orbit: Optional[EventuallyPeriodicPoint] = None
 
 
-def _block_presentation(shift: EdgeShift, k: int):
-    """Recode with blocks of length >= k so block names pin vertices.
+def _weighted_blocks(shift: EdgeShift, k: int, future: int, value) -> tuple[WeightedShift, int]:
+    """Symbol-named block presentation, weighted through its windows.
 
-    Returns (recoded shift, window map, block length).  Raises if no
-    block length up to k + |V| separates the vertices.
+    The blocks have the least length kk >= k that names every vertex by
+    its block.  An edge's window w covers positions [i - kk, i]; the edge
+    weighs ``value(w, kk - future)``, read at position i - future.
+    Returns (weighted, kk).
     """
-    base = shift if shift.is_right_resolving() else determinize(shift)
-    for kk in range(k, k + len(shift.vertices) + 2):
-        recoded, windows = higher_block_recode(base, kk)
-        if all(isinstance(v, Word) for v in recoded.vertices):
-            return recoded, windows, kk
-    raise HypothesisError(
-        "no block length up to %d makes vertices symbol-determined" % (k + len(shift.vertices) + 1)
-    )
+    found = symbol_named_presentation(shift, k)
+    if found is None:
+        raise HypothesisError(
+            "no block length up to %d makes vertices symbol-determined" % (k + len(shift.vertices) + 1)
+        )
+    recoded, windows, kk = found
+    weights = tuple(value(windows[i], kk - future) for i in range(len(recoded.edges)))
+    return WeightedShift(recoded, weights, windows), kk
 
 
 def are_cohomologous(
@@ -380,14 +373,10 @@ def are_cohomologous(
         raise HypothesisError("cohomology test requires a transitive SFT base")
     past = max(r.past, s.past)
     future = max(r.future, s.future)
-    recoded, windows, k = _block_presentation(shift, past + future + 1)
-    # an edge window covers positions [i-k, i]; both roofs are read at
-    # position i - future
-    diffs = tuple(
-        r.value_at(windows[i], k - future) - s.value_at(windows[i], k - future)
-        for i in range(len(recoded.edges))
+    weighted, k = _weighted_blocks(
+        shift, past + future + 1, future, lambda w, j: r.value_at(w, j) - s.value_at(w, j)
     )
-    weighted = WeightedShift(recoded, diffs, windows)
+    recoded, diffs = weighted.shift, weighted.weights
     data = cycle_data(weighted)
     if any(not c.is_zero() for c in data.cycle_values):
         witness = _nonzero_cycle_witness(data)
@@ -527,9 +516,8 @@ def normalize_to_delta_grid(
     minimum roof value it is first shrunk to delta/k, which satisfies the
     same containment.
     """
-    recoded, windows, k = _block_presentation(shift, max(roof.past + roof.future, 1))
-    weights = tuple(roof.value_at(windows[i], k - roof.future) for i in range(len(recoded.edges)))
-    weighted = WeightedShift(recoded, weights, windows)
+    weighted, k = _weighted_blocks(shift, max(roof.past + roof.future, 1), roof.future, roof.value_at)
+    recoded, weights, windows = weighted.shift, weighted.weights, weighted.windows
     data = cycle_data(weighted)
     for c in data.cycle_values:
         if c.is_zero():
@@ -570,11 +558,13 @@ def unit_cross_section(
     if all(v == delta for v in roof.values()):
         # the section at height 0 is the base itself
         return shift
-    # recode so the roof value is a function of the (past+future+1)-block vertex
-    recoded, _, _ = _block_presentation(shift, roof.past + roof.future + 1)
+    # on blocks of length >= past+future+1 an edge's roof value depends
+    # only on its target block
+    weighted, _ = _weighted_blocks(shift, roof.past + roof.future + 1, roof.future, roof.value_at)
+    recoded = weighted.shift
     multiples = {}
     for v in recoded.vertices:
-        q = roof.value_at(v, len(v) - 1 - roof.future).ratio_to(delta)
+        q = weighted.weights[recoded.in_edges(v)[0]].ratio_to(delta)
         if q is None or q.denominator != 1 or q < 1:
             raise HypothesisError(
                 "roof value at %s is not a positive integer multiple of %s" % (v, delta)

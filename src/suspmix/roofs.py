@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from suspmix.exact import QVector, RealBasis
 from suspmix.shift import Alphabet, EdgeShift, Word, admissible_words, higher_block_recode
@@ -173,9 +172,6 @@ class WeightedShift:
     shift: EdgeShift
     weights: tuple[QVector, ...]
     windows: dict[int, Word]
-
-    def weight(self, edge_index: int) -> QVector:
-        return self.weights[edge_index]
 
 
 def roof_as_edge_weights(roof: LocallyConstantRoof, shift: EdgeShift) -> WeightedShift:

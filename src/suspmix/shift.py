@@ -21,24 +21,15 @@ class EmptyShiftError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite set of symbols.
-
-    Symbols are small non-negative integers; ``names`` optionally maps
-    them to display strings (defaulting to their decimal form).
-    """
+    """Ordered finite set of symbols (small non-negative integers)."""
 
     symbols: tuple[int, ...]
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols in alphabet")
-        if not self.names:
-            object.__setattr__(self, "names", tuple(str(s) for s in self.symbols))
-        if len(self.names) != len(self.symbols):
-            raise ValueError("names must match symbols one-to-one")
 
     @classmethod
     def of_size(cls, n: int) -> "Alphabet":
@@ -49,9 +40,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def name_of(self, symbol: int) -> str:
-        return self.names[self.symbols.index(symbol)]
 
 
 @dataclass(frozen=True, order=True)
@@ -234,6 +222,44 @@ def sft_from_forbidden_words(alphabet: Alphabet, forbidden: Iterable[Word]) -> E
         raise EmptyShiftError("every bi-infinite sequence hits a forbidden word")
 
 
+def _block_sweep(shift: EdgeShift):
+    """Yield, for n = 0, 1, 2, ..., the map from each admissible n-block
+    (a tuple of symbols) to the set of ends of the edge paths spelling it."""
+    ends: dict[tuple, set] = {(): set(shift.vertices)}
+    while True:
+        yield ends
+        longer: dict[tuple, set] = {}
+        for blk, vs in ends.items():
+            for v in vs:
+                for i in shift._out[v]:
+                    e = shift.edges[i]
+                    longer.setdefault(blk + (e.label,), set()).add(e.target)
+        ends = longer
+
+
+def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple[EdgeShift, dict[int, Word]]:
+    """The presentation on the (end, block) pairs of one map of the sweep.
+
+    A vertex is shown as its plain block when that block has one end.  The
+    edge out of (v, block) along base edge e is labeled e's symbol and
+    reads the window block + symbol.
+    """
+
+    def name(v, blk):
+        return Word(blk) if len(ends[blk]) == 1 else (v, Word(blk))
+
+    pairs = [(v, blk) for blk in sorted(ends) for v in sorted(ends[blk], key=str)]
+    edges = []
+    windows = {}
+    for v, blk in pairs:
+        for i in base.out_edges(v):
+            e = base.edges[i]
+            windows[len(edges)] = Word(blk + (e.label,))
+            edges.append((name(v, blk), name(e.target, blk[1:] + (e.label,)), e.label))
+    recoded = EdgeShift([name(v, blk) for v, blk in pairs], edges, base.alphabet, essentialize=False)
+    return recoded, windows
+
+
 def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, Word]]:
     """Conjugate presentation whose vertices are admissible k-blocks.
 
@@ -252,36 +278,30 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
     if k < 1:
         raise ValueError("block length must be >= 1")
     base = shift if shift.is_right_resolving() else determinize(shift)
-    # (endpoint vertex, k-block) pairs realized by length-k paths
-    pairs = set()
-    for v in base.vertices:
-        frontier = {(v, ())}
-        for _ in range(k):
-            nxt = set()
-            for u, blk in frontier:
-                for i in base.out_edges(u):
-                    e = base.edges[i]
-                    nxt.add((e.target, blk + (e.label,)))
-            frontier = nxt
-        pairs |= frontier
-    by_block: dict[tuple, set] = {}
-    for v, blk in pairs:
-        by_block.setdefault(blk, set()).add(v)
+    return _block_graph(base, next(itertools.islice(_block_sweep(base), k, None)))
 
-    def name(v, blk):
-        return Word(blk) if len(by_block[blk]) == 1 else (v, Word(blk))
 
-    vertices = [name(v, blk) for v, blk in sorted(pairs, key=lambda p: (p[1], str(p[0])))]
-    edges = []
-    windows = []
-    for v, blk in sorted(pairs, key=lambda p: (p[1], str(p[0]))):
-        for i in base.out_edges(v):
-            e = base.edges[i]
-            edges.append((name(v, blk), name(e.target, blk[1:] + (e.label,)), e.label))
-            windows.append(Word(blk + (e.label,)))
-    recoded = EdgeShift(vertices, edges, shift.alphabet, essentialize=False)
-    window_map = {i: w for i, w in enumerate(windows)}
-    return recoded, window_map
+def symbol_named_presentation(
+    shift: EdgeShift, k: int
+) -> tuple[EdgeShift, dict[int, Word], int] | None:
+    """Higher-block presentation whose vertices are all plain blocks.
+
+    Uses the least block length kk >= k at which every admissible
+    kk-block has one path end (on the determinized graph if the input is
+    not right-resolving), so each vertex is a ``Word``.
+
+    Returns
+    -------
+    (EdgeShift, dict, int) or None
+        The recoded shift, its window map (as in ``higher_block_recode``)
+        and kk; None if no kk up to k + |V| + 1 qualifies.
+    """
+    base = shift if shift.is_right_resolving() else determinize(shift)
+    for kk, ends in enumerate(_block_sweep(base)):
+        if kk >= k and all(len(vs) == 1 for vs in ends.values()):
+            return _block_graph(base, ends) + (kk,)
+        if kk == k + len(shift.vertices) + 1:
+            return None
 
 
 def determinize(shift: EdgeShift) -> EdgeShift:
@@ -316,16 +336,7 @@ def is_word_admissible(shift: EdgeShift, w: Word) -> bool:
 
 def admissible_words(shift: EdgeShift, length: int) -> list[Word]:
     """All admissible words of exactly the given length."""
-    frontier: dict[tuple, set] = {(): set(shift.vertices)}
-    for _ in range(length):
-        nxt: dict[tuple, set] = {}
-        for blk, states in frontier.items():
-            for c in shift.alphabet.symbols:
-                t = shift.step(states, c)
-                if t:
-                    nxt.setdefault(blk + (c,), set()).update(t)
-        frontier = nxt
-    return sorted(Word(b) for b in frontier)
+    return sorted(Word(b) for b in next(itertools.islice(_block_sweep(shift), length, None)))
 
 
 def reachable(shift: EdgeShift, root, forward: bool = True) -> set:

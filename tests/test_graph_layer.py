@@ -13,7 +13,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import suspmix
 from suspmix.decider import cycle_data, decide_mixing_sft
@@ -82,6 +82,7 @@ def recursive_cycles(shift, length):
 
 
 @given(multigraphs, st.integers(0, 5))
+@settings(deadline=None)
 def test_cycles_up_to_keeps_the_recursive_order(graph, length):
     shift = build(*graph)
     if shift is not None:
