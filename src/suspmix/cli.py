@@ -35,7 +35,7 @@ from suspmix.decider import (
     normalize_to_delta_grid,
     unit_cross_section,
 )
-from suspmix.exact import RealBasis, parse_qvector
+from suspmix.exact import QVector, RealBasis, parse_qvector
 from suspmix.roofs import LocallyConstantRoof, birkhoff_sum, example_roof_harmonic
 from suspmix.shift import (
     Alphabet,
@@ -98,6 +98,8 @@ class SystemConfig:
     roof_table: tuple[tuple[str, str], ...] = ()
     roof2_table: tuple[tuple[str, str], ...] = ()
     options: tuple[tuple[str, str], ...] = ()
+    # exact roof values by their rendered text, filled by ``normalized``
+    _values: dict[str, QVector] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def parse(cls, text: str) -> "SystemConfig":
@@ -146,14 +148,21 @@ class SystemConfig:
         return cfg.normalized()
 
     def normalized(self) -> "SystemConfig":
-        """Re-render every exact value so equality is syntax-independent."""
+        """Re-render every exact value so equality is syntax-independent.
+
+        Each parsed value is kept under its rendered text, so building the
+        roofs parses nothing again.
+        """
         basis = self.basis()
-        self.roof_table = tuple(
-            (w, parse_qvector(v, basis).render()) for w, v in self.roof_table
-        )
-        self.roof2_table = tuple(
-            (w, parse_qvector(v, basis).render()) for w, v in self.roof2_table
-        )
+
+        def render(text: str) -> str:
+            value = parse_qvector(text, basis)
+            key = value.render()
+            self._values[key] = value
+            return key
+
+        self.roof_table = tuple((w, render(v)) for w, v in self.roof_table)
+        self.roof2_table = tuple((w, render(v)) for w, v in self.roof2_table)
         return self
 
     @classmethod
@@ -210,20 +219,19 @@ class SystemConfig:
             return example_roof_harmonic()
         if self.roof_name:
             raise ValueError("unknown named roof %r" % self.roof_name)
-        basis = self.basis()
-        table = {
-            Word.parse(w): parse_qvector(v, basis) for w, v in self.roof_table
-        }
-        return LocallyConstantRoof(self.roof_past, self.roof_future, table)
+        return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof_table))
 
     def roof2(self) -> Optional[LocallyConstantRoof]:
         if not self.roof2_table:
             return None
-        basis = self.basis()
-        table = {
-            Word.parse(w): parse_qvector(v, basis) for w, v in self.roof2_table
+        return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof2_table))
+
+    def _table(self, rows: tuple[tuple[str, str], ...]) -> dict[Word, QVector]:
+        basis, values = self.basis(), self._values
+        return {
+            Word.parse(w): values[v] if v in values else parse_qvector(v, basis)
+            for w, v in rows
         }
-        return LocallyConstantRoof(self.roof_past, self.roof_future, table)
 
     def option(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return dict(self.options).get(key, default)
@@ -368,7 +376,8 @@ def cmd_cohomology(args) -> int:
         )
         return 2
     if mode == "normalize":
-        g, s = normalize_to_delta_grid(base, roof, verdict.delta)
+        norm = normalize_to_delta_grid(base, roof, verdict.delta)
+        g, s = norm.transfer, norm.roof
         s_table = {str(w): v.render() for w, v in sorted(s.table.items(), key=lambda kv: str(kv[0]))}
         g_table = {str(w): v.render() for w, v in sorted(g.table.items(), key=lambda kv: str(kv[0]))}
         lines = ["delta: %s" % verdict.delta.render()]
@@ -649,7 +658,7 @@ def run_example(name: str, lines: list[str]) -> bool:
         ok &= _check(lines, "delta exactly 1", verdict.delta == one)
         _kind, base = config.build_shift()
         roof = config.roof()
-        g, s = normalize_to_delta_grid(base, roof, one)
+        s = normalize_to_delta_grid(base, roof, one).roof
         values = {v.render() for v in s.table.values()}
         ok &= _check(lines, "normalized values {2, 3}", values == {"2", "3"})
         section = unit_cross_section(base, roof, one)

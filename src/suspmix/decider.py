@@ -488,9 +488,6 @@ class GridNormalization:
     roof: LocallyConstantRoof
     delta: QVector
 
-    def __iter__(self):
-        return iter((self.transfer, self.roof))
-
 
 def _reduce_mod(value: QVector, delta: QVector) -> QVector:
     """value - n*delta in [0, delta), via a float-guided exact choice of n."""

@@ -131,9 +131,13 @@ class EvaluableRoof:
     integer indexing; ``walters_modulus(k)`` bounds Birkhoff-sum
     discrepancies for points agreeing on ``[-k, n+k]`` and is
     non-increasing with limit 0.  ``floor`` is a certified positive lower
-    bound for the roof.  ``vectorized``, when given, maps a numpy symbol
-    array to the array of roof values along it (a fast path used by the
-    simulator; it must agree with ``evaluator``).
+    bound for the roof.  ``vectorized``, when given, maps the numpy array
+    of the symbols x[0..N) of a point to the float64 array of the values
+    r(σ^j x), j < N, read from that array alone.  The simulator uses it in
+    place of ``evaluator`` and keeps only a prefix of the result, passing
+    enough symbols beyond it, so on that prefix the two must agree bit for
+    bit.  Table roofs need no such hook: the simulator evaluates a
+    ``LocallyConstantRoof`` with one table lookup per distinct window.
     """
 
     evaluator: Callable
@@ -255,19 +259,14 @@ def example_roof_harmonic() -> EvaluableRoof:
         return 1.0 + 1.0 / (1.0 + rho)
 
     def vectorized(symbols: "np.ndarray") -> "np.ndarray":
-        # distance to the next 1 at or after each position, along the array;
-        # positions with no later 1 are treated as infinite runs of zeros
-        n = len(symbols)
-        dist = np.zeros(n, dtype=np.int64)
-        nxt = -1
-        for i in range(n - 1, -1, -1):
-            if symbols[i] == 1:
-                nxt = i
-            dist[i] = (nxt - i) if nxt >= 0 else np.iinfo(np.int64).max // 2
-        values = np.ones(n, dtype=np.float64)
-        zeros = symbols == 0
-        values[zeros] = 1.0 + 1.0 / (1.0 + dist[zeros])
-        return values
+        # rho at each 0 is the distance to the next 1 at or after it, read off
+        # a reversed running minimum of the positions of the 1s; a 0 with no
+        # later 1 in the array gets a distance near 2**62, which rounds
+        # 1 + 1/(1 + rho) to exactly 1.0, the value on an infinite run of zeros
+        pos = np.arange(len(symbols), dtype=np.int64)
+        ones_at = np.where(symbols == 1, pos, np.iinfo(np.int64).max // 2)
+        nxt = np.minimum.accumulate(ones_at[::-1])[::-1]
+        return np.where(symbols == 0, 1.0 + 1.0 / (1.0 + (nxt - pos)), 1.0)
 
     return EvaluableRoof(
         evaluator=evaluator,

@@ -121,9 +121,45 @@ def _nonnegative_symbols(point: EventuallyPeriodicPoint, n: int) -> np.ndarray:
 
 
 def _roof_values(roof, point: EventuallyPeriodicPoint, symbols: np.ndarray, n: int) -> np.ndarray:
+    """The floats r(point shifted j times) for j < n; ``symbols`` holds point[0..]."""
     if isinstance(roof, EvaluableRoof) and roof.vectorized is not None:
         return np.asarray(roof.vectorized(symbols), dtype=np.float64)[:n]
+    if isinstance(roof, LocallyConstantRoof):
+        return _table_values(roof, point, symbols, n)
     return np.array([float(roof.value_at(point, j)) for j in range(n)], dtype=np.float64)
+
+
+def _table_values(
+    roof: LocallyConstantRoof, point: EventuallyPeriodicPoint, symbols: np.ndarray, n: int
+) -> np.ndarray:
+    """Table-roof values along the point, one table lookup per distinct window.
+
+    The window x[j-past .. j+future] needs the point's past, so this path
+    reads ``point`` as well as ``symbols``, extending the array from the
+    point when the window runs past its end.  Windows get dense ids one
+    column at a time, so an id stays below n however wide the window is.
+    Distinct windows are looked up in order of first occurrence, which
+    raises the same ``KeyError`` as evaluating index by index.
+    """
+    past, future = roof.past, roof.future
+    width = past + future + 1
+    full = np.concatenate([
+        np.array([point[i] for i in range(-past, 0)], dtype=np.int64),
+        symbols[: n + future],
+        np.array([point[i] for i in range(len(symbols), n + future)], dtype=np.int64),
+    ])
+    lo = int(full.min(initial=0))
+    base = int(full.max(initial=0)) - lo + 1
+    ids = np.zeros(n, dtype=np.int64)
+    for c in range(width):
+        _, first, ids = np.unique(
+            ids * base + (full[c : c + n] - lo), return_index=True, return_inverse=True
+        )
+    values = np.empty(len(first), dtype=np.float64)
+    for k in np.argsort(first):
+        j = int(first[k])
+        values[k] = float(roof.value_on_window(Word(full[j : j + width].tolist())))
+    return values[ids]
 
 
 def orbit_period(roof, word: Word) -> float:

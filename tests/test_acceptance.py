@@ -102,7 +102,7 @@ def test_criterion_1_running_example_end_to_end(capsys):
         assert verdict.kind == "NotTopMixing"
         one = RATIONAL.from_rational(1)
         assert verdict.delta == one
-        g, s = normalize_to_delta_grid(shift, roof, one)
+        s = normalize_to_delta_grid(shift, roof, one).roof
         assert {v.render() for v in s.table.values()} == {"2", "3"}
         for v in s.table.values():
             q = v.ratio_to(one)

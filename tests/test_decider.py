@@ -376,7 +376,7 @@ class TestNormalize:
         shift = full_shift(BINARY)
         roof = roof_two_three()
         norm = normalize_to_delta_grid(shift, roof, RATIONAL.from_rational(1))
-        g, s = norm
+        g, s = norm.transfer, norm.roof
         for w in admissible_words(shift, 8):
             p = EventuallyPeriodicPoint.periodic(w)
             lhs = s.value_at(p, 0)
