@@ -151,14 +151,17 @@ class SystemConfig:
         """Re-render every exact value so equality is syntax-independent.
 
         Each parsed value is kept under its rendered text, so building the
-        roofs parses nothing again.
+        roofs parses nothing again, and each distinct text is parsed once.
         """
         basis = self.basis()
+        keys: dict[str, str] = {}
 
         def render(text: str) -> str:
-            value = parse_qvector(text, basis)
-            key = value.render()
-            self._values[key] = value
+            key = keys.get(text)
+            if key is None:
+                value = parse_qvector(text, basis)
+                key = keys[text] = value.render()
+                self._values[key] = value
             return key
 
         self.roof_table = tuple((w, render(v)) for w, v in self.roof_table)

@@ -266,7 +266,7 @@ def decide_mixing_synchronized(
         )
     sums = _orbit_sums(roof, words)
     # positive roofs give nonzero sums, so None means rank >= 2
-    delta = setwise_commensurate(list({s.coords: s for s in sums}.values()))
+    delta = setwise_commensurate(list(dict.fromkeys(sums)))
     if delta is None:
         return MixingVerdict("TopMixing", generators=tuple(sums), witnesses=tuple(words))
     return MixingVerdict(

@@ -5,13 +5,19 @@ ordered basis of positive reals.  The basis conventionally starts with the
 constant 1, and the user asserts (but the library never verifies) that the
 basis elements are linearly independent over the rationals.  Float
 approximations ride along for sign checks and for the simulator.
+
+A :class:`QVector` stores its coefficients as one row of integer
+numerators over a single positive common denominator, in lowest terms, so
+every exact operation is integer arithmetic and equal values have equal
+fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
 
@@ -59,62 +65,118 @@ class RealBasis:
         return len(self.names)
 
     def zero(self) -> "QVector":
-        return QVector(self, (Fraction(0),) * len(self))
+        return _new(self, (0,) * len(self), 1)
 
     def unit(self, i: int) -> "QVector":
-        coords = [Fraction(0)] * len(self)
-        coords[i] = Fraction(1)
-        return QVector(self, tuple(coords))
+        num = [0] * len(self)
+        num[i] = 1
+        return _new(self, tuple(num), 1)
 
     def from_rational(self, value) -> "QVector":
         """Embed an exact rational as ``value * 1`` (requires element 0 == "1")."""
         if self.names[0] != "1":
             raise ValueError("basis has no constant element")
-        coords = [Fraction(0)] * len(self)
-        coords[0] = Fraction(value)
-        return QVector(self, tuple(coords))
+        value = Fraction(value)
+        num = [0] * len(self)
+        num[0] = value.numerator
+        return _new(self, tuple(num), value.denominator)
 
 
-@dataclass(frozen=True)
 class QVector:
-    """An exact rational combination of the elements of a RealBasis."""
+    """An exact rational combination of the elements of a RealBasis.
 
-    basis: RealBasis
-    coords: tuple[Fraction, ...]
+    The coefficients are ``num[i] / den``: integer numerators over one
+    positive common denominator with ``gcd(den, *num) == 1`` (zero is all
+    zeros over 1).  The representation is canonical, so equality and
+    hashing compare fields.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.basis):
+    __slots__ = ("basis", "num", "den")
+
+    def __init__(self, basis: RealBasis, coords: Sequence):
+        if len(coords) != len(basis):
             raise ValueError("coordinate count does not match basis size")
+        coords = [Fraction(c) for c in coords]
+        den = math.lcm(*(c.denominator for c in coords))
+        # each c is in lowest terms, so these numerators share no factor with den
+        _set_basis(self, basis)
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coords))
+        _set_den(self, den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, one per basis element."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QVector is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QVector:
+            return NotImplemented
+        return (self.den == other.den and self.num == other.num
+                and (self.basis is other.basis or self.basis == other.basis))
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return "QVector(basis=%r, coords=%r)" % (self.basis, self.coords)
+
+    def __reduce__(self):
+        return _new, (self.basis, self.num, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "QVector") -> None:
-        if other.basis != self.basis:
+        if other.basis is not self.basis and other.basis != self.basis:
             raise ValueError("operands live over different bases")
 
-    def __add__(self, other: "QVector") -> "QVector":
+    def _combine(self, other: "QVector", op) -> "QVector":
+        """``op`` (add or sub) on the two numerator rows over a common denominator."""
         self._check(other)
-        return QVector(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = self.den
+        if den == other.den:
+            num = tuple(map(op, self.num, other.num))
+        else:
+            g = math.gcd(den, other.den)
+            m, n = other.den // g, den // g
+            num = tuple(op(a * m, b * n) for a, b in zip(self.num, other.num))
+            den *= m
+        return _reduced(self.basis, num, den)
+
+    def __add__(self, other: "QVector") -> "QVector":
+        return self._combine(other, add)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        self._check(other)
-        return QVector(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, sub)
 
     def __neg__(self) -> "QVector":
-        return QVector(self.basis, tuple(-a for a in self.coords))
+        return _new(self.basis, tuple(map(neg, self.num)), self.den)
 
     def scale(self, k) -> "QVector":
-        k = Fraction(k)
-        return QVector(self.basis, tuple(k * a for a in self.coords))
+        if k.__class__ is int:
+            p, q = k, 1
+        else:
+            k = Fraction(k)
+            p, q = k.numerator, k.denominator
+        if not p:
+            return self.basis.zero()
+        return _reduced(self.basis, tuple(p * n for n in self.num), q * self.den)
 
     __mul__ = scale
     __rmul__ = scale
 
     def __float__(self) -> float:
-        return math.fsum(float(c) * a for c, a in zip(self.coords, self.basis.approx))
+        # int / int is correctly rounded, so each term is float(Fraction(n, den))
+        den = self.den
+        return math.fsum(n / den * a for n, a in zip(self.num, self.basis.approx))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_positive(self, guard: float = SIGN_GUARD) -> bool:
         """Sign via float approximation with a guard band.
@@ -134,70 +196,114 @@ class QVector:
     def ratio_to(self, other: "QVector") -> Fraction | None:
         """The exact rational q with self == q * other, if one exists."""
         self._check(other)
-        q = None
-        for a, b in zip(self.coords, other.coords):
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            r = a / b
-            if q is None:
-                q = r
-            elif q != r:
-                return None
-        if q is None:
+        pivot = next((i for i, b in enumerate(other.num) if b), None)
+        if pivot is None:
             # other == 0: only 0 is a multiple of it
             return Fraction(0) if self.is_zero() else None
-        return q
+        a0, b0 = self.num[pivot], other.num[pivot]
+        if any(a * b0 != a0 * b for a, b in zip(self.num, other.num)):
+            return None
+        return Fraction(a0 * other.den, b0 * self.den)
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         """Human/machine form "c0 + c1*name1 + ...", exact rationals."""
-        parts = []
-        for c, name in zip(self.coords, self.basis.names):
-            if c == 0:
+        den = self.den
+        out = ""
+        for n, name in zip(self.num, self.basis.names):
+            if not n:
                 continue
-            if name == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(name)
+            if den == 1:
+                c = str(n)
             else:
-                parts.append("%s*%s" % (c, name))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+                g = math.gcd(n, den)
+                c = str(n // g) if g == den else "%d/%d" % (n // g, den // g)
+            if name == "1":
+                term = c
+            elif c == "1":
+                term = name
+            else:
+                term = "%s*%s" % (c, name)
+            if not out:
+                out = term
+            elif term.startswith("-"):
+                out += " - " + term[1:]
+            else:
+                out += " + " + term
+        return out or "0"
 
     def __str__(self) -> str:
         return self.render()
 
 
+_set_basis = QVector.basis.__set__
+_set_num = QVector.num.__set__
+_set_den = QVector.den.__set__
+
+
+def _new(basis: RealBasis, num: tuple, den: int) -> QVector:
+    """A QVector from numerators already in lowest terms over ``den`` > 0."""
+    v = object.__new__(QVector)
+    _set_basis(v, basis)
+    _set_num(v, num)
+    _set_den(v, den)
+    return v
+
+
+def _reduced(basis: RealBasis, num: tuple, den: int) -> QVector:
+    """A QVector from any numerators over ``den`` > 0."""
+    g = den if den == 1 else math.gcd(den, *num)
+    if g != 1:
+        num = tuple(n // g for n in num)
+        den //= g
+    return _new(basis, num, den)
+
+
+def _coefficient(text: str) -> tuple[int, int]:
+    """Numerator and positive denominator of a coefficient, as Fraction reads it.
+
+    Plain integers and ``p/q`` in ASCII digits are read directly; anything
+    else (decimals, signs Fraction accepts, bad input) goes through
+    ``Fraction``, which also raises its usual errors.
+    """
+    p, slash, q = text.partition("/")
+    digits = p[1:] if p[:1] == "-" else p
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return int(p), 1
+        if q.isascii() and q.isdigit() and int(q):
+            return int(p), int(q)
+    c = Fraction(text)
+    return c.numerator, c.denominator
+
+
 def parse_qvector(text: str, basis: RealBasis) -> QVector:
     """Parse the output of :meth:`QVector.render` back into a QVector."""
-    coords = [Fraction(0)] * len(basis)
     index = {name: i for i, name in enumerate(basis.names)}
     body = text.strip()
     if body == "0":
-        return QVector(basis, tuple(coords))
-    body = body.replace(" - ", " + -")
-    for term in body.split(" + "):
+        return basis.zero()
+    terms = []
+    for term in body.replace(" - ", " + -").split(" + "):
         term = term.strip()
         if "*" in term:
             coef, name = term.split("*", 1)
-            c = Fraction(coef)
+            p, q = _coefficient(coef)
         elif term in index:
-            c, name = Fraction(1), term
+            p, q, name = 1, 1, term
         elif term.startswith("-") and term[1:] in index:
-            c, name = Fraction(-1), term[1:]
+            p, q, name = -1, 1, term[1:]
         else:
-            c, name = Fraction(term), "1"
+            (p, q), name = _coefficient(term), "1"
         if name not in index:
             raise ValueError("unknown basis element %r in %r" % (name, text))
-        coords[index[name]] += c
-    return QVector(basis, tuple(coords))
+        terms.append((index[name], p, q))
+    den = math.lcm(*(q for _, _, q in terms))
+    num = [0] * len(basis)
+    for i, p, q in terms:
+        num[i] += p * (den // q)
+    return _reduced(basis, tuple(num), den)
 
 
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
@@ -221,27 +327,34 @@ def rational_gcd(values: Iterable[Fraction]) -> Fraction:
 
 
 def span_rank(vectors: Sequence[QVector]) -> int:
-    """Rank over the rationals of the coordinate matrix, by exact elimination."""
+    """Rank over the rationals of the coefficient matrix.
+
+    Fraction-free elimination on the integer numerator rows: scaling a row
+    by a nonzero rational does not change the rank, so each row is kept
+    divided by the gcd of its entries.
+    """
     vectors = list(vectors)
     if not vectors:
         return 0
     basis = vectors[0].basis
     for v in vectors:
-        if v.basis != basis:
+        if v.basis is not basis and v.basis != basis:
             raise ValueError("span_rank over mixed bases")
-    rows = [list(v.coords) for v in vectors]
-    ncols = len(basis)
+    rows = [v.num for v in vectors if any(v.num)]
     rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+    for col in range(len(basis)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        p = prow[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                row = [p * a - f * b for a, b in zip(rows[r], prow)]
+                g = math.gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
         if rank == len(rows):
             break

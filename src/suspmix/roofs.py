@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from suspmix.exact import QVector, RealBasis
-from suspmix.shift import Alphabet, EdgeShift, Word, admissible_words, higher_block_recode
+from suspmix.shift import (
+    Alphabet,
+    EdgeShift,
+    EventuallyPeriodicPoint,
+    Word,
+    admissible_words,
+    higher_block_recode,
+)
 
 
 class _ShiftedView:
@@ -25,6 +32,21 @@ class _ShiftedView:
 
     def __getitem__(self, i: int) -> int:
         return self._point[i + self._offset]
+
+
+def _zero_tail_start(point) -> int | None:
+    """An index from which every symbol of ``point`` is 0, if its type shows one.
+
+    Known for an EventuallyPeriodicPoint with an all-zero right period, also
+    behind shifted views; None for any other point.
+    """
+    offset = 0
+    while isinstance(point, _ShiftedView):
+        offset += point._offset
+        point = point._point
+    if isinstance(point, EventuallyPeriodicPoint) and not any(point.right_period):
+        return len(point.core) - point.origin_offset - offset
+    return None
 
 
 class LocallyConstantRoof:
@@ -251,10 +273,15 @@ def example_roof_harmonic() -> EvaluableRoof:
     def evaluator(point) -> float:
         if point[0] == 1:
             return 1.0
+        # past the start of an all-zero tail the walk would only run on to
+        # scan_limit and return 1.0, so it may stop there
+        limit, tail = scan_limit, _zero_tail_start(point)
+        if tail is not None:
+            limit = min(limit, max(tail, 1))
         rho = 1
-        while rho < scan_limit and point[rho] == 0:
+        while rho < limit and point[rho] == 0:
             rho += 1
-        if rho >= scan_limit:
+        if rho >= limit:
             return 1.0
         return 1.0 + 1.0 / (1.0 + rho)
 

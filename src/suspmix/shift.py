@@ -47,9 +47,20 @@ class Word:
     """A finite string of symbols; compares lexicographically."""
 
     symbols: tuple[int, ...]
+    # not a field: the hash, stored on first use (sets of words hash each
+    # vertex many times; long words built by the simulator are never hashed)
+    _hash = None
 
     def __init__(self, symbols: Iterable[int] = ()):
         object.__setattr__(self, "symbols", tuple(symbols))
+
+    def __hash__(self) -> int:
+        # the value the dataclass would compute, so set iteration order holds
+        h = self._hash
+        if h is None:
+            h = hash((self.symbols,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -395,44 +406,6 @@ def is_synchronizing(shift: EdgeShift, v: Word) -> bool:
     if not terminals:
         raise ValueError("word %s is not admissible" % (v,))
     return len(terminals) == 1
-
-
-def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
-    """All closed edge paths (as edge-index lists) of length 1..length.
-
-    Rotations count once: each cycle is reported only from its smallest
-    starting vertex occurrence.  Intended for small graphs and oracles.
-    """
-    found = []
-    for start in shift.vertices:
-        # depth-first over edge paths from start; stack[d] walks the
-        # out-edges at depth d, so len(stack) == len(path) + 1
-        path: list[int] = []
-        stack = [iter(shift.out_edges(start))] if length >= 1 else []
-        while stack:
-            i = next(stack[-1], None)
-            if i is None:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            path.append(i)
-            current = shift.edges[i].target
-            if current == start:
-                found.append(list(path))
-            if len(path) < length:
-                stack.append(iter(shift.out_edges(current)))
-            else:
-                path.pop()
-    # deduplicate rotations
-    seen = set()
-    out = []
-    for cyc in found:
-        key = min(tuple(cyc[r:] + cyc[:r]) for r in range(len(cyc)))
-        if key not in seen:
-            seen.add(key)
-            out.append(cyc)
-    return out
 
 
 # -- points -----------------------------------------------------------------

@@ -1,0 +1,151 @@
+"""Reference implementations that the tests compare the library against."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from suspmix.shift import EdgeShift
+
+
+def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
+    """All closed edge paths (as edge-index lists) of length 1..length.
+
+    Rotations count once: each cycle is reported only from its smallest
+    starting vertex occurrence.  Intended for small graphs and oracles.
+    """
+    found = []
+    for start in shift.vertices:
+        # depth-first over edge paths from start; stack[d] walks the
+        # out-edges at depth d, so len(stack) == len(path) + 1
+        path: list[int] = []
+        stack = [iter(shift.out_edges(start))] if length >= 1 else []
+        while stack:
+            i = next(stack[-1], None)
+            if i is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            path.append(i)
+            current = shift.edges[i].target
+            if current == start:
+                found.append(list(path))
+            if len(path) < length:
+                stack.append(iter(shift.out_edges(current)))
+            else:
+                path.pop()
+    # deduplicate rotations
+    seen = set()
+    out = []
+    for cyc in found:
+        key = min(tuple(cyc[r:] + cyc[:r]) for r in range(len(cyc)))
+        if key not in seen:
+            seen.add(key)
+            out.append(cyc)
+    return out
+
+
+# -- exact values as tuples of Fractions --------------------------------------
+
+
+def fraction_float(coords, approx) -> float:
+    return math.fsum(float(c) * a for c, a in zip(coords, approx))
+
+
+def fraction_ratio(coords, other):
+    """The rational q with coords == q * other, if one exists."""
+    q = None
+    for a, b in zip(coords, other):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        r = a / b
+        if q is None:
+            q = r
+        elif q != r:
+            return None
+    if q is None:
+        return Fraction(0) if not any(coords) else None
+    return q
+
+
+def fraction_render(coords, names) -> str:
+    parts = []
+    for c, name in zip(coords, names):
+        if c == 0:
+            continue
+        if name == "1":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(name)
+        else:
+            parts.append("%s*%s" % (c, name))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def fraction_parse(text: str, names) -> tuple:
+    coords = [Fraction(0)] * len(names)
+    index = {name: i for i, name in enumerate(names)}
+    body = text.strip()
+    if body == "0":
+        return tuple(coords)
+    body = body.replace(" - ", " + -")
+    for term in body.split(" + "):
+        term = term.strip()
+        if "*" in term:
+            coef, name = term.split("*", 1)
+            c = Fraction(coef)
+        elif term in index:
+            c, name = Fraction(1), term
+        elif term.startswith("-") and term[1:] in index:
+            c, name = Fraction(-1), term[1:]
+        else:
+            c, name = Fraction(term), "1"
+        if name not in index:
+            raise ValueError("unknown basis element %r in %r" % (name, text))
+        coords[index[name]] += c
+    return tuple(coords)
+
+
+def fraction_rank(rows) -> int:
+    """Rank of rows of Fractions by Gauss-Jordan elimination."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return 0
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / prow[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+# -- roofs --------------------------------------------------------------------
+
+
+def harmonic_walk(point, scan_limit: int = 10**7) -> float:
+    """The harmonic roof at ``point`` by walking to the next 1, capped."""
+    if point[0] == 1:
+        return 1.0
+    rho = 1
+    while rho < scan_limit and point[rho] == 0:
+        rho += 1
+    if rho >= scan_limit:
+        return 1.0
+    return 1.0 + 1.0 / (1.0 + rho)

@@ -36,10 +36,11 @@ from suspmix.shift import (
     Word,
     admissible_words,
     base_period,
-    cycles_up_to,
     full_shift,
     sft_from_forbidden_words,
 )
+
+from reference import cycles_up_to
 
 BINARY = Alphabet.of_size(2)
 RATIONAL = RealBasis.rational()

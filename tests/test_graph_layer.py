@@ -19,8 +19,10 @@ import suspmix
 from suspmix.decider import cycle_data, decide_mixing_sft
 from suspmix.exact import RealBasis
 from suspmix.roofs import LocallyConstantRoof, roof_as_edge_weights
-from suspmix.shift import Alphabet, EdgeShift, EmptyShiftError, cycles_up_to, is_transitive
+from suspmix.shift import Alphabet, EdgeShift, EmptyShiftError, is_transitive
 from suspmix.special import BetaShift, QuadraticReal, build_beta_graph
+
+from reference import cycles_up_to
 
 BINARY = Alphabet.of_size(2)
 RATIONAL = RealBasis.rational()

@@ -34,11 +34,12 @@ from suspmix.shift import (
     EmptyShiftError,
     EventuallyPeriodicPoint,
     Word,
-    cycles_up_to,
     full_shift,
     sft_from_forbidden_words,
 )
 from suspmix.special import _SEQ_PREFIX, _factor_occurs, two_orbit_periodic_words
+
+from reference import cycles_up_to
 
 BINARY = Alphabet.of_size(2)
 RATIONAL = RealBasis.rational()

@@ -10,6 +10,8 @@ from suspmix.roofs import (
     EvaluableRoof,
     LocallyConstantRoof,
     WeightedShift,
+    _ShiftedView,
+    _zero_tail_start,
     birkhoff_sum,
     example_roof_harmonic,
     roof_as_edge_weights,
@@ -20,10 +22,11 @@ from suspmix.shift import (
     EventuallyPeriodicPoint,
     Word,
     admissible_words,
-    cycles_up_to,
     full_shift,
     sft_from_forbidden_words,
 )
+
+from reference import cycles_up_to, harmonic_walk
 
 BINARY = Alphabet.of_size(2)
 RATIONAL = RealBasis.rational()
@@ -194,6 +197,51 @@ class TestHarmonicRoof:
         )
         for j in range(len(symbols) - 1):
             assert abs(vals[j] - roof.value_at(x, j)) < 1e-12
+
+    @given(
+        st.lists(st.sampled_from([0, 0, 1]), min_size=1, max_size=4),
+        st.lists(st.sampled_from([0, 0, 0, 1]), max_size=8),
+        st.lists(st.sampled_from([0, 0, 0, 1]), min_size=1, max_size=4),
+        st.integers(0, 10),
+        st.lists(st.integers(-15, 15), max_size=2),
+    )
+    def test_evaluator_matches_the_walk(self, left, core, right, origin, offsets):
+        roof = example_roof_harmonic()
+        p = EventuallyPeriodicPoint.from_parts(Word(left), Word(core), Word(right), origin)
+        x = p
+        for off in offsets:
+            x = _ShiftedView(x, off)
+        # from index `limit` on, x reads only its right tail, whose whole period
+        # lies before `limit`; so a walk capped there finds the same first 1
+        # as the uncapped walk, or none when the tail is all zeros
+        limit = len(left) + len(core) + origin + sum(map(abs, offsets)) + len(right) + 2
+        assert roof.evaluator(x) == harmonic_walk(x, limit)
+
+    def test_evaluator_on_zero_tails(self):
+        roof = example_roof_harmonic()
+        nowhere = [
+            EventuallyPeriodicPoint.periodic(Word.parse("0")),
+            EventuallyPeriodicPoint.from_parts(Word.parse("1"), Word.parse("000"), Word.parse("00"), 1),
+            _ShiftedView(EventuallyPeriodicPoint.from_parts(
+                Word.parse("01"), Word.parse("10"), Word.parse("0"), 0), 2),
+        ]
+        for x in nowhere:
+            assert roof.evaluator(x) == 1.0
+        in_core = EventuallyPeriodicPoint.from_parts(Word.parse("0"), Word.parse("000001"), Word.parse("0"), 0)
+        assert roof.evaluator(in_core) == 1.0 + 1.0 / 6.0
+        behind_view = _ShiftedView(_ShiftedView(in_core, -4), 1)
+        assert roof.evaluator(behind_view) == 1.0 + 1.0 / 9.0
+        # a point of another type is walked as before
+        assert roof.evaluator([0, 0, 0, 1]) == 1.25
+
+    def test_zero_tail_start_through_views(self):
+        # core "0110" at [-2, 2), zero tail from 2; the views move it to 2 + 2
+        p = EventuallyPeriodicPoint.from_parts(Word.parse("1"), Word.parse("0110"), Word.parse("0"), 2)
+        assert _zero_tail_start(p) == 2
+        assert _zero_tail_start(_ShiftedView(_ShiftedView(p, 3), -5)) == 4
+        q = EventuallyPeriodicPoint.from_parts(Word.parse("0"), Word.parse("0"), Word.parse("01"), 0)
+        assert _zero_tail_start(_ShiftedView(q, 1)) is None
+        assert _zero_tail_start([0, 0, 0]) is None
 
     def test_modulus_nonincreasing(self):
         roof = example_roof_harmonic()

