@@ -62,6 +62,12 @@ class Word:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __eq__(self, other) -> bool:
+        # the dataclass version compares 1-tuples it builds on every call
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.symbols == other.symbols
+
     def __len__(self) -> int:
         return len(self.symbols)
 

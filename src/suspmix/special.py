@@ -327,61 +327,64 @@ def _runs(symbols: list[int]) -> list[tuple[int, int]]:
     return [(s, len(list(g))) for s, g in itertools.groupby(symbols)]
 
 
-def _balanced_member(symbols: list[int]) -> bool:
+_BALANCED_SYMBOLS = frozenset((0, 1, 2, 3))
+
+
+def _balanced_member(symbols) -> bool:
     """Infix test for bi-infinite concatenations of {2^n 3^n} | {0, 1}.
 
     A maximal 2-run whose right end is visible must be followed by a
     3-run of matching length (relaxed to an inequality when either run is
     cut off by the word boundary); a visible 3-run must be preceded by 2s.
+    One pass over the symbols: each run is checked when the next begins,
+    and the last run at the end.
     """
-    if any(s not in (0, 1, 2, 3) for s in symbols):
-        return False
-    runs = _runs(symbols)
-    for i, (s, length) in enumerate(runs):
-        first, last = i == 0, i == len(runs) - 1
-        if s == 2 and not last:
-            nxt_s, nxt_len = runs[i + 1]
-            if nxt_s != 3:
-                return False
-            nxt_last = i + 1 == len(runs) - 1
-            if first and nxt_last:
-                continue  # 2^a 3^b alone embeds in a large block
-            if first:
-                if nxt_len < length:
-                    return False
-            elif nxt_last:
-                if nxt_len > length:
-                    return False
-            elif nxt_len != length:
-                return False
-        if s == 3 and not first and runs[i - 1][0] != 2:
+    run = None  # symbol of the current run
+    length = 0  # its length so far
+    first = True  # the current run is the word's first, cut by its start
+    twos = 0  # length of the 2-run before the current run
+    twos_first = False  # that 2-run is the word's first run
+    for s in symbols:
+        if s == run:
+            length += 1
+            continue
+        if s not in _BALANCED_SYMBOLS:
             return False
-    return True
+        if run is not None:
+            if (run == 2) != (s == 3):
+                return False
+            if run == 3 and not first and (length < twos if twos_first else length != twos):
+                return False
+            twos, twos_first, first = length, first, False
+        run, length = s, 1
+    # a last 3-run is cut by the word's end: it may be shorter than its 2-run
+    return run != 3 or first or twos_first or length <= twos
 
 
 def _balanced_periodic(w: Word) -> bool:
-    """Whether the bi-infinite repetition of w is in the coded shift."""
-    symbols = list(w)
-    if len(set(symbols)) == 1:
-        return True  # 0-bar, 1-bar, and the closure points 2-bar, 3-bar
-    length_w = len(symbols)
-    big = symbols * 6
-    # annotate runs with start positions; runs overlapping the middle
-    # copies are complete, as are their neighbors
-    runs = []
-    pos = 0
-    for s, length in _runs(big):
-        runs.append((s, length, pos))
-        pos += length
-    for i, (s, length, start) in enumerate(runs):
-        if not (2 * length_w <= start < 4 * length_w):
+    """Whether the bi-infinite repetition of w is in the coded shift.
+
+    The rotation of w that starts at a run boundary and not at a 3-run has
+    the cyclic runs of w as its runs, each 3-run after its predecessor.
+    Every 2-run must be followed by a 3-run of equal length and every
+    3-run preceded by a 2-run, cyclically.  Symbols outside 0-3 are not
+    rejected here; the scan asks ``_balanced_member`` of w first.
+    """
+    symbols = w.symbols
+    for start, s in enumerate(symbols):
+        if s != symbols[start - 1] and s != 3:
+            break
+    else:
+        return True  # constant: 0-bar, 1-bar, and the closure points 2-bar, 3-bar
+    run, length, twos = s, 0, 0
+    # the extra symbol closes the last run against the first
+    for s in symbols[start:] + symbols[: start + 1]:
+        if s == run:
+            length += 1
             continue
-        if s == 2:
-            nxt_s, nxt_len, _ = runs[i + 1]
-            if nxt_s != 3 or nxt_len != length:
-                return False
-        if s == 3 and runs[i - 1][0] != 2:
+        if (run == 2) != (s == 3) or (run == 3 and length != twos):
             return False
+        run, length, twos = s, 1, length
     return True
 
 
@@ -393,7 +396,7 @@ def coded_member(gen: CodedGenerator, w: Word) -> bool:
     family, a boundary-position dynamic program for explicit generators.
     """
     if gen.family == "balanced-23":
-        return _balanced_member(list(w))
+        return _balanced_member(w.symbols)
     return _infix_of_concatenation(list(w), gen.words)
 
 
@@ -427,7 +430,7 @@ def balanced_oracle() -> ShiftOracle:
     gen = CodedGenerator.balanced_23()
     return ShiftOracle(
         gen.alphabet(),
-        is_admissible=lambda w: _balanced_member(list(w)),
+        is_admissible=lambda w: _balanced_member(w.symbols),
         periodic_admissible=_balanced_periodic,
     )
 
@@ -622,19 +625,31 @@ def two_orbit_is_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
     return any(check(l, t) for l in lead_options for t in trail_options)
 
 
-def two_orbit_periodic_admissible(w: Word) -> bool:
-    """Whether the bi-infinite repetition of w lies in the two-orbit shift."""
-    if len(w) == 0:
-        return False
-    reps = max(6, -(-140 // len(w)))
-    return two_orbit_is_admissible(w * reps)
+def two_orbit_periodic_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
+    """Whether the bi-infinite repetition of w lies in the two-orbit shift.
+
+    In closed form: w-bar is in the shift iff w uses only 0 and 1 and
+    w-bar is 1-bar, or (01)-bar when ``i_cap`` is None.  The separator
+    lengths of a point are consecutive terms of the scaffold, 3 plus the
+    Thue-Morse sequence, which is overlap-free: it has no factor of the
+    form a x a x a.  A periodic point with a separator would repeat its
+    m separator lengths without end, and a run of 2m + 1 of them is such
+    an overlap; so no periodic point has a separator.  Without one, a
+    point lies inside a single generator word: 1-bar inside 1^j, or
+    (01)-bar as the limit of 1(01)^k, which needs k unbounded.
+    """
+    symbols, half = w.symbols, len(w) // 2
+    if symbols and symbols == (1,) * len(symbols):
+        return True
+    # an odd length matches neither tuple
+    return i_cap is None and half > 0 and symbols in ((0, 1) * half, (1, 0) * half)
 
 
 def two_orbit_oracle(i_cap: Optional[int] = None) -> ShiftOracle:
     return ShiftOracle(
         Alphabet.of_size(2),
         is_admissible=lambda w: two_orbit_is_admissible(w, i_cap),
-        periodic_admissible=two_orbit_periodic_admissible,
+        periodic_admissible=lambda w: two_orbit_periodic_admissible(w, i_cap),
     )
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from suspmix.shift import EdgeShift
+from suspmix.shift import EdgeShift, Word
+from suspmix.special import two_orbit_is_admissible
 
 
 def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
@@ -149,3 +151,71 @@ def harmonic_walk(point, scan_limit: int = 10**7) -> float:
     if rho >= scan_limit:
         return 1.0
     return 1.0 + 1.0 / (1.0 + rho)
+
+
+# -- shift oracles --------------------------------------------------------------
+
+
+def _runs(symbols) -> list[tuple[int, int]]:
+    return [(s, len(list(g))) for s, g in itertools.groupby(symbols)]
+
+
+def balanced_member_runs(symbols) -> bool:
+    """Infix test for the balanced-2/3 coded shift, on the word's run list."""
+    if any(s not in (0, 1, 2, 3) for s in symbols):
+        return False
+    runs = _runs(symbols)
+    for i, (s, length) in enumerate(runs):
+        first, last = i == 0, i == len(runs) - 1
+        if s == 2 and not last:
+            nxt_s, nxt_len = runs[i + 1]
+            if nxt_s != 3:
+                return False
+            nxt_last = i + 1 == len(runs) - 1
+            if first and nxt_last:
+                continue  # 2^a 3^b alone embeds in a large block
+            if first:
+                if nxt_len < length:
+                    return False
+            elif nxt_last:
+                if nxt_len > length:
+                    return False
+            elif nxt_len != length:
+                return False
+        if s == 3 and not first and runs[i - 1][0] != 2:
+            return False
+    return True
+
+
+def balanced_periodic_runs(w: Word) -> bool:
+    """Periodic test for the balanced-2/3 coded shift on six copies of w:
+    the runs starting in the middle two copies are whole, with whole
+    neighbors."""
+    symbols = list(w)
+    if len(set(symbols)) == 1:
+        return True
+    length_w = len(symbols)
+    runs = []
+    pos = 0
+    for s, length in _runs(symbols * 6):
+        runs.append((s, length, pos))
+        pos += length
+    for i, (s, length, start) in enumerate(runs):
+        if not (2 * length_w <= start < 4 * length_w):
+            continue
+        if s == 2:
+            nxt_s, nxt_len, _ = runs[i + 1]
+            if nxt_s != 3 or nxt_len != length:
+                return False
+        if s == 3 and runs[i - 1][0] != 2:
+            return False
+    return True
+
+
+def two_orbit_periodic_by_repetition(w: Word, i_cap=None) -> bool:
+    """Periodic test for the two-orbit shift: a repetition of w of at
+    least six copies and 140 symbols is a word of the shift."""
+    if len(w) == 0:
+        return False
+    reps = max(6, -(-140 // len(w)))
+    return two_orbit_is_admissible(w * reps, i_cap)

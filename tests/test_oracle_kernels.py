@@ -1,0 +1,189 @@
+"""The scan's oracle kernels against the implementations they replaced.
+
+The balanced-2/3 coded shift's one-pass membership and cyclic periodic
+test, the two-orbit shift's closed-form periodic test and the memoized
+subset walk of ``ShiftOracle.from_edge_shift`` must give the answers of
+the run-list, repetition and ``is_word_admissible`` versions kept in
+``reference.py``, including their errors.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from suspmix.decider import ShiftOracle
+from suspmix.shift import (
+    Alphabet,
+    EdgeShift,
+    EmptyShiftError,
+    Word,
+    full_shift,
+    is_word_admissible,
+    sft_from_forbidden_words,
+)
+from suspmix.special import (
+    _balanced_member,
+    _balanced_periodic,
+    two_orbit_oracle,
+    two_orbit_periodic_admissible,
+)
+
+from reference import (
+    balanced_member_runs,
+    balanced_periodic_runs,
+    two_orbit_periodic_by_repetition,
+)
+
+KERNELS = settings(max_examples=100, deadline=None)
+GRAPHS = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def all_words(symbols, max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product(symbols, repeat=n)]
+
+
+def per_orbit(reference, words):
+    """``reference`` asked once per orbit, its answer given to every rotation.
+
+    The periodic references read w-bar, so they cannot tell rotations apart;
+    the kernels under test are asked of every rotation."""
+    answers = {}
+    for w in words:
+        if w not in answers:
+            answer = reference(Word(w))
+            answers.update((w[i:] + w[:i], answer) for i in range(len(w) or 1))
+        yield w, answers[w]
+
+
+def test_balanced_member_on_every_short_word():
+    for w in all_words(range(4), 8):
+        assert _balanced_member(w) == balanced_member_runs(w), w
+
+
+def test_balanced_periodic_on_every_short_word():
+    for w, expected in per_orbit(balanced_periodic_runs, all_words(range(4), 8)):
+        assert _balanced_periodic(Word(w)) == expected, w
+
+
+# runs of a few symbols, so that equal 2- and 3-runs are common, with
+# symbols outside the coded alphabet
+run_words = st.lists(st.tuples(st.integers(-1, 4), st.integers(1, 5)), max_size=8).map(
+    lambda runs: tuple(s for s, n in runs for _ in range(n))[:16]
+)
+
+
+@KERNELS
+@given(st.one_of(run_words, st.lists(st.integers(-1, 4), max_size=16).map(tuple)))
+def test_balanced_kernels_on_longer_words(w):
+    assert _balanced_member(w) == balanced_member_runs(w)
+    assert _balanced_periodic(Word(w)) == balanced_periodic_runs(Word(w))
+
+
+@pytest.mark.parametrize("i_cap", [None, 0, 1, 2, 3])
+def test_two_orbit_closed_form_on_every_short_word(i_cap):
+    reference = lambda w: two_orbit_periodic_by_repetition(w, i_cap)
+    for w, expected in per_orbit(reference, all_words((0, 1), 12)):
+        assert two_orbit_periodic_admissible(Word(w), i_cap) == expected, w
+
+
+@pytest.mark.parametrize("i_cap", [None, 0, 1, 2, 3])
+def test_two_orbit_closed_form_rejects_other_symbols(i_cap):
+    for text in ["2", "12", "0121", "1111112", "2101"]:
+        w = Word.parse(text)
+        assert not two_orbit_periodic_admissible(w, i_cap)
+        assert not two_orbit_periodic_by_repetition(w, i_cap)
+
+
+def test_capped_two_orbit_oracle_keeps_only_the_fixed_point():
+    capped = two_orbit_oracle(2)
+    assert not capped.periodic_admissible(Word.parse("01"))
+    assert not capped.is_admissible(Word.parse("01") * 4)
+    assert capped.periodic_admissible(Word.parse("1"))
+    uncapped = two_orbit_oracle()
+    assert uncapped.periodic_admissible(Word.parse("01"))
+    assert uncapped.periodic_admissible(Word.parse("1"))
+
+
+# -- edge-shift oracles ---------------------------------------------------------
+
+
+def answer(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def periodic_by_repetition(shift, w):
+    return len(w) > 0 and is_word_admissible(shift, w * len(shift.vertices))
+
+
+def assert_matches_subset_walk(shift, max_len):
+    """Every word over the alphabet and one symbol outside it."""
+    oracle = ShiftOracle.from_edge_shift(shift)
+    outside = max(shift.alphabet.symbols) + 1
+    for w in map(Word, all_words(shift.alphabet.symbols + (outside,), max_len)):
+        assert answer(oracle.is_admissible, w) == answer(is_word_admissible, shift, w), w
+        assert answer(oracle.periodic_admissible, w) == answer(periodic_by_repetition, shift, w), w
+
+
+@st.composite
+def forbidden_word_sfts(draw):
+    k = draw(st.integers(2, 3))
+    words = st.lists(st.integers(0, k - 1), min_size=2, max_size=3).map(Word)
+    try:
+        return sft_from_forbidden_words(Alphabet.of_size(k), draw(st.lists(words, max_size=4)))
+    except EmptyShiftError:
+        return full_shift(Alphabet.of_size(k))
+
+
+@st.composite
+def edge_graphs(draw):
+    """Small multigraphs; parallel edges and repeated out-labels are common,
+    so most are not right-resolving."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(0, k - 1)), min_size=1, max_size=10))
+    try:
+        return EdgeShift(range(n), edges, Alphabet.of_size(k))
+    except EmptyShiftError:
+        assume(False)
+
+
+@GRAPHS
+@given(forbidden_word_sfts())
+def test_edge_oracle_on_forbidden_word_sfts(shift):
+    assert_matches_subset_walk(shift, 4)
+
+
+@GRAPHS
+@given(edge_graphs())
+def test_edge_oracle_on_edge_graphs(shift):
+    assert_matches_subset_walk(shift, 4)
+
+
+def test_edge_oracle_checks_symbols_after_the_walk_dies():
+    # 11 is spelled by no path; the 5 after it is still outside the alphabet
+    shift = sft_from_forbidden_words(Alphabet.of_size(2), [Word.parse("11")])
+    oracle = ShiftOracle.from_edge_shift(shift)
+    assert not oracle.is_admissible(Word.parse("0110"))
+    for text in ["1105", "115", "5", "0105"]:
+        with pytest.raises(ValueError, match="symbol 5 outside alphabet"):
+            oracle.is_admissible(Word.parse(text))
+        with pytest.raises(ValueError, match="symbol 5 outside alphabet"):
+            oracle.periodic_admissible(Word.parse(text))
+    assert not oracle.periodic_admissible(Word())
+    assert oracle.is_admissible(Word())
+
+
+def test_edge_oracle_on_a_non_right_resolving_graph():
+    # two 0-edges leave A, so a word's path set is not one vertex
+    shift = EdgeShift(
+        ["A", "B", "C"],
+        [("A", "B", 0), ("A", "C", 0), ("B", "A", 1), ("C", "C", 0), ("C", "A", 2)],
+        Alphabet.of_size(3),
+    )
+    assert not shift.is_right_resolving()
+    assert_matches_subset_walk(shift, 6)
