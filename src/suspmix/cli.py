@@ -3,8 +3,8 @@
 Subcommands: ``decide`` (mixing verdict with exit code), ``cohomology``
 (transfer functions, grid normalization, unit cross-sections),
 ``simulate`` (hitting times and residue diagnostics), ``beta``
-(expansion and graph presentation reports), and ``examples`` (built-in
-presets with their golden assertions).
+(expansion and graph presentation reports), and ``examples`` (checks
+the golden ``[expect ...]`` sections of a built-in preset).
 
 Exit codes for ``decide``: 0 = TopMixing, 10 = NotTopMixing,
 11 = NotMixingUpToBound, 20 = Unknown.  Other commands return 0 on
@@ -18,7 +18,6 @@ import configparser
 import hashlib
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,13 +35,12 @@ from suspmix.decider import (
     unit_cross_section,
 )
 from suspmix.exact import QVector, RealBasis, parse_qvector
-from suspmix.roofs import LocallyConstantRoof, birkhoff_sum, example_roof_harmonic
+from suspmix.roofs import LocallyConstantRoof, MissingWindowError, birkhoff_sum, example_roof_harmonic
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
     EventuallyPeriodicPoint,
     Word,
-    admissible_words,
     base_period,
     full_shift,
     sft_from_forbidden_words,
@@ -62,11 +60,9 @@ from suspmix.special import (
     _GuardedFloat,
     balanced_oracle,
     build_beta_graph,
-    coded_periodic_in_cylinder,
     decide_mixing_beta,
     is_beta_admissible,
     two_orbit_oracle,
-    two_orbit_periodic_words,
 )
 
 EXIT_BY_VERDICT = {"TopMixing": 0, "NotTopMixing": 10, "NotMixingUpToBound": 11, "Unknown": 20}
@@ -103,12 +99,7 @@ class SystemConfig:
 
     @classmethod
     def parse(cls, text: str) -> "SystemConfig":
-        parser = configparser.ConfigParser()
-        parser.optionxform = str
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ValueError("config parse error: %s" % exc) from exc
+        parser = read_ini(text)
         cfg = cls()
         if parser.has_section("shift"):
             sec = parser["shift"]
@@ -170,7 +161,11 @@ class SystemConfig:
 
     @classmethod
     def from_file(cls, path) -> "SystemConfig":
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ValueError("cannot read config %s: %s" % (path, exc.strerror)) from exc
+        return cls.parse(text)
 
     def render(self) -> str:
         out = io.StringIO()
@@ -261,6 +256,17 @@ class SystemConfig:
         raise ValueError("unknown shift kind %r" % kind)
 
 
+def read_ini(text: str) -> configparser.ConfigParser:
+    """Case-kept INI sections, read without ``%`` interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError("config parse error: %s" % exc) from exc
+    return parser
+
+
 def parse_beta_spec(text: str):
     """Parse "rational p/q", "quadratic a b d", or "float x guard g"."""
     parts = text.split()
@@ -278,16 +284,9 @@ def parse_beta_spec(text: str):
 # -- reports ----------------------------------------------------------------
 
 
-def make_report(command: str, config: Optional[SystemConfig], **body) -> dict:
-    report = {"command": command}
-    report.update(body)
-    provenance = {"version": __version__}
-    if config is not None:
-        provenance["config_sha256"] = hashlib.sha256(
-            config.render().encode()
-        ).hexdigest()
-    report["provenance"] = provenance
-    return report
+def make_report(command: str, config: SystemConfig, **body) -> dict:
+    sha = hashlib.sha256(config.render().encode()).hexdigest()
+    return {"command": command, **body, "provenance": {"version": __version__, "config_sha256": sha}}
 
 
 def emit(report: dict, args, human_lines: list[str]) -> None:
@@ -299,12 +298,19 @@ def emit(report: dict, args, human_lines: list[str]) -> None:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-# -- decide -----------------------------------------------------------------
+def rendered(function) -> dict[str, str]:
+    """A table roof or transfer function as window text -> value text."""
+    return {str(w): v.render() for w, v in sorted(function.table.items(), key=lambda kv: str(kv[0]))}
+
+
+# -- commands ---------------------------------------------------------------
+#
+# Each ``cmd_*`` takes the loaded config and the parsed arguments and
+# returns (exit code, report body, human-readable lines); it raises
+# ``ValueError`` for a usage or input error.
 
 
 def run_decide(config: SystemConfig, bound: int) -> MixingVerdict:
@@ -316,8 +322,7 @@ def run_decide(config: SystemConfig, bound: int) -> MixingVerdict:
         if kind == "sft":
             return decide_mixing_sft(base, roof)
         if kind == "beta":
-            depth = config.depth or 2
-            return decide_mixing_beta(base, roof, depth, bound)
+            return decide_mixing_beta(base, roof, config.depth or 2, bound)
         if kind == "coded":
             return decide_mixing_synchronized(balanced_oracle(), Word([0]), roof, bound)
         if kind == "two-orbit":
@@ -327,73 +332,43 @@ def run_decide(config: SystemConfig, bound: int) -> MixingVerdict:
     raise ValueError("no decision procedure for shift kind %r" % kind)
 
 
-def cmd_decide(args) -> int:
-    config = load_config(args)
-    bound = args.bound or int(config.option("bound", "12"))
-    verdict = run_decide(config, bound)
-    report = make_report("decide", config, verdict=verdict.to_record())
+def cmd_decide(config: SystemConfig, args):
+    verdict = run_decide(config, args.bound or int(config.option("bound", "12")))
     lines = ["verdict: %s" % verdict.kind]
     if verdict.delta is not None:
         lines.append("delta: %s" % verdict.delta.render())
     if verdict.reason:
         lines.append("reason: %s" % verdict.reason)
-    emit(report, args, lines)
-    return EXIT_BY_VERDICT[verdict.kind]
+    return EXIT_BY_VERDICT[verdict.kind], {"verdict": verdict.to_record()}, lines
 
 
-# -- cohomology -------------------------------------------------------------
-
-
-def cmd_cohomology(args) -> int:
-    config = load_config(args)
+def cmd_cohomology(config: SystemConfig, args):
     mode = args.mode or config.option("mode", "test")
     kind, base = config.build_shift()
     if kind != "sft":
-        print("error: cohomology commands need a finite-type base", file=sys.stderr)
-        return 2
+        raise ValueError("cohomology commands need a finite-type base")
     roof = config.roof()
     if mode == "test":
-        other = config.roof2() or roof
-        result = are_cohomologous(roof, other, base)
-        body = {"cohomologous": result.cohomologous}
+        result = are_cohomologous(roof, config.roof2() or roof, base)
+        body = {"mode": mode, "cohomologous": result.cohomologous}
         lines = ["cohomologous: %s" % result.cohomologous]
         if result.transfer is not None:
-            table = {
-                str(w): v.render() for w, v in sorted(
-                    result.transfer.table.items(), key=lambda kv: str(kv[0])
-                )
-            }
-            body["transfer"] = table
-            lines += ["g[%s] = %s" % kv for kv in table.items()]
+            body["transfer"] = rendered(result.transfer)
+            lines += ["g[%s] = %s" % kv for kv in body["transfer"].items()]
         if result.witness_orbit is not None:
-            word = result.witness_orbit.right_period
-            body["witness_orbit"] = str(word)
-            lines.append("witness orbit: %s" % word)
-        emit(make_report("cohomology", config, mode=mode, **body), args, lines)
-        return 0
+            body["witness_orbit"] = str(result.witness_orbit.right_period)
+            lines.append("witness orbit: %s" % body["witness_orbit"])
+        return 0, body, lines
     verdict = run_decide(config, args.bound or int(config.option("bound", "12")))
     if verdict.kind == "TopMixing" or verdict.delta is None:
-        print(
-            "error: the flow is topologically mixing; no delta-grid exists",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("the flow is topologically mixing; no delta-grid exists")
     if mode == "normalize":
         norm = normalize_to_delta_grid(base, roof, verdict.delta)
-        g, s = norm.transfer, norm.roof
-        s_table = {str(w): v.render() for w, v in sorted(s.table.items(), key=lambda kv: str(kv[0]))}
-        g_table = {str(w): v.render() for w, v in sorted(g.table.items(), key=lambda kv: str(kv[0]))}
+        s_table, g_table = rendered(norm.roof), rendered(norm.transfer)
         lines = ["delta: %s" % verdict.delta.render()]
         lines += ["s[%s] = %s" % kv for kv in s_table.items()]
         lines += ["g[%s] = %s" % kv for kv in g_table.items()]
-        emit(
-            make_report(
-                "cohomology", config, mode=mode,
-                delta=verdict.delta.render(), s=s_table, g=g_table,
-            ),
-            args, lines,
-        )
-        return 0
+        return 0, {"mode": mode, "delta": verdict.delta.render(), "s": s_table, "g": g_table}, lines
     if mode == "section":
         section = unit_cross_section(base, roof, verdict.delta)
 
@@ -406,45 +381,35 @@ def cmd_cohomology(args) -> int:
             "%s -> %s" % (vertex_name(e.source), vertex_name(e.target))
             for e in section.edges
         )
-        lines = ["vertices: %d" % len(section.vertices),
-                 "edges: %d" % len(section.edges)]
-        lines += edge_list
-        lines.append("base period: %d" % base_period(section))
-        emit(
-            make_report(
-                "cohomology", config, mode=mode,
-                vertices=len(section.vertices), edges=edge_list,
-                base_period=base_period(section),
-            ),
-            args, lines,
-        )
-        return 0
-    print("error: unknown mode %r" % mode, file=sys.stderr)
-    return 2
-
-
-# -- simulate ---------------------------------------------------------------
+        period = base_period(section)
+        lines = ["vertices: %d" % len(section.vertices), "edges: %d" % len(section.edges)]
+        lines += edge_list + ["base period: %d" % period]
+        body = {"mode": mode, "vertices": len(section.vertices), "edges": edge_list, "base_period": period}
+        return 0, body, lines
+    raise ValueError("unknown mode %r" % mode)
 
 
 def build_family(config: SystemConfig):
     """Witness family and reference-period word from the config options."""
     spec = config.option("family", "")
     if spec == "harmonic-witness":
-        u, v = Word.parse("01"), Word.parse("10")
-        m_max = int(config.option("m_max", "500"))
-        family = witness_family(
-            None, v, u + Word.parse("1"), Word.parse("0"), Word.parse("1"), v,
-            range(1, m_max + 1), [1],
-        )
-        return family, v, True
+        return harmonic_witnesses(int(config.option("m_max", "500"))), Word.parse("10"), True
     if not spec:
         raise ValueError("options.family must name a periodic word or harmonic-witness")
     word = Word.parse(spec)
     return [EventuallyPeriodicPoint.periodic(word)], word, False
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args)
+def harmonic_witnesses(m_max: int):
+    """Example 4.2's witnesses ...1010 011 0^m 1 1010..., origin at 011, m <= m_max."""
+    u, v = Word.parse("01"), Word.parse("10")
+    return witness_family(
+        None, v, u + Word.parse("1"), Word.parse("0"), Word.parse("1"), v,
+        range(1, m_max + 1), [1],
+    )
+
+
+def cmd_simulate(config: SystemConfig, args):
     roof = config.roof()
     target = Word.parse(args.target or config.option("target", "0"))
     horizon = args.horizon or float(config.option("horizon", "100"))
@@ -458,16 +423,9 @@ def cmd_simulate(args) -> int:
         tail_only=tail_only,
     )
     if len(series.times) < 10:
-        print(
-            "error: only %d hits within horizon %g; raise --horizon"
-            % (len(series.times), horizon),
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError("only %d hits within horizon %g; raise --horizon" % (len(series.times), horizon))
     candidate = config.option("delta")
-    diag = density_diagnostic(
-        series, candidate_delta=float(candidate) if candidate else None
-    )
+    diag = density_diagnostic(series, candidate_delta=float(candidate) if candidate else None)
     body = {
         "hits": len(series.times),
         "omega": series.omega,
@@ -484,26 +442,19 @@ def cmd_simulate(args) -> int:
     ]
     if diag.grid_fraction is not None:
         lines.insert(3, "grid fraction: %.17g" % diag.grid_fraction)
-    emit(make_report("simulate", config, **body), args, lines)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         export_series(series, out_dir / "series.csv")
         export_series(diag, out_dir / "diagnostic.csv")
-    return 0
+    return 0, body, lines
 
 
-# -- beta -------------------------------------------------------------------
-
-
-def cmd_beta(args) -> int:
-    config = load_config(args)
+def cmd_beta(config: SystemConfig, args):
     if config.shift_kind != "beta":
-        print("error: beta command needs shift kind 'beta'", file=sys.stderr)
-        return 2
+        raise ValueError("beta command needs shift kind 'beta'")
     shift = BetaShift.create(parse_beta_spec(config.beta_spec))
-    depth = config.depth or 2
-    graph = build_beta_graph(shift, depth)
+    graph = build_beta_graph(shift, config.depth or 2)
     prefix = "".join(str(d) for d in shift.nu[:16])
     checks = {}
     for text in ("0", "00", "11", "0101"):
@@ -523,11 +474,15 @@ def cmd_beta(args) -> int:
         "exact tail: %s" % shift.exact_tail,
         "graph: %d vertices, %d edges" % (len(graph.vertices), len(graph.edges)),
     ] + ["admissible %s: %s" % kv for kv in checks.items()]
-    emit(make_report("beta", config, **body), args, lines)
-    return 0
+    return 0, body, lines
 
 
 # -- examples ---------------------------------------------------------------
+#
+# A preset's golden facts are ``[expect ARGV]`` sections: each key is a
+# dotted path into the ``--json`` report of ``suspmix ARGV`` run on the
+# preset, or ``exit`` for its exit code, and each value is JSON.
+# ``SystemConfig.parse`` ignores these sections.
 
 PRESETS = {
     "example-4.1": """\
@@ -552,6 +507,25 @@ epsilon = 0.25
 family = 0
 horizon = 40
 target = 0
+
+[expect decide]
+exit = 10
+verdict.verdict = "NotTopMixing"
+verdict.delta = "1"
+
+[expect cohomology --mode test]
+cohomologous = false
+witness_orbit = "0"
+
+[expect cohomology --mode normalize]
+delta = "1"
+s = {"00": "2", "01": "3", "10": "2", "11": "3"}
+
+[expect cohomology --mode section]
+vertices = 5
+edges = ["0@0 -> 0@1", "0@1 -> 0@0", "0@1 -> 1@0", "1@0 -> 1@1",
+    "1@1 -> 1@2", "1@2 -> 0@0", "1@2 -> 1@0"]
+base_period = 1
 """,
     "example-4.2": """\
 [shift]
@@ -568,6 +542,11 @@ horizon = 10000
 m_max = 5000
 max_hits = 1
 target = 10
+
+[expect decide]
+exit = 20
+verdict.verdict = "Unknown"
+verdict.reason = "roof is not locally constant"
 """,
     "example-4.3": """\
 [shift]
@@ -587,6 +566,12 @@ future = 0
 
 [options]
 bound = 10
+
+[expect decide]
+exit = 11
+verdict.verdict = "NotMixingUpToBound"
+verdict.delta = "a + b"
+verdict.bound = 10
 """,
     "two-orbit": """\
 [shift]
@@ -603,6 +588,11 @@ future = 0
 
 [options]
 bound = 12
+
+[expect decide]
+exit = 0
+verdict.verdict = "TopMixing"
+verdict.witness_orbits = ["1", "10"]
 """,
     "golden-beta": """\
 [shift]
@@ -621,6 +611,16 @@ future = 0
 
 [options]
 bound = 6
+
+[expect decide]
+exit = 0
+verdict.verdict = "TopMixing"
+
+[expect beta]
+nu_prefix = "1100000000000000"
+graph_vertices = 2
+graph_edges = 3
+admissibility = {"0": true, "00": true, "0101": true, "11": false}
 """,
     "constant-roof": """\
 [shift]
@@ -641,141 +641,96 @@ target = 1
 """,
 }
 
-EXAMPLE_NAMES = {"4.1": "example-4.1", "4.2": "example-4.2", "4.3": "example-4.3",
-                 "two-orbit": "two-orbit", "golden-beta": "golden-beta"}
+
+def expectations(text: str) -> list[tuple[list[str], dict]]:
+    """The ``[expect ARGV]`` sections of a config: (ARGV, expected fields)."""
+    parser = read_ini(text)
+    return [
+        (section.split()[1:], {key: json.loads(value) for key, value in parser[section].items()})
+        for section in parser.sections()
+        if section.startswith("expect ")
+    ]
 
 
-def _check(lines: list[str], label: str, ok: bool) -> bool:
-    lines.append("%s: %s" % (label, "pass" if ok else "FAIL"))
-    return ok
+def example_preset(name: str) -> str:
+    """The preset that ``examples NAME`` checks, among those with expectations."""
+    names = {p.removeprefix("example-"): p for p, text in PRESETS.items() if expectations(text)}
+    return lookup_preset(name, names)
 
 
-def run_example(name: str, lines: list[str]) -> bool:
-    config = SystemConfig.parse(PRESETS[EXAMPLE_NAMES[name]])
-    ok = True
-    if name == "4.1":
-        verdict = run_decide(config, 12)
-        basis = RealBasis.rational()
-        one = basis.from_rational(1)
-        ok &= _check(lines, "verdict NotTopMixing", verdict.kind == "NotTopMixing")
-        ok &= _check(lines, "delta exactly 1", verdict.delta == one)
-        _kind, base = config.build_shift()
-        roof = config.roof()
-        s = normalize_to_delta_grid(base, roof, one).roof
-        values = {v.render() for v in s.table.values()}
-        ok &= _check(lines, "normalized values {2, 3}", values == {"2", "3"})
-        section = unit_cross_section(base, roof, one)
-        ok &= _check(
-            lines, "cross-section 5 vertices / 7 edges",
-            len(section.vertices) == 5 and len(section.edges) == 7,
-        )
-        ok &= _check(lines, "cross-section base period 1", base_period(section) == 1)
-    elif name == "4.2":
-        roof = example_roof_harmonic()
-        u, v = Word.parse("01"), Word.parse("10")
-        formula_ok = True
-        for m in range(1, 9):
-            for n in range(1, 9):
-                core = u + Word.parse("1") + Word([0]) * m + Word([1]) * n
-                x = EventuallyPeriodicPoint.from_parts(v, core, v, 0)
-                start = birkhoff_sum(roof, x, len(u) + 1)
-                expected = start + m + n + sum(1.0 / j for j in range(2, m + 2))
-                got = birkhoff_sum(roof, x, len(u) + 1 + m + n)
-                formula_ok &= abs(got - expected) < 1e-9
-        ok &= _check(lines, "witness Birkhoff formula (m, n <= 8)", formula_ok)
-        family = [
-            SuspensionPoint(x)
-            for x in witness_family(
-                None, v, u + Word.parse("1"), Word.parse("0"), Word.parse("1"), v,
-                range(1, 301), [1],
-            )
-        ]
-        omega = orbit_period(roof, v)
-        series = hitting_times(
-            family, v, 0.05, roof, 700.0, omega=omega,
-            max_hits_per_member=1, tail_only=True,
-        )
-        diag = density_diagnostic(series)
-        ok &= _check(lines, "residue max gap < 0.2 at m <= 300", diag.max_gap < 0.2)
-    elif name == "4.3":
-        basis = config.basis()
-        roof = config.roof()
-        a_plus_b = parse_qvector("a + b", basis)
-        sums_ok = True
-        for p in coded_periodic_in_cylinder(CodedGenerator.balanced_23(), Word([0]), 10):
-            total = birkhoff_sum(roof, p, len(p.right_period))
-            ratio = total.ratio_to(a_plus_b)
-            sums_ok &= ratio is not None and ratio.denominator == 1 and ratio >= 1
-        ok &= _check(lines, "orbit sums in (a+b)*N", sums_ok)
-        verdict = run_decide(config, 10)
-        ok &= _check(
-            lines, "verdict NotMixingUpToBound(a + b)",
-            verdict.kind == "NotMixingUpToBound" and verdict.delta == a_plus_b,
-        )
-        from suspmix.exact import span_rank
-
-        spectrum = [
-            birkhoff_sum(roof, p, len(p.right_period))
-            for p in [
-                EventuallyPeriodicPoint.periodic(Word.parse("2")),
-                EventuallyPeriodicPoint.periodic(Word.parse("3")),
-            ]
-        ]
-        ok &= _check(lines, "global spectrum rank 2", span_rank(spectrum) == 2)
-    elif name == "two-orbit":
-        # one Lyndon word per orbit
-        roots = {str(w) for w in two_orbit_periodic_words(12)}
-        ok &= _check(lines, "periodic orbits to 12 are 1-bar and (01)-bar", roots == {"1", "01"})
-        verdict = run_decide(config, 12)
-        ok &= _check(lines, "incommensurable roof mixes", verdict.kind == "TopMixing")
-    elif name == "golden-beta":
-        shift = BetaShift.golden()
-        ok &= _check(lines, "nu prefix 11000", list(shift.nu[:5]) == [1, 1, 0, 0, 0])
-        graph = build_beta_graph(shift, 2)
-        sft = sft_from_forbidden_words(Alphabet.of_size(2), [Word.parse("11")])
-        language_ok = all(
-            set(admissible_words(graph, n)) == set(admissible_words(sft, n))
-            for n in range(1, 7)
-        )
-        ok &= _check(lines, "golden graph language = no-11 SFT (|w| <= 6)", language_ok)
-        verdict = run_decide(config, 6)
-        ok &= _check(lines, "roof {1, alpha} mixes", verdict.kind == "TopMixing")
-    return ok
+def report_field(report: dict, path: str):
+    for key in path.split("."):
+        report = report.get(key) if isinstance(report, dict) else None
+    return report
 
 
-def cmd_examples(args) -> int:
-    name = args.name
-    if name not in EXAMPLE_NAMES:
-        print(
-            "error: unknown preset %r; available: %s"
-            % (name, ", ".join(sorted(EXAMPLE_NAMES))),
-            file=sys.stderr,
-        )
-        return 2
-    lines: list[str] = []
-    ok = run_example(name, lines)
-    report = make_report(
-        "examples", SystemConfig.parse(PRESETS[EXAMPLE_NAMES[name]]),
-        name=name, passed=ok, checks=lines,
+def check_harmonic_witness(lines: list[str]) -> bool:
+    """Example 4.2's facts that no report states, as its roof is not locally
+    constant: the witnesses' Birkhoff sums follow the harmonic formula, and
+    their hitting-time residues leave no gap of 0.2 (the flow mixes)."""
+    roof = example_roof_harmonic()
+    u, v = Word.parse("01"), Word.parse("10")
+    formula_ok = True
+    for m in range(1, 9):
+        for n in range(1, 9):
+            core = u + Word.parse("1") + Word([0]) * m + Word([1]) * n
+            x = EventuallyPeriodicPoint.from_parts(v, core, v, 0)
+            start = birkhoff_sum(roof, x, len(u) + 1)
+            expected = start + m + n + sum(1.0 / j for j in range(2, m + 2))
+            got = birkhoff_sum(roof, x, len(u) + 1 + m + n)
+            formula_ok &= abs(got - expected) < 1e-9
+    series = hitting_times(
+        [SuspensionPoint(x) for x in harmonic_witnesses(300)], v, 0.05, roof, 700.0,
+        omega=orbit_period(roof, v), max_hits_per_member=1, tail_only=True,
     )
-    emit(report, args, lines + ["result: %s" % ("pass" if ok else "FAIL")])
-    return 0 if ok else 1
+    gap_ok = density_diagnostic(series).max_gap < 0.2
+    lines.append("witness Birkhoff formula (m, n <= 8): %s" % ("pass" if formula_ok else "FAIL"))
+    lines.append("residue max gap < 0.2 at m <= 300: %s" % ("pass" if gap_ok else "FAIL"))
+    return formula_ok and gap_ok
+
+
+def cmd_examples(config: SystemConfig, args):
+    preset = example_preset(args.name)
+    lines: list[str] = []
+    ok = True
+    for argv, fields in expectations(PRESETS[preset]):
+        sub = build_parser().parse_args(argv)
+        code, report, _ = run_command(config, sub)
+        report = json.loads(json.dumps(report))  # compare as JSON values: tuples are lists
+        for key, want in fields.items():
+            got = code if key == "exit" else report_field(report, key)
+            verdict = "pass" if got == want else "FAIL, got %s" % json.dumps(got)
+            lines.append("%s: %s = %s: %s" % (" ".join(argv), key, json.dumps(want), verdict))
+            ok &= got == want
+    if preset == "example-4.2":
+        ok &= check_harmonic_witness(lines)
+    body = {"name": args.name, "passed": ok, "checks": lines}
+    return (0 if ok else 1), body, lines + ["result: %s" % ("pass" if ok else "FAIL")]
 
 
 # -- entry point ------------------------------------------------------------
 
 
+def lookup_preset(name: str, presets: dict):
+    if name not in presets:
+        raise ValueError("unknown preset %r; available: %s" % (name, ", ".join(sorted(presets))))
+    return presets[name]
+
+
 def load_config(args) -> SystemConfig:
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ValueError(
-                "unknown preset %r; available: %s"
-                % (args.preset, ", ".join(sorted(PRESETS)))
-            )
-        return SystemConfig.parse(PRESETS[args.preset])
-    if getattr(args, "config", None):
+    if args.command == "examples":
+        return SystemConfig.parse(PRESETS[example_preset(args.name)])
+    if args.preset:
+        return SystemConfig.parse(lookup_preset(args.preset, PRESETS))
+    if args.config:
         return SystemConfig.from_file(args.config)
     raise ValueError("either --config or --preset is required")
+
+
+def run_command(config: SystemConfig, args) -> tuple[int, dict, list[str]]:
+    """One subcommand on a loaded config: (exit code, report, human lines)."""
+    code, body, lines = args.func(config, args)
+    return code, make_report(args.command, config, **body), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -785,13 +740,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--out", help="directory for report and CSV output")
+        p.add_argument("--json", action="store_true", help="print a JSON report")
+
     def common(p):
         p.add_argument("--config", help="path to a system config file")
         p.add_argument("--preset", help="name of a built-in preset")
         p.add_argument("--bound", type=int, help="period bound for orbit scans")
         p.add_argument("--horizon", type=float, help="time horizon for simulation")
-        p.add_argument("--out", help="directory for report and CSV output")
-        p.add_argument("--json", action="store_true", help="print a JSON report")
+        output(p)
 
     p = sub.add_parser("decide", help="mixing verdict with exit code")
     common(p)
@@ -812,20 +770,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beta)
 
     p = sub.add_parser("examples", help="run a built-in example's golden assertions")
-    common(p)
+    output(p)
     p.add_argument("name", help="4.1 | 4.2 | 4.3 | two-orbit | golden-beta")
     p.set_defaults(func=cmd_examples)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        code, report, lines = run_command(load_config(args), args)
+    except (ValueError, MissingWindowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    emit(report, args, lines)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,13 @@ from suspmix.shift import (
 )
 
 
+class MissingWindowError(KeyError):
+    """A roof table has no value for a window that a point or shift uses."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 class _ShiftedView:
     """Read-only view of a point advanced by a fixed offset."""
 
@@ -105,7 +112,7 @@ class LocallyConstantRoof:
         try:
             return self.table[w]
         except KeyError:
-            raise KeyError("window %s not in roof table (inadmissible context)" % (w,))
+            raise MissingWindowError("window %s not in roof table (inadmissible context)" % (w,))
 
     def value_at(self, point, j: int = 0) -> QVector:
         """Roof value at the point shifted j times."""

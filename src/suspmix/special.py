@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from suspmix.decider import ShiftOracle, periodic_words_in_cylinder
+from suspmix.decider import ShiftOracle, decide_mixing_synchronized, periodic_words_in_cylinder
 from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word, reachable
 
 
@@ -282,8 +282,6 @@ def decide_mixing_beta(shift: BetaShift, roof, depth: int, period_bound: int):
     certifies mixing, otherwise the common grid is reported up to the
     period bound.
     """
-    from suspmix.decider import decide_mixing_synchronized
-
     graph = build_beta_graph(shift, depth)
     oracle = ShiftOracle.from_edge_shift(graph)
     return decide_mixing_synchronized(oracle, Word([0]), roof, period_bound)
@@ -297,17 +295,16 @@ class CodedGenerator:
     """Generating word set of a coded subshift.
 
     Either an explicit finite set of words, or the named family
-    "balanced-23": {2^n 3^n : 1 <= n <= bound} together with {0, 1},
-    whose membership problem has a closed form independent of the bound.
+    "balanced-23": {2^n 3^n : n >= 1} together with {0, 1}, whose
+    membership problem has a closed form.
     """
 
     words: tuple[Word, ...] = ()
     family: str = ""
-    bound: int = 0
 
     @classmethod
-    def balanced_23(cls, bound: int = 0) -> "CodedGenerator":
-        return cls(family="balanced-23", bound=bound)
+    def balanced_23(cls) -> "CodedGenerator":
+        return cls(family="balanced-23")
 
     @classmethod
     def explicit(cls, words: Iterable[Word]) -> "CodedGenerator":
@@ -459,12 +456,9 @@ def example_roof_coded(basis) -> "LocallyConstantRoof":
 # -- the two-orbit mixing shift ---------------------------------------------
 
 
-@dataclass
 class AperiodicSequence:
     """The {3,4}-valued separator sequence: 3 plus the parity of the
     binary popcount of the index (a cube-free aperiodic sequence)."""
-
-    kind: str = "morse-thue-plus-3"
 
     def term(self, n: int) -> int:
         if n < 1:

@@ -17,6 +17,41 @@ class TestConfig:
         with pytest.raises(ValueError):
             SystemConfig.parse("[shift\nkind = full\n")
 
+    def test_expect_sections_leave_the_config_alone(self):
+        # the golden sections are not part of the system, nor of its sha
+        text = PRESETS["example-4.1"]
+        bare = text[: text.index("\n[expect ")] + "\n"
+        assert SystemConfig.parse(text).render() == SystemConfig.parse(bare).render()
+
+
+def one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+class TestInputErrors:
+    """Bad input exits 2 with one ``error:`` line, never a traceback."""
+
+    def test_percent_in_a_value(self, tmp_path, capsys):
+        cfg = tmp_path / "pct.cfg"
+        cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[roof]\npast = 0\nfuture = 0\n0 = 5%\n1 = 2\n")
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert "5%" in one_error_line(capsys)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = str(tmp_path / "no-such.cfg")
+        assert main(["decide", "--config", path]) == 2
+        assert path in one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [["decide"], ["cohomology", "--mode", "test"]])
+    def test_roof_table_missing_a_window(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[roof]\npast = 0\nfuture = 0\n0 = 1\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: window 1 not in roof table (inadmissible context)"
+
     def test_beta_spec_parsing(self):
         assert parse_beta_spec("rational 3/2") == pytest.approx(1.5)
         q = parse_beta_spec("quadratic 1/2 1/2 5")
@@ -135,10 +170,32 @@ class TestExamples:
         err = capsys.readouterr().err
         assert "4.1" in err and "two-orbit" in err
 
-    def test_example_41_passes(self, capsys):
-        assert main(["examples", "4.1"]) == 0
-        out = capsys.readouterr().out
-        assert "result: pass" in out
+    @pytest.mark.parametrize("name", ["4.1", "4.2", "4.3", "two-orbit", "golden-beta"])
+    def test_example_passes(self, capsys, name):
+        assert main(["examples", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "result: pass"
+        assert not any("FAIL" in line for line in lines)
 
-    def test_golden_beta_passes(self):
-        assert main(["examples", "golden-beta"]) == 0
+    def test_harmonic_example_checks_its_witnesses(self, capsys):
+        # Example 4.2's roof is not locally constant: two facts are checked in code
+        assert main(["examples", "4.2"]) == 0
+        out = capsys.readouterr().out
+        assert "witness Birkhoff formula (m, n <= 8): pass" in out
+        assert "residue max gap < 0.2 at m <= 300: pass" in out
+
+    def test_changed_expectation_fails(self, capsys, monkeypatch):
+        text = PRESETS["example-4.3"]
+        assert 'verdict.delta = "a + b"' in text
+        monkeypatch.setitem(PRESETS, "example-4.3", text.replace('verdict.delta = "a + b"', 'verdict.delta = "a"'))
+        assert main(["examples", "4.3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "result: FAIL"
+        assert [line for line in lines if "FAIL" in line][0] == (
+            'decide: verdict.delta = "a": FAIL, got "a + b"'
+        )
+
+    def test_only_name_json_and_out(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["examples", "4.1", "--bound", "3"])
+        assert exc.value.code == 2
