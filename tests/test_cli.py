@@ -23,6 +23,15 @@ class TestConfig:
         bare = text[: text.index("\n[expect ")] + "\n"
         assert SystemConfig.parse(text).render() == SystemConfig.parse(bare).render()
 
+    def test_beta_spec_parsing(self):
+        assert parse_beta_spec("rational 3/2") == pytest.approx(1.5)
+        q = parse_beta_spec("quadratic 1/2 1/2 5")
+        assert isinstance(q, QuadraticReal)
+        g = parse_beta_spec("float 1.8 guard 1e-9")
+        assert isinstance(g, _GuardedFloat)
+        with pytest.raises(ValueError):
+            parse_beta_spec("nonsense 3")
+
 
 def one_error_line(capsys):
     captured = capsys.readouterr()
@@ -51,15 +60,6 @@ class TestInputErrors:
         cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[roof]\npast = 0\nfuture = 0\n0 = 1\n")
         assert main(argv + ["--config", str(cfg)]) == 2
         assert one_error_line(capsys) == "error: window 1 not in roof table (inadmissible context)"
-
-    def test_beta_spec_parsing(self):
-        assert parse_beta_spec("rational 3/2") == pytest.approx(1.5)
-        q = parse_beta_spec("quadratic 1/2 1/2 5")
-        assert isinstance(q, QuadraticReal)
-        g = parse_beta_spec("float 1.8 guard 1e-9")
-        assert isinstance(g, _GuardedFloat)
-        with pytest.raises(ValueError):
-            parse_beta_spec("nonsense 3")
 
 
 class TestDecide:
