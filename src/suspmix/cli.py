@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
@@ -349,6 +350,8 @@ def cmd_cohomology(config: SystemConfig, args):
         raise ValueError("cohomology commands need a finite-type base")
     roof = config.roof()
     if mode == "test":
+        if not isinstance(roof, LocallyConstantRoof):
+            raise ValueError("cohomology --mode test needs a locally constant (table) roof")
         result = are_cohomologous(roof, config.roof2() or roof, base)
         body = {"mode": mode, "cohomologous": result.cohomologous}
         lines = ["cohomologous: %s" % result.cohomologous]
@@ -360,8 +363,10 @@ def cmd_cohomology(config: SystemConfig, args):
             lines.append("witness orbit: %s" % body["witness_orbit"])
         return 0, body, lines
     verdict = run_decide(config, args.bound or int(config.option("bound", "12")))
-    if verdict.kind == "TopMixing" or verdict.delta is None:
+    if verdict.kind == "TopMixing":
         raise ValueError("the flow is topologically mixing; no delta-grid exists")
+    if verdict.delta is None:
+        raise ValueError("no delta-grid: the verdict is %s (%s)" % (verdict.kind, verdict.reason))
     if mode == "normalize":
         norm = normalize_to_delta_grid(base, roof, verdict.delta)
         s_table, g_table = rendered(norm.roof), rendered(norm.transfer)
@@ -733,7 +738,10 @@ def run_command(config: SystemConfig, args) -> tuple[int, dict, list[str]]:
     return code, make_report(args.command, config, **body), lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state in it, so every call may reuse it."""
     parser = argparse.ArgumentParser(
         prog="suspmix",
         description="Decide and explore topological mixing of suspension flows over shift spaces.",

@@ -160,13 +160,15 @@ class EvaluableRoof:
     integer indexing; ``walters_modulus(k)`` bounds Birkhoff-sum
     discrepancies for points agreeing on ``[-k, n+k]`` and is
     non-increasing with limit 0.  ``floor`` is a certified positive lower
-    bound for the roof.  ``vectorized``, when given, maps the numpy array
-    of the symbols x[0..N) of a point to the float64 array of the values
-    r(σ^j x), j < N, read from that array alone.  The simulator uses it in
-    place of ``evaluator`` and keeps only a prefix of the result, passing
-    enough symbols beyond it, so on that prefix the two must agree bit for
-    bit.  Table roofs need no such hook: the simulator evaluates a
-    ``LocallyConstantRoof`` with one table lookup per distinct window.
+    bound for the roof.  ``vectorized``, when given, reads the last axis:
+    it maps a numpy array whose last axis holds the symbols x[0..N) of a
+    point to the float64 array of the same shape holding r(σ^j x), j < N,
+    each read from its own row alone.  The simulator passes a 2-D batch of
+    members, one per row, uses the result in place of ``evaluator`` and
+    keeps only a prefix of each row, passing enough symbols beyond it, so
+    on that prefix the two must agree bit for bit.  Table roofs need no
+    such hook: the simulator evaluates a ``LocallyConstantRoof`` with one
+    table lookup per distinct window of a batch.
     """
 
     evaluator: Callable
@@ -293,13 +295,14 @@ def example_roof_harmonic() -> EvaluableRoof:
         return 1.0 + 1.0 / (1.0 + rho)
 
     def vectorized(symbols: "np.ndarray") -> "np.ndarray":
-        # rho at each 0 is the distance to the next 1 at or after it, read off
-        # a reversed running minimum of the positions of the 1s; a 0 with no
-        # later 1 in the array gets a distance near 2**62, which rounds
-        # 1 + 1/(1 + rho) to exactly 1.0, the value on an infinite run of zeros
-        pos = np.arange(len(symbols), dtype=np.int64)
+        # rho at each 0 is the distance to the next 1 at or after it along the
+        # last axis, read off a reversed running minimum of the positions of
+        # the 1s; a 0 with no later 1 in its row gets a distance near 2**62,
+        # which rounds 1 + 1/(1 + rho) to exactly 1.0, the value on an
+        # infinite run of zeros
+        pos = np.arange(symbols.shape[-1], dtype=np.int64)
         ones_at = np.where(symbols == 1, pos, np.iinfo(np.int64).max // 2)
-        nxt = np.minimum.accumulate(ones_at[::-1])[::-1]
+        nxt = np.minimum.accumulate(ones_at[..., ::-1], axis=-1)[..., ::-1]
         return np.where(symbols == 0, 1.0 + 1.0 / (1.0 + (nxt - pos)), 1.0)
 
     return EvaluableRoof(

@@ -9,8 +9,8 @@ two mixing verdicts empirically.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,10 @@ from suspmix.roofs import EvaluableRoof, LocallyConstantRoof
 from suspmix.shift import EventuallyPeriodicPoint, Word
 
 _HEIGHT_GUARD = 1e-12
+# Cells (members times symbols) in one batch of hitting_times.  The work is
+# per cell, so batches above 2**12 cells save no time; their temporaries only
+# add to peak memory.
+_BATCH_CELLS = 1 << 13
 
 
 @dataclass
@@ -99,67 +103,68 @@ def flow(p: SuspensionPoint, t: float, roof) -> SuspensionPoint:
     return out.validated(roof)
 
 
-def _nonnegative_symbols(point: EventuallyPeriodicPoint, n: int) -> np.ndarray:
-    """The symbols point[0..n-1] as an array, built by tiling the tail."""
-    core = list(point.core)
-    offset = point.origin_offset
-    right = list(point.right_period)
-    if offset <= len(core):
-        prefix = core[offset:]
-        phase = 0
-    else:
-        prefix = []
-        phase = (offset - len(core)) % len(right)
-    tail = right[phase:] + right[:phase]
-    if len(prefix) >= n:
-        return np.array(prefix[:n], dtype=np.int64)
-    reps = -(-(n - len(prefix)) // len(tail))
-    out = np.concatenate(
-        [np.array(prefix, dtype=np.int64), np.tile(np.array(tail, dtype=np.int64), reps)]
-    )
-    return out[:n]
+def _nonnegative_symbols(points: Sequence[EventuallyPeriodicPoint], n: int) -> np.ndarray:
+    """The symbols x[0..n) of each point, one row per point, built by tiling the tails."""
+    prefixes, tails = [], []
+    for point in points:
+        core, right = point.core.symbols, point.right_period.symbols
+        offset = point.origin_offset
+        if offset <= len(core):
+            prefixes.append(core[offset : offset + n])
+            tails.append(right)
+        else:
+            phase = (offset - len(core)) % len(right)
+            prefixes.append(())
+            tails.append(right[phase:] + right[:phase])
+    plen = np.array([len(s) for s in prefixes], dtype=np.int64)[:, None]
+    period = np.array([len(s) for s in tails], dtype=np.int64)[:, None]
+    # the rows' tails laid end to end; cell j of a row reads its tail at j - plen
+    first = np.cumsum(period) - period[:, 0]
+    flat = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64)
+    cols = np.arange(n, dtype=np.int64)
+    out = flat[first[:, None] + (cols - plen) % period]
+    out[cols < plen] = np.fromiter(itertools.chain.from_iterable(prefixes), dtype=np.int64)
+    return out
 
 
-def _roof_values(roof, point: EventuallyPeriodicPoint, symbols: np.ndarray, n: int) -> np.ndarray:
-    """The floats r(point shifted j times) for j < n; ``symbols`` holds point[0..]."""
+def _roof_values(roof, points: Sequence, symbols: np.ndarray, n: int) -> np.ndarray:
+    """The floats r(σ^j x) for j < n, one row per point; row i of ``symbols``
+    holds x[0..] of points[i], reaching at least ``roof.future`` past n."""
     if isinstance(roof, EvaluableRoof) and roof.vectorized is not None:
-        return np.asarray(roof.vectorized(symbols), dtype=np.float64)[:n]
+        return np.asarray(roof.vectorized(symbols), dtype=np.float64)[:, :n]
     if isinstance(roof, LocallyConstantRoof):
-        return _table_values(roof, point, symbols, n)
-    return np.array([float(roof.value_at(point, j)) for j in range(n)], dtype=np.float64)
+        return _table_values(roof, points, symbols, n)
+    return np.array([[float(roof.value_at(x, j)) for j in range(n)] for x in points], dtype=np.float64)
 
 
 def _table_values(
-    roof: LocallyConstantRoof, point: EventuallyPeriodicPoint, symbols: np.ndarray, n: int
+    roof: LocallyConstantRoof, points: Sequence, symbols: np.ndarray, n: int
 ) -> np.ndarray:
-    """Table-roof values along the point, one table lookup per distinct window.
+    """Table-roof values along the points, one table lookup per distinct window.
 
-    The window x[j-past .. j+future] needs the point's past, so this path
-    reads ``point`` as well as ``symbols``, extending the array from the
-    point when the window runs past its end.  Windows get dense ids one
-    column at a time, so an id stays below n however wide the window is.
-    Distinct windows are looked up in order of first occurrence, which
-    raises the same ``KeyError`` as evaluating index by index.
+    The window x[j-past .. j+future] needs a point's past, which this
+    reads from the point itself.  Windows get dense ids one column at a
+    time, so an id stays below the cell count however wide the window is.
+    Distinct windows are looked up in order of first occurrence, row by
+    row, which raises the same ``KeyError`` as evaluating the points one
+    after the other, index by index.
     """
     past, future = roof.past, roof.future
     width = past + future + 1
-    full = np.concatenate([
-        np.array([point[i] for i in range(-past, 0)], dtype=np.int64),
-        symbols[: n + future],
-        np.array([point[i] for i in range(len(symbols), n + future)], dtype=np.int64),
-    ])
+    left = np.array([[x[i] for i in range(-past, 0)] for x in points], dtype=np.int64)
+    full = np.concatenate([left, symbols[:, : n + future]], axis=1)
     lo = int(full.min(initial=0))
     base = int(full.max(initial=0)) - lo + 1
-    ids = np.zeros(n, dtype=np.int64)
+    ids = np.zeros(len(points) * n, dtype=np.int64)
     for c in range(width):
         _, first, ids = np.unique(
-            ids * base + (full[c : c + n] - lo), return_index=True, return_inverse=True
+            ids * base + (full[:, c : c + n] - lo).ravel(), return_index=True, return_inverse=True
         )
     values = np.empty(len(first), dtype=np.float64)
     for k in np.argsort(first):
-        j = int(first[k])
-        values[k] = float(roof.value_on_window(Word(full[j : j + width].tolist())))
-    return values[ids]
+        row, j = divmod(int(first[k]), n)
+        values[k] = float(roof.value_on_window(Word(full[row, j : j + width].tolist())))
+    return values[ids].reshape(len(points), n)
 
 
 def orbit_period(roof, word: Word) -> float:
@@ -186,9 +191,17 @@ def hitting_times(
     equal to the target word; times are read off the partial sums
     directly.  With ``tail_only`` hits during a member's transient prefix
     are dropped and only returns inside its periodic tail count.
+
+    Consecutive members are evaluated together, as the rows of arrays of
+    at most ``_BATCH_CELLS`` cells.  With ``max_hits_per_member = k`` a
+    member is evaluated only up to a cut that holds its first k hits and
+    every roof window its full horizon would read, so the result, and a
+    missing table window, are those of evaluating the whole horizon.
     """
     if not start_family:
         raise ValueError("empty start family")
+    if max_hits_per_member is not None and max_hits_per_member < 0:
+        raise ValueError("max_hits_per_member must be non-negative")
     members = [
         m.base if isinstance(m, SuspensionPoint) else m for m in start_family
     ]
@@ -199,27 +212,59 @@ def hitting_times(
         raise ValueError("epsilon must be below the minimum roof value")
     if omega is None:
         omega = orbit_period(roof, members[0].right_period)
-    goal = np.array(list(target), dtype=np.int64)
-    hits: list[float] = []
+    past, future = getattr(roof, "past", 0), getattr(roof, "future", 0)
+    n_max = int(horizon / floor) + 2
+    counts, starts, widths = [], [], []
     for x in members:
-        n_max = int(horizon / floor) + 2
-        margin = len(target) + 3 * len(x.right_period) + 8
-        symbols = _nonnegative_symbols(x, n_max + margin)
-        values = _roof_values(roof, x, symbols, n_max)
-        sums = np.concatenate([[0.0], np.cumsum(values)])
-        in_cyl = np.ones(n_max + 1, dtype=bool)
-        for j, g in enumerate(goal):
-            in_cyl &= symbols[j : j + n_max + 1] == g
-        keep = in_cyl & (sums <= horizon)
-        if tail_only:
-            keep[: max(0, len(x.core) - x.origin_offset)] = False
-        idx = np.nonzero(keep)[0]
-        member_times = sums[idx]
+        period = len(x.right_period)
+        core_end = max(0, len(x.core) - x.origin_offset)
+        n = n_max
         if max_hits_per_member is not None:
-            member_times = member_times[:max_hits_per_member]
-        hits.extend(member_times.tolist())
+            # from core_end on the hit candidates repeat with the tail period,
+            # and from core_end + past on so do the roof's windows: the first
+            # k hits and every window up to n_max lie below this cut
+            n = min(n, core_end + past + len(target) + (max_hits_per_member + 2) * period)
+        counts.append(n)
+        starts.append(core_end if tail_only else 0)
+        # the harmonic roof reads ahead to the next 1, which may lie past the
+        # end of a long core, and a table window reads future symbols ahead
+        widths.append(max(n, core_end) + len(target) + 3 * period + 8 + future)
+    hits: list[float] = []
+    lo = 0
+    while lo < len(members):
+        hi, width = lo + 1, widths[lo]
+        while hi < len(members) and (hi + 1 - lo) * max(width, widths[hi]) <= _BATCH_CELLS:
+            width = max(width, widths[hi])
+            hi += 1
+        hits += _batch_hits(
+            members[lo:hi], max(counts[lo:hi]), starts[lo:hi], width,
+            target, roof, horizon, max_hits_per_member,
+        )
+        lo = hi
     unique = sorted(set(hits))
     return ReturnTimeSeries(target, epsilon, tuple(unique), omega)
+
+
+def _batch_hits(points, n, starts, width, target, roof, horizon, max_hits) -> list[float]:
+    """The counted hit times of a batch of members, one row each.
+
+    Row i's hits are the indices j in [starts[i], n] where the target word
+    starts and the partial sum is at most the horizon, the first
+    ``max_hits`` of them.  ``n`` is the longest count of the batch; past
+    its own count a row has its max_hits hits already or partial sums
+    above the horizon, so those indices add no hit.
+    """
+    symbols = _nonnegative_symbols(points, width)
+    values = _roof_values(roof, points, symbols, n)
+    sums = np.zeros((len(points), n + 1), dtype=np.float64)
+    np.cumsum(values, axis=1, out=sums[:, 1:])
+    keep = sums <= horizon
+    for j, g in enumerate(target):
+        keep &= symbols[:, j : j + n + 1] == g
+    keep &= np.arange(n + 1) >= np.array(starts)[:, None]
+    if max_hits is not None:
+        keep &= np.cumsum(keep, axis=1) <= max_hits
+    return sums[keep].tolist()
 
 
 def witness_family(

@@ -153,6 +153,30 @@ def harmonic_walk(point, scan_limit: int = 10**7) -> float:
     return 1.0 + 1.0 / (1.0 + rho)
 
 
+# -- simulator --------------------------------------------------------------------
+
+
+def hitting_times(family, target, roof, horizon, max_hits=None, tail_only=False) -> list[float]:
+    """The distinct hit times of a family, sorted, one member and one index at a time.
+
+    A member's time at index j is its Birkhoff sum S_j, summed as
+    ``t += v`` over ``roof.value_at``; j is a hit when the target word
+    starts there and S_j <= horizon.  Each member counts its first
+    ``max_hits`` hits, and with ``tail_only`` only those past its core.
+    """
+    times = set()
+    for x in family:
+        start = max(0, len(x.core) - x.origin_offset) if tail_only else 0
+        t, j, found = 0.0, 0, 0
+        while t <= horizon and (max_hits is None or found < max_hits):
+            if j >= start and all(x[j + i] == s for i, s in enumerate(target)):
+                times.add(t)
+                found += 1
+            t += float(roof.value_at(x, j))
+            j += 1
+    return sorted(times)
+
+
 # -- shift oracles --------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from suspmix.cli import PRESETS, SystemConfig, main, parse_beta_spec
+from suspmix.cli import PRESETS, SystemConfig, build_parser, main, parse_beta_spec
 from suspmix.special import QuadraticReal, _GuardedFloat
 
 
@@ -31,6 +33,14 @@ class TestConfig:
         assert isinstance(g, _GuardedFloat)
         with pytest.raises(ValueError):
             parse_beta_spec("nonsense 3")
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"INI-style:\n\n```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = SystemConfig.parse(block)
+        assert cfg.shift_kind == "full"
+        assert cfg.build_shift()[0] == "sft"
+        assert float(cfg.roof().max_value()) == pytest.approx(1.6180339887498949)
 
 
 def one_error_line(capsys):
@@ -78,7 +88,7 @@ class TestDecide:
         assert main(["decide", "--config", str(cfg)]) == 20
 
     def test_json_report(self, capsys):
-        assert main(["decide", "--preset", "example-4.1", "--json"]) == 10
+        assert main(["decide", "--preset", "example-4.1", "--json", "--bound", "5"]) == 10
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]["verdict"] == "NotTopMixing"
         assert report["verdict"]["delta"] == "1"
@@ -86,6 +96,16 @@ class TestDecide:
 
     def test_missing_config(self):
         assert main(["decide"]) == 2
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(["decide", "--preset", "example-4.1", "--json", "--bound", "5"]) == 10
+        json.loads(capsys.readouterr().out)
+        # the second call parses afresh: no --json, no --bound left over
+        assert main(["decide", "--preset", "example-4.1"]) == 10
+        assert capsys.readouterr().out.startswith("verdict: NotTopMixing\n")
+        args = build_parser().parse_args(["decide", "--preset", "x"])
+        assert args.json is False and args.bound is None
 
     def test_unknown_preset(self):
         assert main(["decide", "--preset", "nope"]) == 2
@@ -122,6 +142,28 @@ class TestCohomology:
 
     def test_needs_finite_type_base(self):
         assert main(["cohomology", "--preset", "example-4.3", "--mode", "test"]) == 2
+
+    def test_test_mode_needs_a_table_roof(self, capsys):
+        assert main(["cohomology", "--preset", "example-4.2", "--mode", "test"]) == 2
+        assert one_error_line(capsys) == (
+            "error: cohomology --mode test needs a locally constant (table) roof")
+
+    @pytest.mark.parametrize("mode", ["normalize", "section"])
+    def test_no_grid_names_an_unknown_verdict(self, capsys, mode):
+        assert main(["cohomology", "--preset", "example-4.2", "--mode", mode]) == 2
+        assert one_error_line(capsys) == (
+            "error: no delta-grid: the verdict is Unknown (roof is not locally constant)")
+
+    def test_no_grid_on_a_mixing_flow(self, tmp_path, capsys):
+        cfg = tmp_path / "mix.cfg"
+        cfg.write_text(
+            "[shift]\nkind = full\nalphabet = 2\n\n"
+            "[basis]\nconstants = alpha 1.6180339887498949\n\n"
+            "[roof]\npast = 0\nfuture = 0\n0 = 1\n1 = alpha\n"
+        )
+        assert main(["cohomology", "--config", str(cfg), "--mode", "section"]) == 2
+        assert one_error_line(capsys) == (
+            "error: the flow is topologically mixing; no delta-grid exists")
 
 
 class TestSimulate:
