@@ -88,7 +88,7 @@ class TestDecide:
         assert main(["decide", "--config", str(cfg)]) == 20
 
     def test_json_report(self, capsys):
-        assert main(["decide", "--preset", "example-4.1", "--json", "--bound", "5"]) == 10
+        assert main(["decide", "--preset", "example-4.1", "--json"]) == 10
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]["verdict"] == "NotTopMixing"
         assert report["verdict"]["delta"] == "1"
