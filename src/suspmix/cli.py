@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import hashlib
 import io
@@ -33,6 +34,8 @@ from suspmix.decider import (
     decide_mixing_sft,
     decide_mixing_synchronized,
     normalize_to_delta_grid,
+    normalizing_blocks,
+    section_blocks,
     unit_cross_section,
 )
 from suspmix.exact import QVector, RealBasis, parse_qvector
@@ -44,6 +47,7 @@ from suspmix.shift import (
     Word,
     base_period,
     full_shift,
+    is_transitive,
     sft_from_forbidden_words,
 )
 from suspmix.simulate import (
@@ -103,12 +107,12 @@ class SystemConfig:
         parser = read_ini(text)
         cfg = cls()
         if parser.has_section("shift"):
-            sec = parser["shift"]
+            sec = section_items(parser, "shift")
             cfg.shift_kind = sec.get("kind", "full")
-            cfg.alphabet_size = sec.getint("alphabet", 2)
+            cfg.alphabet_size = int(sec.get("alphabet", 2))
             cfg.forbidden = tuple(sec.get("forbidden", "").split())
             cfg.beta_spec = sec.get("beta", "")
-            cfg.depth = sec.getint("depth", 0)
+            cfg.depth = int(sec.get("depth", 0))
             cfg.generators = sec.get("generators", "")
             edges = []
             for item in filter(None, (s.strip() for s in sec.get("edges", "").split(","))):
@@ -117,26 +121,26 @@ class SystemConfig:
             cfg.edges = tuple(edges)
         if parser.has_section("basis"):
             consts = []
-            raw = parser["basis"].get("constants", "")
+            raw = section_items(parser, "basis").get("constants", "")
             for item in filter(None, (s.strip() for s in raw.split(","))):
                 name, value = item.split()
                 consts.append((name, value))
             cfg.constants = tuple(consts)
         for section, attr in (("roof", "roof_table"), ("roof2", "roof2_table")):
             if parser.has_section(section):
-                sec = parser[section]
+                sec = section_items(parser, section)
                 if section == "roof":
                     cfg.roof_name = sec.get("name", "")
-                    cfg.roof_past = sec.getint("past", 0)
-                    cfg.roof_future = sec.getint("future", 0)
+                    cfg.roof_past = int(sec.get("past", 0))
+                    cfg.roof_future = int(sec.get("future", 0))
                 table = tuple(
-                    (key, sec[key])
-                    for key in sec
+                    (key, value)
+                    for key, value in sec.items()
                     if key not in ("name", "past", "future")
                 )
                 setattr(cfg, attr, table)
         if parser.has_section("options"):
-            cfg.options = tuple(sorted(parser["options"].items()))
+            cfg.options = tuple(sorted(section_items(parser, "options").items()))
         return cfg.normalized()
 
     def normalized(self) -> "SystemConfig":
@@ -268,6 +272,14 @@ def read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
+def section_items(parser: configparser.ConfigParser, section: str) -> dict[str, str]:
+    """A section's keys and values, read in one call, in the order of
+    ``parser.options(section)``: the section's own keys, then those it
+    takes from ``[DEFAULT]``."""
+    values = dict(parser.items(section, raw=True))
+    return {key: values[key] for key in parser.options(section)}
+
+
 def parse_beta_spec(text: str):
     """Parse "rational p/q", "quadratic a b d", or "float x guard g"."""
     parts = text.split()
@@ -362,20 +374,16 @@ def cmd_cohomology(config: SystemConfig, args):
             body["witness_orbit"] = str(result.witness_orbit.right_period)
             lines.append("witness orbit: %s" % body["witness_orbit"])
         return 0, body, lines
-    verdict = run_decide(config, args.bound or int(config.option("bound", "12")))
-    if verdict.kind == "TopMixing":
-        raise ValueError("the flow is topologically mixing; no delta-grid exists")
-    if verdict.delta is None:
-        raise ValueError("no delta-grid: the verdict is %s (%s)" % (verdict.kind, verdict.reason))
+    blocks, delta = grid_delta(config, base, roof, mode, args)
     if mode == "normalize":
-        norm = normalize_to_delta_grid(base, roof, verdict.delta)
+        norm = normalize_to_delta_grid(base, roof, delta, blocks)
         s_table, g_table = rendered(norm.roof), rendered(norm.transfer)
-        lines = ["delta: %s" % verdict.delta.render()]
+        lines = ["delta: %s" % delta.render()]
         lines += ["s[%s] = %s" % kv for kv in s_table.items()]
         lines += ["g[%s] = %s" % kv for kv in g_table.items()]
-        return 0, {"mode": mode, "delta": verdict.delta.render(), "s": s_table, "g": g_table}, lines
+        return 0, {"mode": mode, "delta": delta.render(), "s": s_table, "g": g_table}, lines
     if mode == "section":
-        section = unit_cross_section(base, roof, verdict.delta)
+        section = unit_cross_section(base, roof, delta, blocks)
 
         def vertex_name(v):
             if isinstance(v, tuple) and len(v) == 2:
@@ -394,6 +402,32 @@ def cmd_cohomology(config: SystemConfig, args):
     raise ValueError("unknown mode %r" % mode)
 
 
+def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, args):
+    """The presentation that ``mode`` works on, and the delta of its cycle values.
+
+    Returns (blocks, delta).  When the roof is not a table, the base is not
+    transitive, or no block length names every vertex (a sofic base),
+    blocks is None and the decision gives delta or names why there is none.
+    """
+    # read on every path, so that a malformed bound is always reported
+    bound = args.bound or int(config.option("bound", "12"))
+    blocks = None
+    if mode in ("normalize", "section") and isinstance(roof, LocallyConstantRoof) and is_transitive(base):
+        build = normalizing_blocks if mode == "normalize" else section_blocks
+        with contextlib.suppress(HypothesisError):  # no symbol-named presentation
+            blocks = build(base, roof)
+    if blocks is not None:
+        delta = blocks.delta()
+    else:
+        verdict = run_decide(config, bound)
+        if verdict.kind != "TopMixing" and verdict.delta is None:
+            raise ValueError("no delta-grid: the verdict is %s (%s)" % (verdict.kind, verdict.reason))
+        delta = verdict.delta
+    if delta is None:
+        raise ValueError("the flow is topologically mixing; no delta-grid exists")
+    return blocks, delta
+
+
 def build_family(config: SystemConfig):
     """Witness family and reference-period word from the config options."""
     spec = config.option("family", "")
@@ -402,6 +436,8 @@ def build_family(config: SystemConfig):
     if not spec:
         raise ValueError("options.family must name a periodic word or harmonic-witness")
     word = Word.parse(spec)
+    if config.roof_name == "harmonic" and not set(word) <= {0, 1}:
+        raise ValueError("the harmonic roof is defined on the full 2-shift; family %s has other symbols" % word)
     return [EventuallyPeriodicPoint.periodic(word)], word, False
 
 

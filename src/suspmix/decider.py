@@ -10,13 +10,15 @@ semidecisions.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Optional
 
-from suspmix.exact import QVector, RealBasis, setwise_commensurate
+from suspmix.exact import QVector, RealBasis, common_rows, from_rows, setwise_commensurate
 from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, roof_as_edge_weights
 from suspmix.shift import (
     Alphabet,
@@ -78,10 +80,13 @@ class CycleData:
     ``potentials[v]`` is the weight of a tree path discounted so that tree
     edges have cycle-value zero; ``cycle_values[i] = p(src) + w - p(tgt)``
     for edge i.  ``tree[v]`` is the in-tree edge leaving v toward the
-    root, so the tree path from v to the root sums to -p(v).  The subgroup generated by closed-walk weight sums equals
-    the subgroup generated by the cycle values: each cycle value is a
-    difference of two closed-walk sums through the root, and every
-    closed-walk sum telescopes to a sum of cycle values.
+    root, so the tree path from v to the root sums to -p(v).  The subgroup
+    generated by closed-walk weight sums equals the subgroup generated by
+    the cycle values: each cycle value is a difference of two closed-walk
+    sums through the root, and every closed-walk sum telescopes to a sum
+    of cycle values.  ``cycle_data`` sums on integer rows over one common
+    denominator of the weights, and builds one QVector per potential and
+    one per cycle value.
     """
 
     weighted: WeightedShift
@@ -100,25 +105,34 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
     if not is_transitive(shift):
         raise HypothesisError("weighted presentation is not strongly connected")
     basis = weighted.weights[0].basis
+    den, rows = common_rows(weighted.weights)
+    edges = shift.edges
     root = min(shift.vertices, key=str)
     # in-tree toward the root: the tree edge v -> u found from u has cycle
     # value zero, so p(v) + w = p(u)
-    potentials = {root: basis.zero()}
+    potentials = {root: (0,) * len(basis)}
     tree = {}
     frontier = [root]
     while frontier:
         u = frontier.pop()
+        pu = potentials[u]
         for i in shift.in_edges(u):
-            v = shift.edges[i].source
+            v = edges[i].source
             if v not in potentials:
-                potentials[v] = potentials[u] - weighted.weights[i]
+                potentials[v] = tuple(map(sub, pu, rows[i]))
                 tree[v] = i
                 frontier.append(v)
-    values = tuple(
-        potentials[e.source] + weighted.weights[i] - potentials[e.target]
-        for i, e in enumerate(shift.edges)
+    values = [
+        [a + w - b for a, w, b in zip(potentials[e.source], rows[i], potentials[e.target])]
+        for i, e in enumerate(edges)
+    ]
+    return CycleData(
+        weighted,
+        root,
+        dict(zip(potentials, from_rows(basis, potentials.values(), den))),
+        tuple(from_rows(basis, values, den)),
+        tree,
     )
-    return CycleData(weighted, root, potentials, values, tree)
 
 
 def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerdict:
@@ -373,12 +387,15 @@ class CohomologyResult:
     witness_orbit: Optional[EventuallyPeriodicPoint] = None
 
 
-def _weighted_blocks(shift: EdgeShift, k: int, future: int, value) -> tuple[WeightedShift, int]:
-    """Symbol-named block presentation, weighted through its windows.
+def _weighted_blocks(
+    shift: EdgeShift, k: int, width: int, lookup: Callable[[Word], QVector]
+) -> tuple[WeightedShift, int]:
+    """Symbol-named block presentation, weighted by a table lookup.
 
     The blocks have the least length kk >= k that names every vertex by
-    its block.  An edge's window w covers positions [i - kk, i]; the edge
-    weighs ``value(w, kk - future)``, read at position i - future.
+    its block, and kk + 1 >= ``width``.  An edge reads a window of kk + 1
+    symbols; its roof window is the last ``width`` of them, and it weighs
+    ``lookup(roof window)``, asked once per distinct roof window.
     Returns (weighted, kk).
     """
     found = symbol_named_presentation(shift, k)
@@ -387,8 +404,15 @@ def _weighted_blocks(shift: EdgeShift, k: int, future: int, value) -> tuple[Weig
             "no block length up to %d makes vertices symbol-determined" % (k + len(shift.vertices) + 1)
         )
     recoded, windows, kk = found
-    weights = tuple(value(windows[i], kk - future) for i in range(len(recoded.edges)))
-    return WeightedShift(recoded, weights, windows), kk
+    by_window: dict = {}
+    weights = []
+    for i in range(len(recoded.edges)):
+        key = windows[i].symbols[-width:]
+        weight = by_window.get(key)
+        if weight is None:
+            weight = by_window[key] = lookup(Word(key))
+        weights.append(weight)
+    return WeightedShift(recoded, tuple(weights), windows), kk
 
 
 def are_cohomologous(
@@ -405,9 +429,13 @@ def are_cohomologous(
         raise HypothesisError("cohomology test requires a transitive SFT base")
     past = max(r.past, s.past)
     future = max(r.future, s.future)
-    weighted, k = _weighted_blocks(
-        shift, past + future + 1, future, lambda w, j: r.value_at(w, j) - s.value_at(w, j)
-    )
+
+    def difference(w: Word) -> QVector:
+        # each roof reads its own window inside the common one
+        return (r.value_on_window(w[past - r.past : past + r.future + 1])
+                - s.value_on_window(w[past - s.past : past + s.future + 1]))
+
+    weighted, k = _weighted_blocks(shift, past + future + 1, past + future + 1, difference)
     recoded, diffs = weighted.shift, weighted.weights
     data = cycle_data(weighted)
     if any(not c.is_zero() for c in data.cycle_values):
@@ -415,13 +443,14 @@ def are_cohomologous(
         return CohomologyResult(False, None, witness)
     # d(e) = p(target) - p(source) on every edge: g is the potential read
     # on source blocks, which cover positions [j - (k - future), j + future - 1]
+    potentials = data.potentials
     g = TransferFunction(
         past=k - future,
         future=future - 1,
-        table={v: data.potentials[v] for v in recoded.vertices},
+        table={v: potentials[v] for v in recoded.vertices},
     )
     for i, e in enumerate(recoded.edges):
-        if not (diffs[i] - (data.potentials[e.target] - data.potentials[e.source])).is_zero():
+        if diffs[i] != potentials[e.target] - potentials[e.source]:
             raise ArithmeticError("transfer does not reproduce the difference on edge %d" % i)
     return CohomologyResult(True, g)
 
@@ -535,19 +564,69 @@ def _reduce_mod(value: QVector, delta: QVector) -> QVector:
     raise ArithmeticError("cannot place %s on the [0, %s) interval" % (value, delta))
 
 
+@dataclass
+class GridBlocks:
+    """A table roof's weights on a symbol-named block presentation.
+
+    Every vertex is named by its block of length ``k``, so closed walks
+    correspond one to one with periodic orbits, and a closed walk sums the
+    roof over its orbit.  The cycle values therefore generate the group of
+    periodic-orbit sums, as on any presentation of the shift: ``delta()``
+    is the grid constant that decide_mixing_sft certifies on its own.
+    """
+
+    weighted: WeightedShift
+    k: int
+
+    @functools.cached_property
+    def data(self) -> CycleData:
+        return cycle_data(self.weighted)
+
+    def delta(self) -> Optional[QVector]:
+        """The positive generator of the cycle values, None at rank >= 2."""
+        # distinct values give the same rank and generator, as in the orbit scan
+        return setwise_commensurate(list(dict.fromkeys(self.data.nonzero_cycle_values())))
+
+
+def normalizing_blocks(shift: EdgeShift, roof: LocallyConstantRoof) -> GridBlocks:
+    """The presentation normalize_to_delta_grid works on: blocks of length
+    at least past + future (and 1).
+
+    Raises HypothesisError when no block length names every vertex.
+    """
+    return GridBlocks(*_weighted_blocks(
+        shift, max(roof.past + roof.future, 1), roof.past + roof.future + 1, roof.value_on_window))
+
+
+def section_blocks(shift: EdgeShift, roof: LocallyConstantRoof) -> GridBlocks:
+    """The presentation unit_cross_section works on: on blocks of length at
+    least past + future + 1, an edge's roof value depends only on its
+    target block.
+
+    Raises HypothesisError when no block length names every vertex.
+    """
+    width = roof.past + roof.future + 1
+    return GridBlocks(*_weighted_blocks(shift, width, width, roof.value_on_window))
+
+
 def normalize_to_delta_grid(
-    shift: EdgeShift, roof: LocallyConstantRoof, delta: QVector
+    shift: EdgeShift,
+    roof: LocallyConstantRoof,
+    delta: QVector,
+    blocks: Optional[GridBlocks] = None,
 ) -> GridNormalization:
     """Cohomologous roof with values in delta*N, via mod-delta potentials.
 
-    ``delta`` must divide every cycle value of the weighted presentation
-    (as certified by decide_mixing_sft).  If delta is not below the
-    minimum roof value it is first shrunk to delta/k, which satisfies the
-    same containment.
+    ``delta`` must divide every cycle value of the presentation, as a
+    divisor of its ``delta()`` does.  ``blocks`` is that presentation, from
+    ``normalizing_blocks``; it is built here when not given.  If delta is
+    not below the minimum roof value it is first shrunk to delta/k, which
+    satisfies the same containment.
     """
-    weighted, k = _weighted_blocks(shift, max(roof.past + roof.future, 1), roof.future, roof.value_at)
-    recoded, weights, windows = weighted.shift, weighted.weights, weighted.windows
-    data = cycle_data(weighted)
+    if blocks is None:
+        blocks = normalizing_blocks(shift, roof)
+    data, k = blocks.data, blocks.k
+    recoded, weights, windows = data.weighted.shift, data.weighted.weights, data.weighted.windows
     for c in data.cycle_values:
         if c.is_zero():
             continue
@@ -575,7 +654,10 @@ def normalize_to_delta_grid(
 
 
 def unit_cross_section(
-    shift: EdgeShift, roof: LocallyConstantRoof, delta: QVector
+    shift: EdgeShift,
+    roof: LocallyConstantRoof,
+    delta: QVector,
+    blocks: Optional[GridBlocks] = None,
 ) -> EdgeShift:
     """Return-map graph of the cross-section at heights j*delta.
 
@@ -583,13 +665,15 @@ def unit_cross_section(
     block vertex u with value k_u*delta expands into levels (u, 0) ...
     (u, k_u - 1) chained upward, with top levels feeding the bottom
     levels of the successors; the induced flow has constant roof delta.
+    ``blocks`` is the presentation from ``section_blocks``; it is built
+    here when needed and not given.
     """
     if all(v == delta for v in roof.values()):
         # the section at height 0 is the base itself
         return shift
-    # on blocks of length >= past+future+1 an edge's roof value depends
-    # only on its target block
-    weighted, _ = _weighted_blocks(shift, roof.past + roof.future + 1, roof.future, roof.value_at)
+    if blocks is None:
+        blocks = section_blocks(shift, roof)
+    weighted = blocks.weighted
     recoded = weighted.shift
     multiples = {}
     for v in recoded.vertices:

@@ -306,6 +306,32 @@ def parse_qvector(text: str, basis: RealBasis) -> QVector:
     return _reduced(basis, tuple(num), den)
 
 
+def common_rows(values: Sequence[QVector]) -> tuple[int, list[tuple[int, ...]]]:
+    """The values as integer numerator rows over one common denominator.
+
+    Returns (den, rows) with ``values[i] == rows[i] / den``.  Sums and
+    differences of the rows are then sums and differences of the values,
+    with no gcd to take until ``from_rows`` turns them back.
+
+    Raises
+    ------
+    ValueError
+        If the values live over different bases.
+    """
+    basis = values[0].basis
+    for v in values:
+        if v.basis is not basis and v.basis != basis:
+            raise ValueError("operands live over different bases")
+    den = math.lcm(*{v.den for v in values})
+    return den, [v.num if v.den == den else tuple(n * (den // v.den) for n in v.num)
+                 for v in values]
+
+
+def from_rows(basis: RealBasis, rows: Iterable[Sequence[int]], den: int) -> list[QVector]:
+    """One QVector ``row / den`` per integer row, each in lowest terms."""
+    return [_reduced(basis, tuple(row), den) for row in rows]
+
+
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
     """Largest positive rational g with value/g an integer for every value.
 

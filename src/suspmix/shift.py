@@ -183,15 +183,37 @@ class EdgeShift:
 
 
 def _essential_part(vertices, edges):
-    """Iteratively drop vertices lacking in- or out-edges."""
-    vset = set(vertices)
-    while True:
-        kept = [e for e in edges if e.source in vset and e.target in vset]
-        alive = {e.source for e in kept} & {e.target for e in kept}
-        if alive == vset:
-            return [v for v in vertices if v in vset], kept
-        vset = alive
-        edges = kept
+    """Drop vertices lacking in- or out-edges, until none lacks either.
+
+    One worklist over in- and out-degrees, so each edge is dropped once;
+    the kept vertices and edges stay in their input order.
+    """
+    indeg = dict.fromkeys(vertices, 0)
+    outdeg = dict.fromkeys(vertices, 0)
+    into = {v: [] for v in vertices}
+    out = {v: [] for v in vertices}
+    for i, e in enumerate(edges):
+        outdeg[e.source] += 1
+        indeg[e.target] += 1
+        out[e.source].append(i)
+        into[e.target].append(i)
+    dropped = [v for v in vertices if not indeg[v] or not outdeg[v]]
+    dead = set(dropped)
+    cut = [False] * len(edges)
+    while dropped:
+        v = dropped.pop()
+        for i in out[v] + into[v]:
+            if cut[i]:
+                continue
+            cut[i] = True
+            e = edges[i]
+            outdeg[e.source] -= 1
+            indeg[e.target] -= 1
+            for u in (e.source, e.target):
+                if u not in dead and (not indeg[u] or not outdeg[u]):
+                    dead.add(u)
+                    dropped.append(u)
+    return [v for v in vertices if v not in dead], [e for i, e in enumerate(edges) if not cut[i]]
 
 
 # -- constructors -----------------------------------------------------------
@@ -259,21 +281,26 @@ def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple[EdgeShift, di
 
     A vertex is shown as its plain block when that block has one end.  The
     edge out of (v, block) along base edge e is labeled e's symbol and
-    reads the window block + symbol.
+    reads the window block + symbol.  Each pair is named once, and the
+    vertex and every edge end share that name.
     """
-
-    def name(v, blk):
-        return Word(blk) if len(ends[blk]) == 1 else (v, Word(blk))
-
-    pairs = [(v, blk) for blk in sorted(ends) for v in sorted(ends[blk], key=str)]
+    names = {}
+    for blk in sorted(ends):
+        vs = ends[blk]
+        if len(vs) == 1:
+            names[next(iter(vs)), blk] = Word(blk)
+        else:
+            for v in sorted(vs, key=str):
+                names[v, blk] = (v, Word(blk))
     edges = []
     windows = {}
-    for v, blk in pairs:
+    for (v, blk), source in names.items():
         for i in base.out_edges(v):
             e = base.edges[i]
-            windows[len(edges)] = Word(blk + (e.label,))
-            edges.append((name(v, blk), name(e.target, blk[1:] + (e.label,)), e.label))
-    recoded = EdgeShift([name(v, blk) for v, blk in pairs], edges, base.alphabet, essentialize=False)
+            window = blk + (e.label,)
+            windows[len(edges)] = Word(window)
+            edges.append((source, names[e.target, window[1:]], e.label))
+    recoded = EdgeShift(list(names.values()), edges, base.alphabet, essentialize=False)
     return recoded, windows
 
 

@@ -6,7 +6,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from suspmix.shift import EdgeShift, Word
+from suspmix.decider import CycleData, HypothesisError
+from suspmix.roofs import WeightedShift
+from suspmix.shift import EdgeShift, Word, is_transitive
 from suspmix.special import two_orbit_is_admissible
 
 
@@ -46,6 +48,44 @@ def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
             seen.add(key)
             out.append(cyc)
     return out
+
+
+def essential_part(vertices, edges):
+    """Iteratively drop vertices lacking in- or out-edges: one full pass
+    over the edges per round."""
+    vset = set(vertices)
+    while True:
+        kept = [e for e in edges if e.source in vset and e.target in vset]
+        alive = {e.source for e in kept} & {e.target for e in kept}
+        if alive == vset:
+            return [v for v in vertices if v in vset], kept
+        vset = alive
+        edges = kept
+
+
+def cycle_data(weighted: WeightedShift) -> CycleData:
+    """Potentials and cycle values, with three QVector operations per edge."""
+    shift = weighted.shift
+    if not is_transitive(shift):
+        raise HypothesisError("weighted presentation is not strongly connected")
+    basis = weighted.weights[0].basis
+    root = min(shift.vertices, key=str)
+    potentials = {root: basis.zero()}
+    tree = {}
+    frontier = [root]
+    while frontier:
+        u = frontier.pop()
+        for i in shift.in_edges(u):
+            v = shift.edges[i].source
+            if v not in potentials:
+                potentials[v] = potentials[u] - weighted.weights[i]
+                tree[v] = i
+                frontier.append(v)
+    values = tuple(
+        potentials[e.source] + weighted.weights[i] - potentials[e.target]
+        for i, e in enumerate(shift.edges)
+    )
+    return CycleData(weighted, root, potentials, values, tree)
 
 
 # -- exact values as tuples of Fractions --------------------------------------

@@ -123,6 +123,9 @@ def test_higher_block_recode_matches_the_per_vertex_frontier(shift, k):
     assume(shift is not None)
     got, want = higher_block_recode(shift, k), reference_recode(shift, k)
     assert (got[0].vertices, got[0].edges, got[1]) == (want[0].vertices, want[0].edges, want[1])
+    # each (end, block) pair is named once, and its edges share that name
+    names = {id(v) for v in got[0].vertices}
+    assert all(id(e.source) in names and id(e.target) in names for e in got[0].edges)
 
 
 @SWEEP

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import suspmix.cli
 from suspmix.cli import PRESETS, SystemConfig, build_parser, main, parse_beta_spec
 from suspmix.special import QuadraticReal, _GuardedFloat
 
@@ -33,6 +34,17 @@ class TestConfig:
         assert isinstance(g, _GuardedFloat)
         with pytest.raises(ValueError):
             parse_beta_spec("nonsense 3")
+
+    def test_default_keys_follow_the_section_keys(self):
+        # configparser lists a section's own keys first, then [DEFAULT]'s
+        cfg = SystemConfig.parse(
+            "[DEFAULT]\n1 = 3\n\n[shift]\nkind = full\n\n"
+            "[roof]\npast = 0\nfuture = 0\n0 = 2\n"
+        )
+        assert cfg.render() == (
+            "[shift]\nkind = full\nalphabet = 2\n\n[roof]\npast = 0\nfuture = 0\n"
+            "0 = 2\n1 = 3\n"
+        )
 
     def test_readme_config_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -64,7 +76,9 @@ class TestInputErrors:
         assert main(["decide", "--config", path]) == 2
         assert path in one_error_line(capsys)
 
-    @pytest.mark.parametrize("argv", [["decide"], ["cohomology", "--mode", "test"]])
+    @pytest.mark.parametrize("argv", [["decide"], ["cohomology", "--mode", "test"],
+                                      ["cohomology", "--mode", "normalize"],
+                                      ["cohomology", "--mode", "section"]])
     def test_roof_table_missing_a_window(self, tmp_path, capsys, argv):
         cfg = tmp_path / "short.cfg"
         cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[roof]\npast = 0\nfuture = 0\n0 = 1\n")
@@ -166,7 +180,59 @@ class TestCohomology:
             "error: the flow is topologically mixing; no delta-grid exists")
 
 
+EVEN_SHIFT = "[shift]\nkind = edges\nalphabet = 2\nedges = a a 1, a b 0, b a 0\n\n"
+GRID_ERRORS = {
+    "even-grid": (EVEN_SHIFT + "[roof]\npast = 0\nfuture = 0\n0 = 1\n1 = 2\n",
+                  "error: no block length up to 4 makes vertices symbol-determined"),
+    "even-mixing": (EVEN_SHIFT + "[basis]\nconstants = alpha 1.6180339887498949\n\n"
+                    "[roof]\npast = 0\nfuture = 0\n0 = 1\n1 = alpha\n",
+                    "error: the flow is topologically mixing; no delta-grid exists"),
+    "intransitive": ("[shift]\nkind = edges\nalphabet = 2\nedges = a a 0, a b 1, b b 0\n\n"
+                     "[roof]\npast = 0\nfuture = 0\n0 = 1\n1 = 2\n",
+                     "error: no delta-grid: the verdict is Unknown (base shift is not transitive)"),
+}
+
+
+class TestGridModes:
+    """Normalize and section take delta from the presentation they build,
+    and run the decision only when no block length names every vertex."""
+
+    @pytest.mark.parametrize("mode", ["normalize", "section"])
+    @pytest.mark.parametrize("name", sorted(GRID_ERRORS))
+    def test_error_line(self, tmp_path, capsys, name, mode):
+        text, line = GRID_ERRORS[name]
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(text)
+        assert main(["cohomology", "--config", str(cfg), "--mode", mode]) == 2
+        assert one_error_line(capsys) == line
+
+    def test_section_of_a_constant_roof_on_a_sofic_base(self, tmp_path, capsys):
+        # no block presentation, but the section at height 0 is the base
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(EVEN_SHIFT + "[roof]\npast = 0\nfuture = 0\n0 = 3/2\n1 = 3/2\n")
+        assert main(["cohomology", "--config", str(cfg), "--mode", "section"]) == 0
+        assert capsys.readouterr().out == (
+            "vertices: 2\nedges: 3\na -> a\na -> b\nb -> a\nbase period: 1\n")
+
+    @pytest.mark.parametrize("mode", ["normalize", "section"])
+    def test_no_decision_on_a_block_presentation(self, capsys, monkeypatch, mode):
+        def refuse(config, bound):
+            raise AssertionError("run_decide called")
+
+        monkeypatch.setattr(suspmix.cli, "run_decide", refuse)
+        assert main(["cohomology", "--preset", "example-4.1", "--mode", mode]) == 0
+
+
 class TestSimulate:
+    def test_harmonic_roof_refuses_other_symbols(self, tmp_path, capsys):
+        # the roof lives on the full 2-shift; its two evaluators disagree elsewhere
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text("[shift]\nkind = full\nalphabet = 3\n\n[roof]\nname = harmonic\n\n"
+                       "[options]\nfamily = 201\ntarget = 0\nhorizon = 60\n")
+        assert main(["simulate", "--config", str(cfg), "--json"]) == 2
+        assert one_error_line(capsys) == (
+            "error: the harmonic roof is defined on the full 2-shift; family 201 has other symbols")
+
     def test_writes_csv_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--preset", "example-4.1", "--out", str(out)]) == 0

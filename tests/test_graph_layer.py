@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +20,10 @@ import suspmix
 from suspmix.decider import cycle_data, decide_mixing_sft
 from suspmix.exact import RealBasis
 from suspmix.roofs import LocallyConstantRoof, roof_as_edge_weights
-from suspmix.shift import Alphabet, EdgeShift, EmptyShiftError, is_transitive
+from suspmix.shift import Alphabet, Edge, EdgeShift, EmptyShiftError, _essential_part, is_transitive
 from suspmix.special import BetaShift, QuadraticReal, build_beta_graph
 
-from reference import cycles_up_to
+from reference import cycles_up_to, essential_part
 
 BINARY = Alphabet.of_size(2)
 RATIONAL = RealBasis.rational()
@@ -65,6 +66,28 @@ def test_is_transitive_matches_networkx(graph):
     shift = build(*graph)
     if shift is not None:
         assert is_transitive(shift) == nx.is_strongly_connected(reference_digraph(shift))
+
+
+@given(multigraphs)
+def test_essential_part_matches_the_pruning_loop(graph):
+    n, edges, _ = graph
+    edges = [Edge(*e) for e in edges]
+    assert _essential_part(list(range(n)), edges) == essential_part(list(range(n)), edges)
+
+
+@pytest.mark.parametrize("inward", [True, False])
+def test_long_tail_is_pruned_in_linear_time(inward):
+    """A 2-cycle core with a 20,000-vertex path into (or out of) it: the
+    pruning loop drops one tail vertex per pass over every edge."""
+    n = 20_000
+    path = [(i, i + 1, 0) for i in range(n)] if inward else [(i + 1, i, 0) for i in range(n)]
+    edges = path + [(n, n + 1, 1), (n + 1, n, 0)]
+    start = time.perf_counter()
+    shift = EdgeShift(range(n + 2), edges, BINARY)
+    elapsed = time.perf_counter() - start
+    assert shift.vertices == (n, n + 1)
+    assert [(e.source, e.target) for e in shift.edges] == [(n, n + 1), (n + 1, n)]
+    assert elapsed < 1.0
 
 
 def recursive_cycles(shift, length):
