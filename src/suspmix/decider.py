@@ -324,39 +324,6 @@ def decide_mixing_synchronized(
     )
 
 
-def check_multi_sync(
-    oracle: ShiftOracle,
-    roof: LocallyConstantRoof,
-    v: Word,
-    u: Word,
-    delta: QVector,
-    bound: int,
-) -> bool:
-    """Consistency of the grid across two synchronizing words.
-
-    Verifies first that the orbits through v (up to the bound) lie on the
-    delta-grid, then reports whether the orbits through u do too.
-
-    Raises
-    ------
-    HypothesisError
-        If the orbits through v already leave the grid.
-    """
-
-    def on_grid(words) -> bool:
-        for s in _orbit_sums(roof, words):
-            q = s.ratio_to(delta)
-            if q is None or q.denominator != 1:
-                return False
-        return True
-
-    if not on_grid(periodic_words_in_cylinder(oracle, v, bound)):
-        raise HypothesisError(
-            "orbits through %s are not on the %s grid; nothing to check" % (v, delta)
-        )
-    return on_grid(periodic_words_in_cylinder(oracle, u, bound))
-
-
 # -- cohomology -------------------------------------------------------------
 
 

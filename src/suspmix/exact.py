@@ -178,18 +178,18 @@ class QVector:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_positive(self, guard: float = SIGN_GUARD) -> bool:
-        """Sign via float approximation with a guard band.
+    def is_positive(self) -> bool:
+        """Sign via float approximation with the guard band ``SIGN_GUARD``.
 
         Exact zero is not positive.  A nonzero value whose approximation is
-        within ``guard`` of 0 raises AmbiguousSignError rather than guessing.
+        within the band raises AmbiguousSignError rather than guessing.
         """
         if self.is_zero():
             return False
         f = float(self)
-        if abs(f) <= guard:
+        if abs(f) <= SIGN_GUARD:
             raise AmbiguousSignError(
-                "cannot certify sign of %s (float %.3e within guard %g)" % (self, f, guard)
+                "cannot certify sign of %s (float %.3e within guard %g)" % (self, f, SIGN_GUARD)
             )
         return f > 0
 

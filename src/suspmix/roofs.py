@@ -19,6 +19,8 @@ from suspmix.shift import (
     EventuallyPeriodicPoint,
     Word,
     admissible_words,
+    determinize,
+    has_synchronizing_word,
     higher_block_recode,
 )
 
@@ -214,13 +216,15 @@ def roof_as_edge_weights(roof: LocallyConstantRoof, shift: EdgeShift) -> Weighte
 
     Uses a higher-block presentation of depth past+future; closed-path
     weight sums equal Birkhoff sums over the corresponding periodic
-    points.
+    points.  A roof of depth 0 weights the edges of the shift itself when
+    it has a synchronizing word, else those of its determinization.
     """
     depth = roof.past + roof.future
     if depth == 0:
-        weights = tuple(roof.value_on_window(Word([e.label])) for e in shift.edges)
-        windows = {i: Word([e.label]) for i, e in enumerate(shift.edges)}
-        return WeightedShift(shift, weights, windows)
+        base = shift if has_synchronizing_word(shift) else determinize(shift)
+        weights = tuple(roof.value_on_window(Word([e.label])) for e in base.edges)
+        windows = {i: Word([e.label]) for i, e in enumerate(base.edges)}
+        return WeightedShift(base, weights, windows)
     recoded, windows = higher_block_recode(shift, depth)
     weights = tuple(roof.value_on_window(windows[i]) for i in range(len(recoded.edges)))
     return WeightedShift(recoded, weights, windows)
@@ -273,11 +277,15 @@ def example_roof_harmonic() -> EvaluableRoof:
     """The roof 1 + 1/(1 + rho(x)) on [0], 1 on [1], over the full 2-shift.
 
     rho(x) counts the consecutive zeros from position 0; the value at the
-    all-zero point is 1, the continuous extension.
+    all-zero point is 1, the continuous extension.  Both paths raise
+    ValueError on a symbol other than 0 and 1 that they read.
     """
     import numpy as np
 
     scan_limit = 10**7
+
+    def not_binary(symbol):
+        return ValueError("the harmonic roof reads only the symbols 0 and 1, not %d" % symbol)
 
     def evaluator(point) -> float:
         if point[0] == 1:
@@ -287,11 +295,13 @@ def example_roof_harmonic() -> EvaluableRoof:
         limit, tail = scan_limit, _zero_tail_start(point)
         if tail is not None:
             limit = min(limit, max(tail, 1))
-        rho = 1
+        rho = 0
         while rho < limit and point[rho] == 0:
             rho += 1
         if rho >= limit:
             return 1.0
+        if point[rho] != 1:
+            raise not_binary(point[rho])
         return 1.0 + 1.0 / (1.0 + rho)
 
     def vectorized(symbols: "np.ndarray") -> "np.ndarray":
@@ -300,10 +310,13 @@ def example_roof_harmonic() -> EvaluableRoof:
         # the 1s; a 0 with no later 1 in its row gets a distance near 2**62,
         # which rounds 1 + 1/(1 + rho) to exactly 1.0, the value on an
         # infinite run of zeros
+        ones, zeros = symbols == 1, symbols == 0
+        if not (ones | zeros).all():
+            raise not_binary(symbols[~(ones | zeros)][0])
         pos = np.arange(symbols.shape[-1], dtype=np.int64)
-        ones_at = np.where(symbols == 1, pos, np.iinfo(np.int64).max // 2)
+        ones_at = np.where(ones, pos, np.iinfo(np.int64).max // 2)
         nxt = np.minimum.accumulate(ones_at[..., ::-1], axis=-1)[..., ::-1]
-        return np.where(symbols == 0, 1.0 + 1.0 / (1.0 + (nxt - pos)), 1.0)
+        return np.where(zeros, 1.0 + 1.0 / (1.0 + (nxt - pos)), 1.0)
 
     return EvaluableRoof(
         evaluator=evaluator,

@@ -169,15 +169,6 @@ class EdgeShift:
                     out.add(self.edges[i].target)
         return out
 
-    def terminal_vertices(self, w: Word) -> set:
-        """Endpoints of all edge paths spelling w (all start vertices)."""
-        states = set(self.vertices)
-        for s in w:
-            states = self.step(states, s)
-            if not states:
-                break
-        return states
-
     def __repr__(self) -> str:
         return "EdgeShift(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
@@ -307,11 +298,10 @@ def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple[EdgeShift, di
 def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, Word]]:
     """Conjugate presentation whose vertices are admissible k-blocks.
 
-    For non-right-resolving input the graph is first determinized so that
-    blocks pin down path endpoints.  Vertices are (endpoint, k-block)
-    pairs, displayed as plain k-blocks whenever the block alone determines
-    the endpoint.  Edge labels give the symbol appended on the right, so
-    the label language is unchanged.
+    The blocks are read on ``resolving_base(shift)``.  Vertices are
+    (endpoint, k-block) pairs, displayed as plain k-blocks whenever the
+    block alone determines the endpoint.  Edge labels give the symbol
+    appended on the right, so the label language is unchanged.
 
     Returns
     -------
@@ -321,7 +311,7 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
     """
     if k < 1:
         raise ValueError("block length must be >= 1")
-    base = shift if shift.is_right_resolving() else determinize(shift)
+    base = resolving_base(shift)
     return _block_graph(base, next(itertools.islice(_block_sweep(base), k, None)))
 
 
@@ -331,8 +321,8 @@ def symbol_named_presentation(
     """Higher-block presentation whose vertices are all plain blocks.
 
     Uses the least block length kk >= k at which every admissible
-    kk-block has one path end (on the determinized graph if the input is
-    not right-resolving), so each vertex is a ``Word``.
+    kk-block has one path end on ``resolving_base(shift)``, so each vertex
+    is a ``Word``.
 
     Returns
     -------
@@ -340,7 +330,7 @@ def symbol_named_presentation(
         The recoded shift, its window map (as in ``higher_block_recode``)
         and kk; None if no kk up to k + |V| + 1 qualifies.
     """
-    base = shift if shift.is_right_resolving() else determinize(shift)
+    base = resolving_base(shift)
     for kk, ends in enumerate(_block_sweep(base)):
         if kk >= k and all(len(vs) == 1 for vs in ends.values()):
             return _block_graph(base, ends) + (kk,)
@@ -348,23 +338,56 @@ def symbol_named_presentation(
             return None
 
 
-def determinize(shift: EdgeShift) -> EdgeShift:
-    """Right-resolving presentation of the same language by subset construction."""
+def resolving_base(shift: EdgeShift) -> EdgeShift:
+    """The graph that block recodes read: the input if it is right-resolving
+    and, when strongly connected, has a synchronizing word; else its
+    determinization.  Then closed walks give every orbit through that word
+    in one period; two vertices in a 2-cycle with both labels on each edge
+    close no walk spelling 0."""
+    if shift.is_right_resolving() and (not is_transitive(shift) or has_synchronizing_word(shift)):
+        return shift
+    return determinize(shift)
+
+
+def has_synchronizing_word(shift: EdgeShift) -> bool:
+    """True iff some word is spelled only by paths that end at one vertex."""
+    return any(len(t) == 1 for _, t, _ in _subset_edges(shift))
+
+
+def _subset_edges(shift: EdgeShift) -> Iterator[tuple[frozenset, frozenset, int]]:
+    """Edges (S, T, c) of the subset graph from the set of all vertices: T is
+    the nonempty set of ends of the c-labeled edges out of S.  Depth first."""
     start = frozenset(shift.vertices)
-    states = {start}
-    queue = [start]
-    edges = []
-    while queue:
-        s = queue.pop()
+    seen = {start}
+    stack = [start]
+    while stack:
+        s = stack.pop()
         for c in shift.alphabet.symbols:
-            t = frozenset(shift.step(set(s), c))
-            if not t:
-                continue
-            edges.append((s, t, c))
-            if t not in states:
-                states.add(t)
-                queue.append(t)
-    return EdgeShift(states, edges, shift.alphabet)
+            t = frozenset(shift.step(s, c))
+            if t:
+                yield s, t, c
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+
+
+def determinize(shift: EdgeShift) -> EdgeShift:
+    """Right-resolving presentation of the same language by subset construction.
+
+    On a strongly connected input only the terminal component of the subset
+    graph is kept: the subsets that every subset reaches.  It is strongly
+    connected, has a synchronizing word, and presents the same shift (Lind
+    & Marcus, §3.3).
+    """
+    edges = list(_subset_edges(shift))
+    states = {frozenset(shift.vertices), *(t for _, t, _ in edges)}
+    subsets = EdgeShift(states, edges, shift.alphabet)
+    if not is_transitive(shift):
+        return subsets
+    # every subset reaches each smallest one, so what that reaches is terminal
+    keep = reachable(subsets, min(subsets.vertices, key=len))
+    return EdgeShift([s for s in subsets.vertices if s in keep],
+                     [e for e in subsets.edges if e.source in keep], shift.alphabet)
 
 
 # -- language and structure -------------------------------------------------
@@ -375,7 +398,12 @@ def is_word_admissible(shift: EdgeShift, w: Word) -> bool:
     for s in w:
         if s not in shift.alphabet:
             raise ValueError("symbol %r outside alphabet" % (s,))
-    return len(w) == 0 or bool(shift.terminal_vertices(w))
+    states = set(shift.vertices)
+    for s in w:
+        states = shift.step(states, s)
+        if not states:
+            return False
+    return True
 
 
 def admissible_words(shift: EdgeShift, length: int) -> list[Word]:
@@ -412,33 +440,14 @@ def base_period(shift: EdgeShift) -> int:
     root = shift.vertices[0]
     level = {root: 0}
     queue = [root]
-    g = 0
     while queue:
         u = queue.pop()
         for i in shift.out_edges(u):
             v = shift.edges[i].target
-            if v in level:
-                g = math.gcd(g, level[u] + 1 - level[v])
-            else:
+            if v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
-    # revisit all edges once levels are complete
-    for e in shift.edges:
-        g = math.gcd(g, level[e.source] + 1 - level[e.target])
-    return abs(g) if g else 1
-
-
-def is_synchronizing(shift: EdgeShift, v: Word) -> bool:
-    """True iff all paths spelling v end at a single vertex.
-
-    Applied on a right-resolving presentation (the follower-set
-    criterion); non-right-resolving input is determinized first.
-    """
-    base = shift if shift.is_right_resolving() else determinize(shift)
-    terminals = base.terminal_vertices(v)
-    if not terminals:
-        raise ValueError("word %s is not admissible" % (v,))
-    return len(terminals) == 1
+    return math.gcd(*(level[e.source] + 1 - level[e.target] for e in shift.edges)) or 1
 
 
 # -- points -----------------------------------------------------------------
@@ -484,10 +493,6 @@ class EventuallyPeriodicPoint:
         if i < start + len(self.core):
             return self.core[i - start]
         return self.right_period[(i - start - len(self.core)) % len(self.right_period)]
-
-    def window(self, lo: int, hi: int) -> Word:
-        """The word at indices lo..hi inclusive."""
-        return Word(self[i] for i in range(lo, hi + 1))
 
     def shift(self) -> "EventuallyPeriodicPoint":
         """The image under the shift map: position n reads old position n+1."""
@@ -555,34 +560,3 @@ class EventuallyPeriodicPoint:
                 return q
         return None
 
-
-def close_orbit(shift: EdgeShift, w: Word) -> EventuallyPeriodicPoint:
-    """The periodic point spelled by a closed path labeled w.
-
-    Raises
-    ------
-    ValueError
-        If no path spelling w starts and ends at the same vertex.
-    """
-    if len(w) == 0:
-        raise ValueError("cannot close the empty word")
-    for v in shift.vertices:
-        states = {v}
-        for s in w:
-            states = shift.step(states, s)
-        if v in states:
-            return EventuallyPeriodicPoint.periodic(w)
-    raise ValueError("no closed path spells %s" % (w,))
-
-
-def contains_point(shift: EdgeShift, p: EventuallyPeriodicPoint) -> bool:
-    """True iff the bi-infinite sequence of p lies in the shift.
-
-    Checks admissibility of a central window long enough that a path
-    spelling it can be pumped to a bi-infinite walk (the window covers
-    the core plus |V|+1 repetitions of each tail period).
-    """
-    reps = len(shift.vertices) + 1
-    lo = -p.origin_offset - reps * len(p.left_period)
-    hi = -p.origin_offset + len(p.core) + reps * len(p.right_period)
-    return is_word_admissible(shift, p.window(lo, hi))

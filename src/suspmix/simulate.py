@@ -305,45 +305,15 @@ def witness_family(
     return family
 
 
-def gcd_dense_solve(
-    a: float,
-    b: float,
-    omega: float,
-    x: float,
-    delta: float,
-    search_bound: int,
-    prefer_large: bool = False,
-) -> Optional[tuple[int, int, int]]:
-    """Natural n, m <= bound and integer k with |n*a + m*b - x - k*omega| < delta.
-
-    With ``prefer_large`` the scan runs from the top of the search box,
-    returning the largest solution found first.
-    """
-    if min(a, b, omega, delta) <= 0:
-        raise ValueError("a, b, omega, delta must be positive")
-    if not 0 <= x < omega:
-        raise ValueError("x must lie in [0, omega)")
-    order = range(search_bound, -1, -1) if prefer_large else range(search_bound + 1)
-    for n in order:
-        for m in order:
-            if n == 0 and m == 0:
-                continue
-            total = n * a + m * b - x
-            k = round(total / omega)
-            if abs(total - k * omega) < delta:
-                return n, m, int(k)
-    return None
-
-
 def density_diagnostic(
     series: ReturnTimeSeries,
     candidate_delta: Optional[float] = None,
-    n_bins: int = 10,
-    grid_threshold: float = 0.99,
 ) -> MixingDiagnostic:
     """Residues of the hitting times mod omega, their largest circular gap,
-    and (when a candidate delta is supplied) the fraction lying within
-    2*epsilon of the delta-grid."""
+    their counts in 10 equal bins of [0, omega), and (when a candidate
+    delta is supplied) the fraction lying within 2*epsilon of the
+    delta-grid.  The verdict is non-mixing-consistent when that fraction
+    is at least 0.99."""
     if len(series.times) < 10:
         raise ValueError("need at least 10 hitting times")
     omega = series.omega
@@ -351,13 +321,13 @@ def density_diagnostic(
     gaps = np.diff(residues)
     wrap = omega - residues[-1] + residues[0]
     max_gap = float(max(gaps.max(initial=0.0), wrap))
-    counts, _ = np.histogram(residues, bins=n_bins, range=(0.0, omega))
+    counts, _ = np.histogram(residues, bins=10, range=(0.0, omega))
     grid_fraction = None
     if candidate_delta is not None:
         rem = np.mod(residues, candidate_delta)
         dist = np.minimum(rem, candidate_delta - rem)
         grid_fraction = float(np.mean(dist <= 2 * series.epsilon))
-    if grid_fraction is not None and grid_fraction >= grid_threshold:
+    if grid_fraction is not None and grid_fraction >= 0.99:
         verdict = "non-mixing-consistent"
         note = "residues concentrate on the candidate grid"
     elif max_gap <= series.epsilon:

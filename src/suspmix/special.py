@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from suspmix.decider import ShiftOracle, decide_mixing_synchronized, periodic_words_in_cylinder
 from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word, reachable
@@ -290,34 +290,17 @@ def decide_mixing_beta(shift: BetaShift, roof, depth: int, period_bound: int):
 # -- the balanced-2/3 coded subshift ----------------------------------------
 
 
-@dataclass(frozen=True)
 class CodedGenerator:
-    """Generating word set of a coded subshift.
-
-    Either an explicit finite set of words, or the named family
-    "balanced-23": {2^n 3^n : n >= 1} together with {0, 1}, whose
-    membership problem has a closed form.
-    """
-
-    words: tuple[Word, ...] = ()
-    family: str = ""
+    """Generating word set of the one coded subshift built in: the family
+    "balanced-23", {2^n 3^n : n >= 1} together with {0, 1}, whose
+    membership problem has a closed form (``balanced_oracle``)."""
 
     @classmethod
     def balanced_23(cls) -> "CodedGenerator":
-        return cls(family="balanced-23")
-
-    @classmethod
-    def explicit(cls, words: Iterable[Word]) -> "CodedGenerator":
-        words = tuple(words)
-        if any(len(w) == 0 for w in words):
-            raise ValueError("generator words must be nonempty")
-        return cls(words=words)
+        return cls()
 
     def alphabet(self) -> Alphabet:
-        if self.family == "balanced-23":
-            return Alphabet.of_size(4)
-        symbols = sorted({s for w in self.words for s in w})
-        return Alphabet(tuple(symbols))
+        return Alphabet.of_size(4)
 
 
 def _runs(symbols: list[int]) -> list[tuple[int, int]]:
@@ -385,44 +368,6 @@ def _balanced_periodic(w: Word) -> bool:
     return True
 
 
-def coded_member(gen: CodedGenerator, w: Word) -> bool:
-    """Membership of w in the language of the coded subshift.
-
-    True iff w is an infix of some bi-infinite concatenation of generator
-    words.  Exact in both cases: a closed form for the balanced-23
-    family, a boundary-position dynamic program for explicit generators.
-    """
-    if gen.family == "balanced-23":
-        return _balanced_member(w.symbols)
-    return _infix_of_concatenation(list(w), gen.words)
-
-
-def _infix_of_concatenation(symbols: list[int], words: tuple[Word, ...]) -> bool:
-    """Exact infix test: w = (suffix of g_0) g_1 ... g_{k-1} (prefix of g_k)."""
-    n = len(symbols)
-    if n == 0:
-        return True
-    # boundary[i]: positions where a gap between generator words can fall
-    boundary = [False] * (n + 1)
-    boundary[0] = True
-    for g in words:
-        gl = list(g)
-        for cut in range(1, min(len(gl), n) + 1):
-            if symbols[:cut] == gl[len(gl) - cut :]:
-                boundary[cut] = True
-    for i in range(n + 1):
-        if not boundary[i]:
-            continue
-        rest = symbols[i:]
-        if not rest or any(list(g)[: n - i] == rest for g in words):
-            return True
-        for g in words:
-            gl = list(g)
-            if i + len(gl) <= n and symbols[i : i + len(gl)] == gl:
-                boundary[i + len(gl)] = True
-    return False
-
-
 def balanced_oracle() -> ShiftOracle:
     gen = CodedGenerator.balanced_23()
     return ShiftOracle(
@@ -436,8 +381,6 @@ def coded_periodic_in_cylinder(
     gen: CodedGenerator, v: Word, period_bound: int
 ) -> list[EventuallyPeriodicPoint]:
     """One periodic point w-bar in [v] per orbit of period <= bound."""
-    if gen.family != "balanced-23":
-        raise NotImplementedError("periodic enumeration is defined for balanced-23")
     words = periodic_words_in_cylinder(balanced_oracle(), v, period_bound)
     return [EventuallyPeriodicPoint.periodic(w) for w in words]
 
@@ -467,10 +410,6 @@ class AperiodicSequence:
 
     def prefix(self, n: int) -> list[int]:
         return [self.term(i) for i in range(1, n + 1)]
-
-
-def morse_thue_plus3(n: int) -> list[int]:
-    return AperiodicSequence().prefix(n)
 
 
 _SEQ = AperiodicSequence()
@@ -669,20 +608,17 @@ def two_orbit_periodic_words(period_bound: int) -> list[Word]:
     return periodic_words_in_cylinder(two_orbit_oracle(), Word(), period_bound)
 
 
-def find_connector(
-    u: Word, v: Word, n: int, i_cap: Optional[int] = None, horizon: int = 12
-) -> Optional[Word]:
+def find_connector(u: Word, v: Word, n: int) -> Optional[Word]:
     """A connector w with u w v admissible containing the block 0 1^n 0.
 
     The 1-run of length n is the parameter exhibiting mixing: as n grows
     the family realizes transition words of every sufficiently large
-    length.  Padding on either side of the block is searched up to
-    ``horizon`` symbols by DFS with admissibility pruning.
+    length.  Padding on either side of the block is searched up to 12
+    symbols by DFS with admissibility pruning.
     """
     if n < 2:
         raise ValueError("the 1-run must have length >= 2")
-    admissible = lambda word: two_orbit_is_admissible(word, i_cap)
-    if not admissible(u) or not admissible(v):
+    if not two_orbit_is_admissible(u) or not two_orbit_is_admissible(v):
         raise ValueError("endpoints must be admissible")
     core = Word([0] + [1] * n + [0])
 
@@ -691,14 +627,14 @@ def find_connector(
         if budget:
             for s in (0, 1):
                 cand = start + Word([s])
-                if admissible(u + cand):
+                if two_orbit_is_admissible(u + cand):
                     yield from extensions(cand, budget - 1)
 
-    for pad in extensions(Word(), horizon):
+    for pad in extensions(Word(), 12):
         base = pad + core
-        if not admissible(u + base):
+        if not two_orbit_is_admissible(u + base):
             continue
-        for w in extensions(base, horizon):
-            if admissible(u + w + v):
+        for w in extensions(base, 12):
+            if two_orbit_is_admissible(u + w + v):
                 return w
     return None

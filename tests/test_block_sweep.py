@@ -4,7 +4,8 @@
 presentation all read one sweep of (block -> path ends) maps.  The
 references here are the constructions the sweep replaced: a frontier of
 (end, block) pairs grown from each start vertex, and a loop that recodes
-at every block length until each vertex is named by its block.
+at every block length until each vertex is named by its block.  The last
+tests build several presentations of one shift, which must decide alike.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from suspmix.shift import (
     determinize,
     higher_block_recode,
     is_word_admissible,
+    resolving_base,
     sft_from_forbidden_words,
     symbol_named_presentation,
 )
@@ -70,7 +72,7 @@ non_resolving_graphs = edge_graphs.filter(lambda s: s is not None and not s.is_r
 
 def reference_recode(shift, k):
     """higher_block_recode as a frontier of (end, block) pairs per start vertex."""
-    base = shift if shift.is_right_resolving() else determinize(shift)
+    base = resolving_base(shift)
     pairs = set()
     for v in base.vertices:
         frontier = {(v, ())}
@@ -102,7 +104,7 @@ def reference_recode(shift, k):
 
 def reference_presentation(shift, k):
     """Recode at k, k+1, ... until every vertex is a Word (None past k+|V|+1)."""
-    base = shift if shift.is_right_resolving() else determinize(shift)
+    base = resolving_base(shift)
     for kk in range(k, k + len(shift.vertices) + 2):
         recoded, windows = higher_block_recode(base, kk)
         if all(isinstance(v, Word) for v in recoded.vertices):
@@ -199,3 +201,76 @@ def test_even_shift_decides_on_the_exact_depth_recode_only():
         normalize_to_delta_grid(shift, roof, two)
     with pytest.raises(HypothesisError):
         unit_cross_section(shift, roof, two)
+
+
+# -- one shift, several presentations -----------------------------------------
+
+SQRT2 = RealBasis.with_constants(("a", 1.4142135623730951))
+
+
+@st.composite
+def transitive_graphs(draw):
+    """A ring through 1-4 vertices and up to five more edges, binary labels."""
+    n = draw(st.integers(1, 4))
+    labels = st.integers(0, 1)
+    edges = [(i, (i + 1) % n, draw(labels)) for i in range(n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), labels),
+                           max_size=5))
+    return EdgeShift(range(n), edges, BINARY)
+
+
+def out_split(shift, v, first):
+    """Split v in two: v keeps the out-edges that ``first`` marks, a new
+    vertex takes the rest, and every edge into v goes into both."""
+    new = len(shift.vertices)
+    outs = iter(first)
+    edges = []
+    for e in shift.edges:
+        source = e.source if e.source != v or next(outs) else new
+        targets = (v, new) if e.target == v else (e.target,)
+        edges += [(source, t, e.label) for t in targets]
+    return EdgeShift(list(shift.vertices) + [new], edges, BINARY)
+
+
+def verdict_and_delta(shift, roof):
+    verdict = decide_mixing_sft(shift, roof)
+    return verdict.kind, verdict.delta
+
+
+@SWEEP
+@given(transitive_graphs(), st.integers(0, 1), st.data())
+def test_every_presentation_gives_one_verdict(shift, future, data):
+    """A duplicated edge, renamed vertices, an out-split state and the
+    subset graph present the same shift, so they get the same verdict and
+    delta.  Roofs of width 1 and 2 take rational values or ones with an
+    irrational part."""
+    basis = data.draw(st.sampled_from([RATIONAL, SQRT2]))
+    width = future + 1
+    roof = LocallyConstantRoof(0, future, {
+        Word(w): basis.from_rational(data.draw(st.integers(1, 4))) + (
+            basis.unit(1) if basis is SQRT2 and data.draw(st.booleans()) else basis.zero())
+        for w in itertools.product((0, 1), repeat=width)
+    })
+    want = verdict_and_delta(shift, roof)
+    assert want[0] != "Unknown"
+    duplicated = EdgeShift(shift.vertices, list(shift.edges) + [data.draw(st.sampled_from(shift.edges))],
+                           BINARY)
+    names = data.draw(st.permutations("abcd"))
+    renamed = EdgeShift([names[v] for v in reversed(shift.vertices)],
+                        [(names[e.source], names[e.target], e.label) for e in shift.edges], BINARY)
+    v = data.draw(st.sampled_from(shift.vertices))
+    split = out_split(shift, v, data.draw(st.lists(st.booleans(), min_size=len(shift.out_edges(v)),
+                                                   max_size=len(shift.out_edges(v)))))
+    for variant in (duplicated, renamed, split, determinize(shift)):
+        assert verdict_and_delta(variant, roof) == want, variant
+
+
+def test_a_presentation_without_a_synchronizing_word():
+    """Two copies of the full 2-shift's vertex in a 2-cycle close no walk of
+    odd length; the subset graph, one vertex with both loops, does."""
+    shift = EdgeShift("AB", [("A", "B", 0), ("A", "B", 1), ("B", "A", 0), ("B", "A", 1)], BINARY)
+    one = RATIONAL.from_rational(1)
+    for past, future in ((0, 0), (0, 1)):
+        roof = LocallyConstantRoof(past, future, {
+            Word(w): one for w in itertools.product((0, 1), repeat=past + future + 1)})
+        assert verdict_and_delta(shift, roof) == ("NotTopMixing", one)

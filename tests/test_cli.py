@@ -206,6 +206,18 @@ class TestGridModes:
         assert main(["cohomology", "--config", str(cfg), "--mode", mode]) == 2
         assert one_error_line(capsys) == line
 
+    def test_non_right_resolving_edge_list_decides(self, tmp_path, capsys):
+        # the duplicated edge makes the subset graph keep a transient state;
+        # its terminal component decides.  The shift is strictly sofic, so
+        # no block length names every vertex
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text("[shift]\nkind = edges\nalphabet = 2\nedges = p q 0, p q 0, q p 0, p q 1\n\n"
+                       "[roof]\npast = 0\nfuture = 1\n00 = 1\n01 = 2\n10 = 1\n11 = 2\n")
+        assert main(["decide", "--config", str(cfg)]) == 10
+        assert capsys.readouterr().out == "verdict: NotTopMixing\ndelta: 1\n"
+        assert main(["cohomology", "--config", str(cfg), "--mode", "normalize"]) == 2
+        assert one_error_line(capsys) == "error: no block length up to 4 makes vertices symbol-determined"
+
     def test_section_of_a_constant_roof_on_a_sofic_base(self, tmp_path, capsys):
         # no block presentation, but the section at height 0 is the base
         cfg = tmp_path / "sys.cfg"

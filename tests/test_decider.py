@@ -13,7 +13,6 @@ from suspmix.decider import (
     ShiftOracle,
     approximate_locally_constant,
     are_cohomologous,
-    check_multi_sync,
     cycle_data,
     decide_mixing_sft,
     decide_mixing_synchronized,
@@ -415,31 +414,6 @@ class TestUnitCrossSection:
         with pytest.raises(HypothesisError):
             unit_cross_section(
                 shift, roof_two_three(), RATIONAL.from_rational(Fraction(3, 4))
-            )
-
-
-class TestMultiSync:
-    def test_consistent_grid(self):
-        oracle = ShiftOracle.from_edge_shift(full_shift(BINARY))
-        assert check_multi_sync(
-            oracle,
-            roof_two_three(),
-            Word.parse("0"),
-            Word.parse("1"),
-            RATIONAL.from_rational(1),
-            4,
-        )
-
-    def test_precondition_failure_raises(self):
-        oracle = ShiftOracle.from_edge_shift(full_shift(BINARY))
-        with pytest.raises(HypothesisError):
-            check_multi_sync(
-                oracle,
-                mixing_roof(),
-                Word.parse("0"),
-                Word.parse("1"),
-                ALPHA.unit(0),
-                4,
             )
 
 

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import suspmix
 from suspmix.decider import cycle_data, decide_mixing_sft
 from suspmix.exact import RealBasis
-from suspmix.roofs import LocallyConstantRoof, roof_as_edge_weights
-from suspmix.shift import Alphabet, Edge, EdgeShift, EmptyShiftError, _essential_part, is_transitive
+from suspmix.roofs import LocallyConstantRoof, WeightedShift
+from suspmix.shift import Alphabet, Edge, EdgeShift, EmptyShiftError, Word, _essential_part, is_transitive
 from suspmix.special import BetaShift, QuadraticReal, build_beta_graph
 
 from reference import cycles_up_to, essential_part
@@ -181,7 +181,9 @@ def test_traversals_need_no_deep_stack():
     shift = ring_with_chord(n, [i % 2 for i in range(n)])
     roof = LocallyConstantRoof.from_symbols({0: RATIONAL.from_rational(1),
                                              1: RATIONAL.from_rational(2)})
-    weighted = roof_as_edge_weights(roof, shift)
+    # the ring itself, weighted: it presents the one orbit of (01)-bar, so
+    # roof_as_edge_weights would weight its 2-vertex subset graph instead
+    weighted = WeightedShift(shift, tuple(roof.value_on_window(Word([e.label])) for e in shift.edges), {})
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)
     try:

@@ -243,6 +243,18 @@ class TestHarmonicRoof:
         assert _zero_tail_start(_ShiftedView(q, 1)) is None
         assert _zero_tail_start([0, 0, 0]) is None
 
+    def test_refuses_other_symbols(self):
+        # at the 2 of (201)-bar the evaluator once read the run of zeros
+        # after it (4/3), and the numpy path gave 1.0
+        roof = example_roof_harmonic()
+        with pytest.raises(ValueError):
+            roof.value_at(EventuallyPeriodicPoint.periodic(Word.parse("201")))
+        with pytest.raises(ValueError):
+            roof.vectorized(np.array([[2, 0, 1] * 3]))
+        # a zero's value reads up to the next 1, and the 2 comes first
+        with pytest.raises(ValueError):
+            roof.value_at(EventuallyPeriodicPoint.periodic(Word.parse("021")))
+
     def test_modulus_nonincreasing(self):
         roof = example_roof_harmonic()
         mods = [roof.walters_modulus(k) for k in range(1, 30)]

@@ -12,12 +12,9 @@ from suspmix.shift import (
     Word,
     admissible_words,
     base_period,
-    close_orbit,
-    contains_point,
     determinize,
     full_shift,
     higher_block_recode,
-    is_synchronizing,
     is_transitive,
     is_word_admissible,
     sft_from_forbidden_words,
@@ -132,23 +129,6 @@ class TestStructure:
 
 
 class TestSynchronizing:
-    def test_golden_mean_one(self):
-        assert is_synchronizing(golden_mean(), Word.parse("1"))
-
-    def test_full_shift_zero(self):
-        assert is_synchronizing(full_shift(BINARY), Word.parse("0"))
-
-    def test_even_shift_zero_not_synchronizing(self):
-        even = EdgeShift(
-            "AB", [("A", "A", 1), ("A", "B", 0), ("B", "A", 0)], BINARY
-        )
-        assert not is_synchronizing(even, Word.parse("0"))
-        assert is_synchronizing(even, Word.parse("1"))
-
-    def test_inadmissible_word_rejected(self):
-        with pytest.raises(ValueError):
-            is_synchronizing(golden_mean(), Word.parse("11"))
-
     def test_definition_on_random_extensions(self):
         shift = golden_mean()
         v = Word.parse("1")
@@ -173,6 +153,22 @@ class TestDeterminize:
                 assert is_word_admissible(det, Word(w)) == is_word_admissible(
                     even, Word(w)
                 )
+
+
+    def test_keeps_the_terminal_component(self):
+        # the full set {p, q} loops on 0 but is left for good on 1
+        shift = EdgeShift("pq", [("p", "q", 0), ("p", "q", 0), ("q", "p", 0), ("p", "q", 1)], BINARY)
+        det = determinize(shift)
+        assert set(det.vertices) == {frozenset("p"), frozenset("q")}
+        assert det.is_right_resolving() and is_transitive(det)
+        for n in range(7):
+            for w in itertools.product((0, 1), repeat=n):
+                assert is_word_admissible(det, Word(w)) == is_word_admissible(shift, Word(w))
+
+    def test_keeps_every_subset_of_an_intransitive_graph(self):
+        # two loops have no common terminal component
+        shift = EdgeShift(range(2), [(0, 0, 1), (0, 0, 1), (1, 1, 0)], BINARY)
+        assert set(determinize(shift).vertices) == {frozenset({0}), frozenset({1})}
 
 
 class TestPoints:
@@ -206,36 +202,6 @@ class TestPoints:
             Word.parse("0"), Word.parse("1"), Word.parse("0")
         )
         assert aperiodic.minimal_period() is None
-
-    def test_close_orbit_full_shift(self):
-        p = close_orbit(full_shift(BINARY), Word.parse("01"))
-        assert p.minimal_period() == 2
-
-    def test_close_orbit_golden(self):
-        p = close_orbit(golden_mean(), Word.parse("01"))
-        assert p.is_periodic_with(2)
-
-    def test_close_orbit_rejects_unclosable(self):
-        with pytest.raises(ValueError):
-            close_orbit(golden_mean(), Word.parse("1"))
-
-    def test_close_orbit_fixed_by_period_shifts(self):
-        w = Word.parse("001")
-        p = close_orbit(golden_mean(), w)
-        q = p.shifted(len(w))
-        assert all(p[i] == q[i] for i in range(-10, 10))
-
-    def test_contains_point(self):
-        gm = golden_mean()
-        assert contains_point(gm, EventuallyPeriodicPoint.periodic(Word.parse("01")))
-        assert not contains_point(gm, EventuallyPeriodicPoint.periodic(Word.parse("1")))
-        assert contains_point(
-            gm,
-            EventuallyPeriodicPoint.from_parts(
-                Word.parse("0"), Word.parse("1"), Word.parse("0")
-            ),
-        )
-
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=8))
 def test_subword_closure(symbols):

@@ -39,13 +39,18 @@ def random_value(rng):
                            Fraction(rng.randint(0, 9), rng.randint(1, 7))))
 
 
+def window(x, lo, hi):
+    """The word x[lo..hi], both ends included."""
+    return Word(x[i] for i in range(lo, hi + 1))
+
+
 def table_roof(family, past, future, indices, seed):
     """A roof tabulated on the windows the family's points show at the given indices."""
     rng = random.Random(seed)
     table = {}
     for x in family:
         for j in indices:
-            w = x.window(j - past, j + future)
+            w = window(x, j - past, j + future)
             if w not in table:
                 table[w] = random_value(rng)
     return LocallyConstantRoof(past, future, table)
@@ -89,7 +94,7 @@ def test_inadmissible_window_raises_the_per_index_error():
     # drop 122 (met at index 3) and 121 (met at index 6, but sorting first):
     # the one met first along the point names the error, also when the
     # point is the second row of a batch
-    for w in (point.window(2, 4), point.window(5, 7)):
+    for w in (window(point, 2, 4), window(point, 5, 7)):
         del roof.table[w]
     with pytest.raises(KeyError) as expected:
         per_index(roof, point, 30)
@@ -229,7 +234,7 @@ def test_window_met_only_after_the_last_counted_hit_still_raises(
     point = EventuallyPeriodicPoint.from_parts(Word.parse("1"), Word.parse(core),
                                                Word.parse(tail), 0)
     roof = table_roof([point], past, 1, range(40), 11)
-    del roof.table[point.window(missing_at - past, missing_at + 1)]
+    del roof.table[window(point, missing_at - past, missing_at + 1)]
     with pytest.raises(KeyError) as expected:
         per_index(roof, point, int(30.0 / float(roof.min_value())) + 2)
     with pytest.raises(MissingWindowError) as got:

@@ -13,7 +13,6 @@ from suspmix.simulate import (
     density_diagnostic,
     export_series,
     flow,
-    gcd_dense_solve,
     hitting_times,
     orbit_period,
     witness_family,
@@ -140,36 +139,6 @@ class TestWitnessFamily:
         ) == []
 
 
-class TestGcdDenseSolve:
-    def test_spec_example(self):
-        got = gcd_dense_solve(2.0, 3.0, 7.0, 1.0, 0.5, 5)
-        assert got is not None
-        n, m, k = got
-        assert abs(n * 2.0 + m * 3.0 - 1.0 - k * 7.0) < 0.5
-
-    def test_immediate_hit(self):
-        got = gcd_dense_solve(1.5, 10.0, 4.0, 1.5, 0.01, 3)
-        assert got is not None
-        n, m, k = got
-        assert abs(n * 1.5 + m * 10.0 - 1.5 - k * 4.0) < 0.01
-
-    def test_irrational_density(self):
-        phi = (1 + math.sqrt(5)) / 2
-        got = gcd_dense_solve(1.0, phi, 1.0, 0.5, 0.01, 200)
-        assert got is not None
-        n, m, k = got
-        assert abs(n + m * phi - 0.5 - k) < 0.01
-
-    def test_prefer_large(self):
-        small = gcd_dense_solve(2.0, 3.0, 7.0, 1.0, 0.5, 8)
-        large = gcd_dense_solve(2.0, 3.0, 7.0, 1.0, 0.5, 8, prefer_large=True)
-        assert small is not None and large is not None
-        assert large[0] + large[1] >= small[0] + small[1]
-
-    def test_none_within_bound(self):
-        assert gcd_dense_solve(4.0, 4.0, 8.0, 2.0, 0.5, 2) is None
-
-
 class TestDensityDiagnostic:
     def _series(self, times, omega, epsilon=0.05):
         return ReturnTimeSeries(Word.parse("0"), epsilon, tuple(times), omega)
@@ -190,8 +159,9 @@ class TestDensityDiagnostic:
 
     def test_residue_range_and_bins(self):
         series = self._series([0.1, 0.9, 1.3, 2.4, 3.7, 4.2, 5.5, 6.1, 7.8, 8.9], 1.0)
-        diag = density_diagnostic(series, n_bins=10)
+        diag = density_diagnostic(series)
         assert all(0 <= r < 1.0 for r in diag.residues)
+        assert len(diag.bin_counts) == 10
         assert sum(diag.bin_counts) == len(diag.residues)
         assert diag.max_gap <= 1.0
 
@@ -214,7 +184,7 @@ class TestExport:
     def test_diagnostic_csv(self, tmp_path):
         times = [0.1 * i + i for i in range(1, 15)]
         series = ReturnTimeSeries(Word.parse("0"), 0.05, tuple(times), 1.0)
-        diag = density_diagnostic(series, n_bins=10)
+        diag = density_diagnostic(series)
         path = tmp_path / "diag.csv"
         export_series(diag, path)
         lines = path.read_text().strip().split("\n")

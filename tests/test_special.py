@@ -13,15 +13,14 @@ from suspmix.special import (
     PrecisionError,
     QuadraticReal,
     _GuardedFloat,
+    balanced_oracle,
     beta_expansion_of_one,
     build_beta_graph,
-    coded_member,
     coded_periodic_in_cylinder,
     decide_mixing_beta,
     example_roof_coded,
     find_connector,
     is_beta_admissible,
-    morse_thue_plus3,
     two_orbit_is_admissible,
     two_orbit_periodic_admissible,
     two_orbit_periodic_words,
@@ -154,13 +153,13 @@ class TestDecideMixingBeta:
 
 class TestBalancedCoded:
     def test_membership_examples(self):
-        gen = CodedGenerator.balanced_23()
+        oracle = balanced_oracle()
         yes = ["", "0", "1", "2", "3", "32", "231", "230", "022330", "2233", "01", "02233002"]
         no = ["0223330", "2133", "04", "033", "320"]
         for text in yes:
-            assert coded_member(gen, Word.parse(text)), text
+            assert oracle.is_admissible(Word.parse(text)), text
         for text in no:
-            assert not coded_member(gen, Word.parse(text)), text
+            assert not oracle.is_admissible(Word.parse(text)), text
 
     def test_periodic_examples(self):
         from suspmix.special import _balanced_periodic
@@ -198,29 +197,9 @@ class TestBalancedCoded:
             assert ratio is not None and ratio.denominator == 1
 
 
-class TestExplicitCoded:
-    def test_single_generator(self):
-        gen = CodedGenerator.explicit([Word.parse("01")])
-        assert coded_member(gen, Word.parse("0101"))
-        assert coded_member(gen, Word.parse("10"))
-        assert not coded_member(gen, Word.parse("11"))
-        assert not coded_member(gen, Word.parse("00"))
-
-    def test_two_generators(self):
-        gen = CodedGenerator.explicit([Word.parse("10"), Word.parse("110")])
-        assert coded_member(gen, Word.parse("0110"))
-        assert coded_member(gen, Word.parse("011011"))
-        assert not coded_member(gen, Word.parse("0011"))
-        assert not coded_member(gen, Word.parse("111"))
-
-    def test_empty_generator_rejected(self):
-        with pytest.raises(ValueError):
-            CodedGenerator.explicit([Word()])
-
-
 class TestAperiodicSequence:
     def test_prefix(self):
-        assert morse_thue_plus3(8) == [3, 4, 4, 3, 4, 3, 3, 4]
+        assert AperiodicSequence().prefix(8) == [3, 4, 4, 3, 4, 3, 3, 4]
 
     def test_doubling_identities(self):
         seq = AperiodicSequence()
@@ -229,7 +208,7 @@ class TestAperiodicSequence:
             assert seq.term(2 * m) == 7 - seq.term(m)
 
     def test_cube_free(self):
-        a = morse_thue_plus3(100)
+        a = AperiodicSequence().prefix(100)
         for ell in range(1, len(a) // 3 + 1):
             for i in range(len(a) - 3 * ell + 1):
                 assert not (
