@@ -19,12 +19,13 @@ from operator import sub
 from typing import Callable, Optional
 
 from suspmix.exact import QVector, RealBasis, common_rows, from_rows, setwise_commensurate
-from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, roof_as_edge_weights
+from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
     EventuallyPeriodicPoint,
     Word,
+    higher_block_recode,
     is_transitive,
     symbol_named_presentation,
 )
@@ -135,11 +136,33 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
     )
 
 
+def weigh_windows(
+    recoded: EdgeShift, windows: dict[int, Word], width: int, lookup: Callable[[Word], QVector]
+) -> WeightedShift:
+    """A block presentation weighted by a table lookup.
+
+    ``windows`` maps each edge to the block it reads, as from
+    ``higher_block_recode``; the edge weighs ``lookup`` of the block's last
+    ``width`` symbols, asked once per distinct such window.  Closed walks
+    then sum the table over the periodic orbits they spell.
+    """
+    by_window: dict = {}
+    weights = []
+    for i in range(len(recoded.edges)):
+        key = windows[i].symbols[-width:]
+        weight = by_window.get(key)
+        if weight is None:
+            weight = by_window[key] = lookup(Word(key))
+        weights.append(weight)
+    return WeightedShift(recoded, tuple(weights), windows)
+
+
 def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerdict:
     """Exact mixing decision for an SFT base (grid criterion on cycle values)."""
     if not is_transitive(shift):
         return MixingVerdict("Unknown", reason="base shift is not transitive")
-    weighted = roof_as_edge_weights(roof, shift)
+    depth = roof.past + roof.future
+    weighted = weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof.value_on_window)
     data = cycle_data(weighted)
     generators = data.nonzero_cycle_values()
     # positive roofs force a nonzero cycle value on every cycle
@@ -357,13 +380,10 @@ class CohomologyResult:
 def _weighted_blocks(
     shift: EdgeShift, k: int, width: int, lookup: Callable[[Word], QVector]
 ) -> tuple[WeightedShift, int]:
-    """Symbol-named block presentation, weighted by a table lookup.
+    """``weigh_windows`` on the symbol-named block presentation.
 
     The blocks have the least length kk >= k that names every vertex by
-    its block, and kk + 1 >= ``width``.  An edge reads a window of kk + 1
-    symbols; its roof window is the last ``width`` of them, and it weighs
-    ``lookup(roof window)``, asked once per distinct roof window.
-    Returns (weighted, kk).
+    its block, and kk + 1 >= ``width``.  Returns (weighted, kk).
     """
     found = symbol_named_presentation(shift, k)
     if found is None:
@@ -371,15 +391,7 @@ def _weighted_blocks(
             "no block length up to %d makes vertices symbol-determined" % (k + len(shift.vertices) + 1)
         )
     recoded, windows, kk = found
-    by_window: dict = {}
-    weights = []
-    for i in range(len(recoded.edges)):
-        key = windows[i].symbols[-width:]
-        weight = by_window.get(key)
-        if weight is None:
-            weight = by_window[key] = lookup(Word(key))
-        weights.append(weight)
-    return WeightedShift(recoded, tuple(weights), windows), kk
+    return weigh_windows(recoded, windows, width, lookup), kk
 
 
 def are_cohomologous(

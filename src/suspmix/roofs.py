@@ -19,9 +19,6 @@ from suspmix.shift import (
     EventuallyPeriodicPoint,
     Word,
     admissible_words,
-    determinize,
-    has_synchronizing_word,
-    higher_block_recode,
 )
 
 
@@ -201,33 +198,15 @@ def birkhoff_sum(roof, p, n: int):
 class WeightedShift:
     """An edge shift with one exact weight per edge.
 
-    ``windows`` maps edge indices to the roof window each edge reads; for
-    a walk, the sum of edge weights over any closed path equals the
-    Birkhoff sum of the originating roof over the spelled periodic word.
+    ``windows`` maps edge indices to the block each edge reads, which ends
+    with its roof window (``decider.weigh_windows`` builds it); the sum of
+    edge weights over any closed path equals the Birkhoff sum of the
+    originating roof over the spelled periodic word.
     """
 
     shift: EdgeShift
     weights: tuple[QVector, ...]
     windows: dict[int, Word]
-
-
-def roof_as_edge_weights(roof: LocallyConstantRoof, shift: EdgeShift) -> WeightedShift:
-    """Recode so each edge carries the exact roof value of its window.
-
-    Uses a higher-block presentation of depth past+future; closed-path
-    weight sums equal Birkhoff sums over the corresponding periodic
-    points.  A roof of depth 0 weights the edges of the shift itself when
-    it has a synchronizing word, else those of its determinization.
-    """
-    depth = roof.past + roof.future
-    if depth == 0:
-        base = shift if has_synchronizing_word(shift) else determinize(shift)
-        weights = tuple(roof.value_on_window(Word([e.label])) for e in base.edges)
-        windows = {i: Word([e.label]) for i, e in enumerate(base.edges)}
-        return WeightedShift(base, weights, windows)
-    recoded, windows = higher_block_recode(shift, depth)
-    weights = tuple(roof.value_on_window(windows[i]) for i in range(len(recoded.edges)))
-    return WeightedShift(recoded, weights, windows)
 
 
 def walters_norm(roof: LocallyConstantRoof) -> QVector:

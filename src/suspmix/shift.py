@@ -301,7 +301,8 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
     The blocks are read on ``resolving_base(shift)``.  Vertices are
     (endpoint, k-block) pairs, displayed as plain k-blocks whenever the
     block alone determines the endpoint.  Edge labels give the symbol
-    appended on the right, so the label language is unchanged.
+    appended on the right, so the label language is unchanged.  At k = 0
+    the presentation is ``resolving_base(shift)`` itself.
 
     Returns
     -------
@@ -309,9 +310,11 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
         The recoded shift and a map from its edge indices to the
         (k+1)-block window each edge reads.
     """
-    if k < 1:
-        raise ValueError("block length must be >= 1")
+    if k < 0:
+        raise ValueError("block length must be >= 0")
     base = resolving_base(shift)
+    if k == 0:
+        return base, {i: Word([e.label]) for i, e in enumerate(base.edges)}
     return _block_graph(base, next(itertools.islice(_block_sweep(base), k, None)))
 
 
@@ -459,7 +462,9 @@ class EventuallyPeriodicPoint:
 
     The core occupies indices ``[-origin_offset, -origin_offset + len(core))``;
     the right tail repeats from where the core ends, the left tail repeats
-    leftward from where the core begins.
+    leftward from where the core begins.  The same parts with
+    ``origin_offset + a`` give the shifted point, read at i as this one at
+    i + a.
 
     Examples
     --------
@@ -493,50 +498,6 @@ class EventuallyPeriodicPoint:
         if i < start + len(self.core):
             return self.core[i - start]
         return self.right_period[(i - start - len(self.core)) % len(self.right_period)]
-
-    def shift(self) -> "EventuallyPeriodicPoint":
-        """The image under the shift map: position n reads old position n+1."""
-        if len(self.core) == 0:
-            if self.left_period == self.right_period:
-                w = self.right_period
-                return EventuallyPeriodicPoint(
-                    Word(w[1:]) + Word(w[:1]), Word(), Word(w[1:]) + Word(w[:1]), 0
-                )
-            # keep offsets explicit when the two tails differ
-            core = Word([self.right_period[0]])
-            return EventuallyPeriodicPoint(
-                self.left_period,
-                core,
-                Word(self.right_period[1:]) + Word(self.right_period[:1]),
-                self.origin_offset + 1,
-            )
-        off = self.origin_offset + 1
-        core, right = self.core, self.right_period
-        if off > len(core):
-            core = core + Word([right[0]])
-            right = Word(right[1:]) + Word(right[:1])
-        return EventuallyPeriodicPoint(self.left_period, core, right, off)
-
-    def unshift(self) -> "EventuallyPeriodicPoint":
-        """The shift preimage: position n reads old position n-1."""
-        if len(self.core) == 0 and self.left_period == self.right_period:
-            w = self.right_period
-            rotated = Word(w[-1:]) + Word(w[:-1])
-            return EventuallyPeriodicPoint(rotated, Word(), rotated, 0)
-        if self.origin_offset == 0:
-            left = self.left_period
-            core = Word(left[-1:]) + self.core
-            rotated = Word(left[-1:]) + Word(left[:-1])
-            return EventuallyPeriodicPoint(rotated, core, self.right_period, 0)
-        return EventuallyPeriodicPoint(
-            self.left_period, self.core, self.right_period, self.origin_offset - 1
-        )
-
-    def shifted(self, n: int) -> "EventuallyPeriodicPoint":
-        p = self
-        for _ in range(abs(n)):
-            p = p.shift() if n > 0 else p.unshift()
-        return p
 
     def is_periodic_with(self, q: int) -> bool:
         """Exact check that the whole sequence has period q."""

@@ -1,10 +1,9 @@
 """Suspension-flow evaluation and empirical mixing diagnostics.
 
-The flow over a shift with a positive roof is computed by exact Birkhoff
-accounting over the symbolic itinerary: crossings are located from
-partial sums of the roof, never by time-stepping.  Hitting-time series
-of cylinder targets feed a residue-density diagnostic that separates the
-two mixing verdicts empirically.
+Hitting times of cylinder targets are located from partial sums of the
+roof along the symbolic itinerary, never by time-stepping.  The series
+feed a residue-density diagnostic that separates the two mixing verdicts
+empirically.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from suspmix.roofs import EvaluableRoof, LocallyConstantRoof
 from suspmix.shift import EventuallyPeriodicPoint, Word
 
-_HEIGHT_GUARD = 1e-12
 # Cells (members times symbols) in one batch of hitting_times.  The work is
 # per cell: on the 1,500-member harmonic family, batches of 2**12 to 2**16
 # cells run within 7 % of each other.  2**13 keeps the simulate workload's
@@ -32,14 +30,6 @@ class SuspensionPoint:
 
     base: EventuallyPeriodicPoint
     height: float = 0.0
-
-    def validated(self, roof) -> "SuspensionPoint":
-        top = float(roof.value_at(self.base))
-        if not (-_HEIGHT_GUARD <= self.height < top + _HEIGHT_GUARD):
-            raise ValueError(
-                "height %.17g outside [0, %.17g)" % (self.height, top)
-            )
-        return self
 
 
 @dataclass
@@ -84,24 +74,6 @@ class MixingDiagnostic:
     grid_fraction: Optional[float]
     verdict: str
     note: str = ""
-
-
-def flow(p: SuspensionPoint, t: float, roof) -> SuspensionPoint:
-    """Flow the point for time t (either sign) by exact crossing accounting."""
-    x = p.base
-    s = p.height + t
-    n = 0
-    while True:
-        top = float(roof.value_at(x, n))
-        if s < top:
-            break
-        s -= top
-        n += 1
-    while s < 0:
-        n -= 1
-        s += float(roof.value_at(x, n))
-    out = SuspensionPoint(x.shifted(n), s)
-    return out.validated(roof)
 
 
 def _nonnegative_symbols(points: Sequence[EventuallyPeriodicPoint], n: int) -> np.ndarray:

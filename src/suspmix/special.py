@@ -144,6 +144,11 @@ def _as_float(x):
 
 # -- beta-shifts ------------------------------------------------------------
 
+# Digits of the expansion of 1 that a BetaShift computes: no graph
+# presentation is deeper, and an expansion whose tail is not known exactly
+# is read no further.
+NU_DIGITS = 64
+
 
 def _floor(y) -> int:
     return y.exact_floor() if hasattr(y, "exact_floor") else math.floor(y)
@@ -182,8 +187,8 @@ class BetaShift:
     exact_tail: bool
 
     @classmethod
-    def create(cls, beta, n_digits: int = 64) -> "BetaShift":
-        nu = beta_expansion_of_one(beta, n_digits)
+    def create(cls, beta) -> "BetaShift":
+        nu = beta_expansion_of_one(beta, NU_DIGITS)
         exact_tail = False
         if isinstance(beta, (int, Fraction, QuadraticReal)):
             # replay to see whether the greedy orbit terminates at 0
@@ -195,8 +200,8 @@ class BetaShift:
         return cls(beta, nu, exact_tail)
 
     @classmethod
-    def golden(cls, n_digits: int = 64) -> "BetaShift":
-        return cls.create(QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5), n_digits)
+    def golden(cls) -> "BetaShift":
+        return cls.create(QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5))
 
     def max_digit(self) -> int:
         return max(self.nu)
@@ -558,16 +563,16 @@ def two_orbit_is_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
     return any(check(l, t) for l in lead_options for t in trail_options)
 
 
-def two_orbit_periodic_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
+def two_orbit_periodic_admissible(w: Word) -> bool:
     """Whether the bi-infinite repetition of w lies in the two-orbit shift.
 
     In closed form: w-bar is in the shift iff w uses only 0 and 1 and
-    w-bar is 1-bar, or (01)-bar when ``i_cap`` is None.  The separator
-    lengths of a point are consecutive terms of the scaffold, 3 plus the
-    Thue-Morse sequence, which is overlap-free: it has no factor of the
-    form a x a x a.  A periodic point with a separator would repeat its
-    m separator lengths without end, and a run of 2m + 1 of them is such
-    an overlap; so no periodic point has a separator.  Without one, a
+    w-bar is 1-bar or (01)-bar.  The separator lengths of a point are
+    consecutive terms of the scaffold, 3 plus the Thue-Morse sequence,
+    which is overlap-free: it has no factor of the form a x a x a.  A
+    periodic point with a separator would repeat its m separator lengths
+    without end, and a run of 2m + 1 of them is such an overlap; so no
+    periodic point has a separator.  Without one, a
     point lies inside a single generator word: 1-bar inside 1^j, or
     (01)-bar as the limit of 1(01)^k, which needs k unbounded.
     """
@@ -575,15 +580,11 @@ def two_orbit_periodic_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
     if symbols and symbols == (1,) * len(symbols):
         return True
     # an odd length matches neither tuple
-    return i_cap is None and half > 0 and symbols in ((0, 1) * half, (1, 0) * half)
+    return half > 0 and symbols in ((0, 1) * half, (1, 0) * half)
 
 
-def two_orbit_oracle(i_cap: Optional[int] = None) -> ShiftOracle:
-    return ShiftOracle(
-        Alphabet.of_size(2),
-        is_admissible=lambda w: two_orbit_is_admissible(w, i_cap),
-        periodic_admissible=lambda w: two_orbit_periodic_admissible(w, i_cap),
-    )
+def two_orbit_oracle() -> ShiftOracle:
+    return ShiftOracle(Alphabet.of_size(2), two_orbit_is_admissible, two_orbit_periodic_admissible)
 
 
 def two_orbit_shift_words(i: Optional[int], max_len: int) -> Iterator[Word]:

@@ -18,6 +18,8 @@ from suspmix.decider import (
     are_cohomologous,
     decide_mixing_sft,
     normalize_to_delta_grid,
+    normalizing_blocks,
+    section_blocks,
     unit_cross_section,
 )
 from suspmix.exact import RealBasis
@@ -232,18 +234,20 @@ def out_split(shift, v, first):
     return EdgeShift(list(shift.vertices) + [new], edges, BINARY)
 
 
-def verdict_and_delta(shift, roof):
+def verdict_delta_reason(shift, roof):
     verdict = decide_mixing_sft(shift, roof)
-    return verdict.kind, verdict.delta
+    return verdict.kind, verdict.delta, verdict.reason
 
 
 @SWEEP
 @given(transitive_graphs(), st.integers(0, 1), st.data())
 def test_every_presentation_gives_one_verdict(shift, future, data):
     """A duplicated edge, renamed vertices, an out-split state and the
-    subset graph present the same shift, so they get the same verdict and
-    delta.  Roofs of width 1 and 2 take rational values or ones with an
-    irrational part."""
+    subset graph present the same shift, so they get the same verdict,
+    delta and reason.  Normalize and section read delta off their own
+    block presentations, where one exists, and find the same one.  Roofs
+    of width 1 and 2 take rational values or ones with an irrational
+    part."""
     basis = data.draw(st.sampled_from([RATIONAL, SQRT2]))
     width = future + 1
     roof = LocallyConstantRoof(0, future, {
@@ -251,7 +255,7 @@ def test_every_presentation_gives_one_verdict(shift, future, data):
             basis.unit(1) if basis is SQRT2 and data.draw(st.booleans()) else basis.zero())
         for w in itertools.product((0, 1), repeat=width)
     })
-    want = verdict_and_delta(shift, roof)
+    want = verdict_delta_reason(shift, roof)
     assert want[0] != "Unknown"
     duplicated = EdgeShift(shift.vertices, list(shift.edges) + [data.draw(st.sampled_from(shift.edges))],
                            BINARY)
@@ -261,8 +265,16 @@ def test_every_presentation_gives_one_verdict(shift, future, data):
     v = data.draw(st.sampled_from(shift.vertices))
     split = out_split(shift, v, data.draw(st.lists(st.booleans(), min_size=len(shift.out_edges(v)),
                                                    max_size=len(shift.out_edges(v)))))
-    for variant in (duplicated, renamed, split, determinize(shift)):
-        assert verdict_and_delta(variant, roof) == want, variant
+    variants = (duplicated, renamed, split, determinize(shift))
+    for variant in variants:
+        assert verdict_delta_reason(variant, roof) == want, variant
+    for variant in (shift,) + variants:
+        for blocks in (normalizing_blocks, section_blocks):
+            try:
+                delta = blocks(variant, roof).delta()
+            except HypothesisError:
+                continue  # no block length names every vertex
+            assert delta == want[1], (variant, blocks.__name__)
 
 
 def test_a_presentation_without_a_synchronizing_word():
@@ -273,4 +285,4 @@ def test_a_presentation_without_a_synchronizing_word():
     for past, future in ((0, 0), (0, 1)):
         roof = LocallyConstantRoof(past, future, {
             Word(w): one for w in itertools.product((0, 1), repeat=past + future + 1)})
-        assert verdict_and_delta(shift, roof) == ("NotTopMixing", one)
+        assert verdict_delta_reason(shift, roof) == ("NotTopMixing", one, "")

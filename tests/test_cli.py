@@ -101,6 +101,18 @@ class TestDecide:
         )
         assert main(["decide", "--config", str(cfg)]) == 20
 
+    def test_duplicated_edge_keeps_the_single_orbit_reason(self, tmp_path, capsys):
+        # the two p -> q edges present the one orbit of (01)-bar, as one would
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(
+            "[shift]\nkind = edges\nalphabet = 2\nedges = p q 0, p q 0, q p 1\n\n"
+            "[roof]\npast = 0\nfuture = 0\n0 = 1\n1 = 2\n"
+        )
+        assert main(["decide", "--config", str(cfg)]) == 10
+        assert capsys.readouterr().out == (
+            "verdict: NotTopMixing\ndelta: 3\n"
+            "reason: base is a single periodic orbit; the dichotomy is vacuous there\n")
+
     def test_json_report(self, capsys):
         assert main(["decide", "--preset", "example-4.1", "--json"]) == 10
         report = json.loads(capsys.readouterr().out)

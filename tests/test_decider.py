@@ -20,13 +20,13 @@ from suspmix.decider import (
     periodic_obstruction,
     periodic_words_in_cylinder,
     unit_cross_section,
+    weigh_windows,
 )
 from suspmix.roofs import (
     LocallyConstantRoof,
     WeightedShift,
     birkhoff_sum,
     example_roof_harmonic,
-    roof_as_edge_weights,
 )
 from suspmix.shift import (
     Alphabet,
@@ -36,6 +36,7 @@ from suspmix.shift import (
     admissible_words,
     base_period,
     full_shift,
+    higher_block_recode,
     sft_from_forbidden_words,
 )
 
@@ -55,6 +56,12 @@ def roof_two_three():
 def mixing_roof():
     """1 on [0], alpha on [1]: rank-2 periodic spectrum on the full shift."""
     return LocallyConstantRoof.from_symbols({0: ALPHA.unit(0), 1: ALPHA.unit(1)})
+
+
+def roof_weights(roof, shift):
+    """The weighted presentation that decide_mixing_sft reads."""
+    depth = roof.past + roof.future
+    return weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof.value_on_window)
 
 
 def closed_walk_gcd(weighted, max_len):
@@ -81,7 +88,7 @@ def closed_walk_gcd(weighted, max_len):
 
 class TestCycleData:
     def test_telescoping(self):
-        weighted = roof_as_edge_weights(roof_two_three(), full_shift(BINARY))
+        weighted = roof_weights(roof_two_three(), full_shift(BINARY))
         data = cycle_data(weighted)
         for cyc in cycles_up_to(weighted.shift, 6):
             walk_sum = RATIONAL.zero()
@@ -92,7 +99,7 @@ class TestCycleData:
             assert walk_sum == cycle_sum
 
     def test_tree_edges_vanish(self):
-        weighted = roof_as_edge_weights(roof_two_three(), full_shift(BINARY))
+        weighted = roof_weights(roof_two_three(), full_shift(BINARY))
         data = cycle_data(weighted)
         zeros = [c for c in data.cycle_values if c.is_zero()]
         assert len(zeros) == len(weighted.shift.vertices) - 1
@@ -108,14 +115,14 @@ class TestCycleData:
 
     def test_constant_weights(self):
         c = RATIONAL.from_rational(Fraction(3, 2))
-        weighted = roof_as_edge_weights(
+        weighted = roof_weights(
             LocallyConstantRoof.constant(c, BINARY), full_shift(BINARY)
         )
         data = cycle_data(weighted)
         assert setwise_commensurate(data.nonzero_cycle_values()) == c
 
     def test_matches_closed_walk_oracle(self):
-        weighted = roof_as_edge_weights(roof_two_three(), full_shift(BINARY))
+        weighted = roof_weights(roof_two_three(), full_shift(BINARY))
         data = cycle_data(weighted)
         assert setwise_commensurate(data.nonzero_cycle_values()) == closed_walk_gcd(
             weighted, 8
@@ -187,8 +194,6 @@ class TestDecideSft:
         assert v1.kind == v2.kind and v1.delta == v2.delta
 
     def test_invariant_under_recode(self):
-        from suspmix.shift import higher_block_recode
-
         shift = sft_from_forbidden_words(BINARY, [Word.parse("11")])
         recoded, _ = higher_block_recode(shift, 2)
         r = roof_two_three()

@@ -136,7 +136,7 @@ BETAS = [
 @pytest.mark.parametrize("beta", BETAS, ids=str)
 @pytest.mark.parametrize("depth", range(2, 7))
 def test_beta_graph_core_is_the_scc_of_v1(beta, depth):
-    shift = BetaShift.create(beta, n_digits=8)
+    shift = BetaShift.create(beta)
     nu = list(shift.nu)
     full = nx.MultiDiGraph()
     full.add_nodes_from("V%d" % n for n in range(1, depth + 1))
@@ -182,7 +182,7 @@ def test_traversals_need_no_deep_stack():
     roof = LocallyConstantRoof.from_symbols({0: RATIONAL.from_rational(1),
                                              1: RATIONAL.from_rational(2)})
     # the ring itself, weighted: it presents the one orbit of (01)-bar, so
-    # roof_as_edge_weights would weight its 2-vertex subset graph instead
+    # decide_mixing_sft would weight its 2-vertex subset graph instead
     weighted = WeightedShift(shift, tuple(roof.value_on_window(Word([e.label])) for e in shift.edges), {})
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 100)

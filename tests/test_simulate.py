@@ -12,7 +12,6 @@ from suspmix.simulate import (
     SuspensionPoint,
     density_diagnostic,
     export_series,
-    flow,
     hitting_times,
     orbit_period,
     witness_family,
@@ -29,38 +28,6 @@ def roof_two_three():
 
 def point(text):
     return EventuallyPeriodicPoint.periodic(Word.parse(text))
-
-
-class TestFlow:
-    def test_full_period_fixed_point(self):
-        p = SuspensionPoint(point("0"), 0.0)
-        q = flow(p, 2.0, roof_two_three())
-        assert q.base.is_periodic_with(1)
-        assert abs(q.height) < 1e-12
-
-    def test_two_cycle_period_five(self):
-        p = SuspensionPoint(point("01"), 0.0)
-        q = flow(p, 5.0, roof_two_three())
-        assert abs(q.height) < 1e-12
-        assert all(q.base[i] == p.base[i] for i in range(-4, 5))
-
-    def test_one_crossing(self):
-        roof = roof_two_three()
-        p = SuspensionPoint(point("01"), 0.0)
-        q = flow(p, float(roof.value_at(p.base)), roof)
-        assert abs(q.height) < 1e-12
-        assert q.base[0] == p.base[1]
-
-    def test_backward_inverts_forward(self):
-        roof = roof_two_three()
-        p = SuspensionPoint(point("011"), 0.7)
-        q = flow(flow(p, 9.3, roof), -9.3, roof)
-        assert abs(q.height - p.height) < 1e-9
-        assert all(q.base[i] == p.base[i] for i in range(-3, 4))
-
-    def test_height_validation(self):
-        with pytest.raises(ValueError):
-            SuspensionPoint(point("0"), 5.0).validated(roof_two_three())
 
 
 class TestHittingTimes:

@@ -10,6 +10,7 @@ from suspmix.special import (
     AperiodicSequence,
     BetaShift,
     CodedGenerator,
+    NU_DIGITS,
     PrecisionError,
     QuadraticReal,
     _GuardedFloat,
@@ -92,10 +93,11 @@ class TestBetaShift:
         assert [shift.bound_digit(i) for i in range(6)] == [1, 0, 1, 0, 1, 0]
 
     def test_unknown_tail_raises_past_prefix(self):
-        shift = BetaShift.create(1.8, n_digits=8)
+        shift = BetaShift.create(1.8)
         assert not shift.exact_tail
+        shift.bound_digit(NU_DIGITS - 1)
         with pytest.raises(PrecisionError):
-            shift.bound_digit(20)
+            shift.bound_digit(NU_DIGITS)
 
     def test_admissibility_words(self):
         shift = BetaShift.golden()
@@ -119,7 +121,7 @@ class TestBetaGraph:
 
     def test_fall_edge_counts(self):
         # base 9/4 starts 2 0 1: two falls from V1, none from V2, one from V3
-        shift = BetaShift.create(Fraction(9, 4), n_digits=8)
+        shift = BetaShift.create(Fraction(9, 4))
         assert list(shift.nu[:3]) == [2, 0, 1]
         graph = build_beta_graph(shift, 3)
         assert len(graph.vertices) == 3
@@ -131,7 +133,7 @@ class TestBetaGraph:
 
     def test_depth_beyond_prefix_rejected(self):
         with pytest.raises(ValueError):
-            build_beta_graph(BetaShift.golden(n_digits=4), 10)
+            build_beta_graph(BetaShift.golden(), NU_DIGITS + 1)
 
 
 class TestDecideMixingBeta:
