@@ -14,7 +14,6 @@ success, 1 on failed golden assertions, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import functools
 import hashlib
@@ -49,14 +48,6 @@ from suspmix.shift import (
     full_shift,
     is_transitive,
     sft_from_forbidden_words,
-)
-from suspmix.simulate import (
-    SuspensionPoint,
-    density_diagnostic,
-    export_series,
-    hitting_times,
-    orbit_period,
-    witness_family,
 )
 from suspmix.special import (
     BetaShift,
@@ -104,10 +95,10 @@ class SystemConfig:
 
     @classmethod
     def parse(cls, text: str) -> "SystemConfig":
-        parser = read_ini(text)
+        sections = read_sections(text)
         cfg = cls()
-        if parser.has_section("shift"):
-            sec = section_items(parser, "shift")
+        if "shift" in sections:
+            sec = sections["shift"]
             cfg.shift_kind = sec.get("kind", "full")
             cfg.alphabet_size = int(sec.get("alphabet", 2))
             cfg.forbidden = tuple(sec.get("forbidden", "").split())
@@ -119,16 +110,16 @@ class SystemConfig:
                 src, tgt, label = item.split()
                 edges.append((src, tgt, int(label)))
             cfg.edges = tuple(edges)
-        if parser.has_section("basis"):
+        if "basis" in sections:
             consts = []
-            raw = section_items(parser, "basis").get("constants", "")
+            raw = sections["basis"].get("constants", "")
             for item in filter(None, (s.strip() for s in raw.split(","))):
                 name, value = item.split()
                 consts.append((name, value))
             cfg.constants = tuple(consts)
         for section, attr in (("roof", "roof_table"), ("roof2", "roof2_table")):
-            if parser.has_section(section):
-                sec = section_items(parser, section)
+            if section in sections:
+                sec = sections[section]
                 if section == "roof":
                     cfg.roof_name = sec.get("name", "")
                     cfg.roof_past = int(sec.get("past", 0))
@@ -139,8 +130,8 @@ class SystemConfig:
                     if key not in ("name", "past", "future")
                 )
                 setattr(cfg, attr, table)
-        if parser.has_section("options"):
-            cfg.options = tuple(sorted(section_items(parser, "options").items()))
+        if "options" in sections:
+            cfg.options = tuple(sorted(sections["options"].items()))
         return cfg.normalized()
 
     def normalized(self) -> "SystemConfig":
@@ -261,23 +252,65 @@ class SystemConfig:
         raise ValueError("unknown shift kind %r" % kind)
 
 
-def read_ini(text: str) -> configparser.ConfigParser:
-    """Case-kept INI sections, read without ``%`` interpolation."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError("config parse error: %s" % exc) from exc
-    return parser
+def read_sections(text: str) -> dict[str, dict[str, str]]:
+    """The ``[name]`` sections of a config text, each as key -> value.
+
+    Reads what the standard library's INI parser reads without ``%``
+    interpolation and with case-kept keys.  Lines end at ``\\n``.  A line
+    whose first non-blank character is ``#`` or ``;`` is a comment.  A
+    header's name is the text up to the last ``]``.  A key ends at the first
+    ``=`` or ``:``, and key and value are stripped.  A line indented deeper
+    than its key line goes on with that key's value, after a ``\\n``; blank
+    lines inside a value are kept, trailing ones dropped.  ``[DEFAULT]``,
+    which may repeat, gives its keys to every other section, after that
+    section's own keys, which win.
+
+    Raises ValueError, naming the line, on a key before any section, a line
+    with no delimiter or an empty key, a repeated section or a repeated key.
+    """
+    sections: dict[str, dict[str, list[str]]] = {}
+    defaults: dict[str, list[str]] = {}
+    current = key = None
+    indent = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if stripped.startswith(("#", ";")):
+            continue
+        if not stripped:
+            if key is not None:
+                current[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            current[key].append(stripped)
+            continue
+        indent = depth
+        close = stripped.rfind("]")
+        if stripped.startswith("[") and close > 1:
+            name, key = stripped[1:close], None
+            if name in sections:
+                raise _parse_error(lineno, "section [%s] repeated" % name)
+            current = defaults if name == "DEFAULT" else sections.setdefault(name, {})
+            continue
+        if current is None:
+            raise _parse_error(lineno, "%r comes before any [section]" % stripped)
+        cut = min((i for i in (stripped.find("="), stripped.find(":")) if i >= 0), default=-1)
+        key = stripped[:cut].rstrip()
+        if cut < 0 or not key:
+            raise _parse_error(lineno, "%r is not key = value" % stripped)
+        if key in current:
+            raise _parse_error(lineno, "key %r repeated in its section" % key)
+        current[key] = [stripped[cut + 1:].strip()]
+    shared = {k: "\n".join(v).rstrip() for k, v in defaults.items()}
+    return {
+        name: {**{k: "\n".join(v).rstrip() for k, v in own.items()},
+               **{k: v for k, v in shared.items() if k not in own}}
+        for name, own in sections.items()
+    }
 
 
-def section_items(parser: configparser.ConfigParser, section: str) -> dict[str, str]:
-    """A section's keys and values, read in one call, in the order of
-    ``parser.options(section)``: the section's own keys, then those it
-    takes from ``[DEFAULT]``."""
-    values = dict(parser.items(section, raw=True))
-    return {key: values[key] for key in parser.options(section)}
+def _parse_error(lineno: int, what: str) -> ValueError:
+    return ValueError("config parse error: line %d: %s" % (lineno, what))
 
 
 def parse_beta_spec(text: str):
@@ -443,6 +476,8 @@ def build_family(config: SystemConfig):
 
 def harmonic_witnesses(m_max: int):
     """Example 4.2's witnesses ...1010 011 0^m 1 1010..., origin at 011, m <= m_max."""
+    from suspmix.simulate import witness_family
+
     u, v = Word.parse("01"), Word.parse("10")
     return witness_family(
         None, v, u + Word.parse("1"), Word.parse("0"), Word.parse("1"), v,
@@ -451,6 +486,11 @@ def harmonic_witnesses(m_max: int):
 
 
 def cmd_simulate(config: SystemConfig, args):
+    # imported here, not at the top, so that the exact commands never load numpy
+    from suspmix.simulate import (
+        SuspensionPoint, density_diagnostic, export_series, hitting_times, orbit_period,
+    )
+
     roof = config.roof()
     target = Word.parse(args.target or config.option("target", "0"))
     horizon = args.horizon or float(config.option("horizon", "100"))
@@ -685,10 +725,9 @@ target = 1
 
 def expectations(text: str) -> list[tuple[list[str], dict]]:
     """The ``[expect ARGV]`` sections of a config: (ARGV, expected fields)."""
-    parser = read_ini(text)
     return [
-        (section.split()[1:], {key: json.loads(value) for key, value in parser[section].items()})
-        for section in parser.sections()
+        (section.split()[1:], {key: json.loads(value) for key, value in items.items()})
+        for section, items in read_sections(text).items()
         if section.startswith("expect ")
     ]
 
@@ -709,6 +748,8 @@ def check_harmonic_witness(lines: list[str]) -> bool:
     """Example 4.2's facts that no report states, as its roof is not locally
     constant: the witnesses' Birkhoff sums follow the harmonic formula, and
     their hitting-time residues leave no gap of 0.2 (the flow mixes)."""
+    from suspmix.simulate import SuspensionPoint, density_diagnostic, hitting_times, orbit_period
+
     roof = example_roof_harmonic()
     u, v = Word.parse("01"), Word.parse("10")
     formula_ok = True

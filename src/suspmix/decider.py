@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional
 
 from suspmix.exact import QVector, RealBasis, common_rows, from_rows, setwise_commensurate
-from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum
+from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, window_counts
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
@@ -305,8 +305,7 @@ def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
     sums = []
     for w in words:
         n = len(w)
-        cyclic = w.symbols * (width // n + 2)
-        counts = frozenset(Counter(cyclic[i : i + width] for i in range(n)).items())
+        counts = frozenset(window_counts(w.symbols * (width // n + 2), width, n).items())
         if counts not in by_counts:
             by_counts[counts] = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), n)
         sums.append(by_counts[counts])

@@ -9,10 +9,12 @@ sums are exact for locally constant roofs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
-from suspmix.exact import QVector, RealBasis
+from suspmix.exact import QVector, RealBasis, common_rows, from_rows
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
@@ -72,11 +74,14 @@ class LocallyConstantRoof:
         if not table:
             raise ValueError("roof table is empty")
         width = past + future + 1
+        positive = set()  # values already tested: a table repeats few distinct ones
         for w, v in table.items():
             if len(w) != width:
                 raise ValueError("window %s has length %d, expected %d" % (w, len(w), width))
-            if not v.is_positive():
-                raise ValueError("roof value %s at window %s is not positive" % (v, w))
+            if v not in positive:
+                if not v.is_positive():
+                    raise ValueError("roof value %s at window %s is not positive" % (v, w))
+                positive.add(v)
         self.past = past
         self.future = future
         self.table = dict(table)
@@ -182,16 +187,28 @@ class EvaluableRoof:
 def birkhoff_sum(roof, p, n: int):
     """Sum of the roof along the first n shifts of p.
 
-    Exact (QVector) for locally constant roofs, float otherwise.
+    Exact (QVector) for locally constant roofs, float otherwise.  A table
+    roof reads p[-past .. n + future) once, counts its windows, and sums
+    count × value on integer rows, with one lookup per distinct window in
+    order of first occurrence.
     """
     if n < 0:
         raise ValueError("birkhoff_sum needs n >= 0")
     if isinstance(roof, LocallyConstantRoof):
-        total = roof.basis.zero()
-        for j in range(n):
-            total = total + roof.value_at(p, j)
-        return total
+        if not n:
+            return roof.basis.zero()
+        symbols = [p[i] for i in range(-roof.past, n + roof.future)]
+        counts = window_counts(symbols, roof.past + roof.future + 1, n)
+        den, rows = common_rows([roof.value_on_window(Word(w)) for w in counts])
+        total = [sum(map(mul, counts.values(), column)) for column in zip(*rows)]
+        return from_rows(roof.basis, [total], den)[0]
     return sum(roof.value_at(p, j) for j in range(n))
+
+
+def window_counts(symbols, width: int, n: int) -> Counter:
+    """How often each window symbols[j : j + width], j < n, occurs, as tuples
+    in order of first occurrence."""
+    return Counter(zip(*(symbols[k : k + n] for k in range(width))))
 
 
 @dataclass

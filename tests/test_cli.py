@@ -1,11 +1,16 @@
+import configparser
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import suspmix.cli
-from suspmix.cli import PRESETS, SystemConfig, build_parser, main, parse_beta_spec
+from suspmix.cli import PRESETS, SystemConfig, build_parser, main, parse_beta_spec, read_sections
 from suspmix.special import QuadraticReal, _GuardedFloat
 
 
@@ -53,6 +58,83 @@ class TestConfig:
         assert cfg.shift_kind == "full"
         assert cfg.build_shift()[0] == "sft"
         assert float(cfg.roof().max_value()) == pytest.approx(1.6180339887498949)
+        # every value the sentence after the block names is a valid roof value
+        sentence = re.search(r"Roof values are .*?\(e\.g\. (.*?)\)", readme, re.S).group(1)
+        values = re.findall(r"`([^`]*)`", sentence)
+        assert len(values) == 3
+        for value in values:
+            SystemConfig.parse(block.replace("1 = alpha", "1 = " + value)).roof()
+
+
+def configparser_sections(text):
+    """The reference reading: configparser without interpolation, keys as written."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+names = st.sampled_from(["shift", "roof", "DEFAULT", "expect decide", " a ", "x]y"])
+keys = st.sampled_from(["kind", "0", "1", "a b", "%x", "name"])
+values = st.sampled_from(["", "full", "5%", "1 + 1/2*alpha", "a=b", "x:y", "[z]", "# not a comment"])
+blanks = st.sampled_from(["", " ", "\t"])
+indents = st.sampled_from(["", " ", "  ", "\t", "    "])
+config_lines = st.one_of(
+    st.builds("{}[{}]{}".format, indents, names, st.sampled_from(["", " trailing", "]"])),
+    st.builds("{}{}{}{}{}{}".format, indents, keys, blanks, st.sampled_from(["=", ":"]), blanks, values),
+    st.builds("{}{}{}".format, indents, st.sampled_from(["#", ";"]), values),
+    blanks,
+    # malformed, or a continuation where indented deeper than its key
+    st.builds("{}{}".format, indents, st.sampled_from(["no delimiter", "= empty key", "[]", "[open"])),
+    st.text(alphabet="ab =:#;[]%\t\r", max_size=8),
+)
+
+
+class TestReadSections:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["[a]", "[DEFAULT]", ""]), st.lists(config_lines, max_size=14), st.booleans())
+    def test_matches_configparser(self, first, lines, final_newline):
+        text = "\n".join([first] + lines) + ("\n" if final_newline else "")
+        try:
+            expected = configparser_sections(text)
+        except configparser.Error:
+            with pytest.raises(ValueError, match="^config parse error: line \\d+: "):
+                read_sections(text)
+        else:
+            assert read_sections(text) == expected
+
+    def test_presets_read_as_configparser_reads_them(self):
+        for text in PRESETS.values():
+            assert read_sections(text) == configparser_sections(text)
+
+    def test_continuations_defaults_and_comments(self):
+        text = ("[DEFAULT]\nshared = 1\n[a]\nk = one\n  two\n\n# gone\n    three\n\n\n"
+                "shared = own\n[DEFAULT]\nmore = 2\n[b]\n")
+        assert read_sections(text) == {
+            "a": {"k": "one\ntwo\n\nthree", "shared": "own", "more": "2"},
+            "b": {"shared": "1", "more": "2"},
+        }
+
+
+class TestReaderNeedsNoNumpy:
+    def test_exact_commands_leave_numpy_unloaded(self):
+        src = str(Path(suspmix.cli.__file__).resolve().parents[1])
+        script = (
+            "import sys, contextlib, io\n"
+            "import suspmix.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['decide', '--preset', 'example-4.1'])\n"
+            "    cli.main(['cohomology', '--mode', 'normalize', '--preset', 'example-4.1'])\n"
+            "    cli.main(['beta', '--preset', 'golden-beta'])\n"
+            "print('numpy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['simulate', '--preset', 'example-4.1']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.split() == ["False", "True"]
 
 
 def one_error_line(capsys):
@@ -70,6 +152,19 @@ class TestInputErrors:
         cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[roof]\npast = 0\nfuture = 0\n0 = 5%\n1 = 2\n")
         assert main(["decide", "--config", str(cfg)]) == 2
         assert "5%" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("text, what", [
+        ("kind = full\n[shift]\n", "line 1: 'kind = full' comes before any [section]"),
+        ("[shift]\nkind full\n", "line 2: 'kind full' is not key = value"),
+        ("[shift]\n = full\n", "line 2: '= full' is not key = value"),
+        ("[shift]\nkind = full\n\n[shift]\n", "line 4: section [shift] repeated"),
+        ("[shift]\nkind = full\nkind: edges\n", "line 3: key 'kind' repeated in its section"),
+    ])
+    def test_malformed_config(self, tmp_path, capsys, text, what):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: config parse error: " + what
 
     def test_missing_config_file(self, tmp_path, capsys):
         path = str(tmp_path / "no-such.cfg")

@@ -10,6 +10,7 @@ from suspmix.exact import QVector, RealBasis
 from suspmix.roofs import (
     EvaluableRoof,
     LocallyConstantRoof,
+    MissingWindowError,
     WeightedShift,
     _ShiftedView,
     _zero_tail_start,
@@ -46,6 +47,14 @@ class TestLocallyConstantRoof:
             LocallyConstantRoof.from_symbols(
                 {0: RATIONAL.from_rational(0), 1: RATIONAL.from_rational(1)}
             )
+
+    def test_nonpositive_value_named_at_its_first_window(self):
+        # the value is tested once, and the first window that holds it is named
+        zero, one = RATIONAL.from_rational(0), RATIONAL.from_rational(1)
+        table = {Word.parse("00"): one, Word.parse("01"): zero, Word.parse("10"): zero,
+                 Word.parse("11"): zero}
+        with pytest.raises(ValueError, match="^roof value 0 at window 01 is not positive$"):
+            LocallyConstantRoof(0, 1, table)
 
     def test_value_at(self):
         r = rational_roof_two_three()
@@ -101,6 +110,27 @@ class TestBirkhoffSum:
         shifted = EventuallyPeriodicPoint(left, core, right, 1 + a)
         total = birkhoff_sum(r, p, a + b)
         assert total == birkhoff_sum(r, p, a) + birkhoff_sum(r, shifted, b)
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=5), st.integers(0, 12),
+           st.integers(-3, 3))
+    def test_counted_windows_sum_as_terms_do(self, word, n, origin):
+        # against one table term per shift, over a two-constant basis
+        basis = RealBasis.with_constants(("a", 1.4142135623730951), ("b", 2.718281828459045))
+        a, b = basis.unit(1), basis.unit(2)
+        r = LocallyConstantRoof.from_function(
+            1, 0, lambda w: basis.from_rational(Fraction(1, 1 + w[0])) + a.scale(w[1]) + b.scale(2),
+            full_shift(BINARY))
+        p = EventuallyPeriodicPoint(Word.parse("01"), Word(word), Word.parse("1"), origin)
+        expected = basis.zero()
+        for j in range(n):
+            expected = expected + r.value_at(p, j)
+        assert birkhoff_sum(r, p, n) == expected
+
+    def test_missing_window_named_at_its_first_occurrence(self):
+        r = LocallyConstantRoof.from_symbols({0: RATIONAL.from_rational(1)})
+        p = EventuallyPeriodicPoint.periodic(Word.parse("0012"))
+        with pytest.raises(MissingWindowError, match="^window 1 not in roof table"):
+            birkhoff_sum(r, p, 4)
 
     def test_periodic_multiples(self):
         r = rational_roof_two_three()
