@@ -209,8 +209,14 @@ class SystemConfig:
         )
 
     def roof(self):
+        table = self.table_roof()
+        return example_roof_harmonic() if table is None else table
+
+    def table_roof(self) -> Optional[LocallyConstantRoof]:
+        """The table roof; None for the named roof, which is not locally
+        constant and is not built here."""
         if self.roof_name == "harmonic":
-            return example_roof_harmonic()
+            return None
         if self.roof_name:
             raise ValueError("unknown named roof %r" % self.roof_name)
         return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof_table))
@@ -221,11 +227,7 @@ class SystemConfig:
         return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof2_table))
 
     def _table(self, rows: tuple[tuple[str, str], ...]) -> dict[Word, QVector]:
-        basis, values = self.basis(), self._values
-        return {
-            Word.parse(w): values[v] if v in values else parse_qvector(v, basis)
-            for w, v in rows
-        }
+        return {Word.parse(w): self._values[v] for w, v in rows}
 
     def option(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return dict(self.options).get(key, default)
@@ -361,8 +363,8 @@ def rendered(function) -> dict[str, str]:
 
 def run_decide(config: SystemConfig, bound: int) -> MixingVerdict:
     kind, base = config.build_shift()
-    roof = config.roof()
-    if not isinstance(roof, LocallyConstantRoof):
+    roof = config.table_roof()
+    if roof is None:
         return MixingVerdict("Unknown", reason="roof is not locally constant")
     try:
         if kind == "sft":
@@ -371,11 +373,10 @@ def run_decide(config: SystemConfig, bound: int) -> MixingVerdict:
             return decide_mixing_beta(base, roof, config.depth or 2, bound)
         if kind == "coded":
             return decide_mixing_synchronized(balanced_oracle(), Word([0]), roof, bound)
-        if kind == "two-orbit":
-            return decide_mixing_synchronized(two_orbit_oracle(), Word([1]), roof, bound)
+        # "two-orbit", the last kind that build_shift returns
+        return decide_mixing_synchronized(two_orbit_oracle(), Word([1]), roof, bound)
     except HypothesisError as exc:
         return MixingVerdict("Unknown", reason=str(exc))
-    raise ValueError("no decision procedure for shift kind %r" % kind)
 
 
 def cmd_decide(config: SystemConfig, args):
@@ -393,9 +394,9 @@ def cmd_cohomology(config: SystemConfig, args):
     kind, base = config.build_shift()
     if kind != "sft":
         raise ValueError("cohomology commands need a finite-type base")
-    roof = config.roof()
+    roof = config.table_roof()
     if mode == "test":
-        if not isinstance(roof, LocallyConstantRoof):
+        if roof is None:
             raise ValueError("cohomology --mode test needs a locally constant (table) roof")
         result = are_cohomologous(roof, config.roof2() or roof, base)
         body = {"mode": mode, "cohomologous": result.cohomologous}
@@ -438,14 +439,14 @@ def cmd_cohomology(config: SystemConfig, args):
 def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, args):
     """The presentation that ``mode`` works on, and the delta of its cycle values.
 
-    Returns (blocks, delta).  When the roof is not a table, the base is not
+    Returns (blocks, delta).  When there is no table roof, the base is not
     transitive, or no block length names every vertex (a sofic base),
     blocks is None and the decision gives delta or names why there is none.
     """
     # read on every path, so that a malformed bound is always reported
     bound = args.bound or int(config.option("bound", "12"))
     blocks = None
-    if mode in ("normalize", "section") and isinstance(roof, LocallyConstantRoof) and is_transitive(base):
+    if mode in ("normalize", "section") and roof is not None and is_transitive(base):
         build = normalizing_blocks if mode == "normalize" else section_blocks
         with contextlib.suppress(HypothesisError):  # no symbol-named presentation
             blocks = build(base, roof)

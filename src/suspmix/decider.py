@@ -27,6 +27,7 @@ from suspmix.shift import (
     Word,
     higher_block_recode,
     is_transitive,
+    is_word_admissible,
     symbol_named_presentation,
 )
 
@@ -196,44 +197,15 @@ class ShiftOracle:
     def from_edge_shift(cls, shift: EdgeShift) -> "ShiftOracle":
         """The oracle of the shift that an edge graph presents.
 
-        A word is admissible iff some edge path spells it, that is iff the
-        subset walk from the set of all vertices, one ``shift.step`` per
-        symbol, never reaches the empty set.  Each oracle memoizes the
-        walk's steps, (state set, symbol) -> next state set, so the
-        prefixes of a scan share them; the memo lives as long as the
-        oracle.  A symbol outside the alphabet raises ValueError, as in
-        ``is_word_admissible``, also after the walk has died.
+        Both questions go to ``is_word_admissible``, whose memoized subset
+        walk the oracle's queries share.  w-bar is in the shift iff a
+        closed path spells a power of w; a path spelling w^|V| passes some
+        vertex twice at a boundary between copies of w, so it exists
+        exactly then.
         """
-        alphabet = shift.alphabet
-        start = frozenset(shift.vertices)
-        after: dict = {}
-
-        def check(s) -> None:
-            if s not in alphabet:
-                raise ValueError("symbol %r outside alphabet" % (s,))
-
-        def walk(symbols) -> bool:
-            states = start
-            rest = iter(symbols)
-            for s in rest:
-                following = after.get((states, s))
-                if following is None:
-                    check(s)
-                    following = after[states, s] = frozenset(shift.step(states, s))
-                if not following:
-                    for s in rest:
-                        check(s)
-                    return False
-                states = following
-            return True
-
-        def periodic(w: Word) -> bool:
-            # w-bar is in the shift iff a closed path spells a power of w;
-            # a path spelling w^|V| passes some vertex twice at a boundary
-            # between copies of w, so it exists exactly then
-            return len(w) > 0 and walk(w.symbols * len(shift.vertices))
-
-        return cls(alphabet, lambda w: walk(w.symbols), periodic)
+        copies = len(shift.vertices)
+        return cls(shift.alphabet, lambda w: is_word_admissible(shift, w),
+                   lambda w: len(w) > 0 and is_word_admissible(shift, w * copies))
 
 
 def periodic_words_in_cylinder(

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class EmptyShiftError(ValueError):
@@ -93,8 +94,7 @@ class Word:
         return cls(int(c) for c in text.strip())
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One labeled edge of an EdgeShift."""
 
     source: object
@@ -105,6 +105,9 @@ class Edge:
 class EdgeShift:
     """A shift space presented by a finite labeled directed multigraph.
 
+    Every presentation is pruned to its essential part: vertices without
+    incoming or outgoing edges are dropped, until none lacks either.
+
     Parameters
     ----------
     vertices : iterable
@@ -113,8 +116,6 @@ class EdgeShift:
         Directed labeled edges; parallel edges are allowed.
     alphabet : Alphabet
         Ambient alphabet; every edge label must belong to it.
-    essentialize : bool
-        Prune vertices without incoming or outgoing edges (default True).
 
     Raises
     ------
@@ -122,17 +123,17 @@ class EdgeShift:
         If pruning removes every vertex.
     """
 
-    def __init__(self, vertices, edges, alphabet: Alphabet, essentialize: bool = True):
+    def __init__(self, vertices, edges, alphabet: Alphabet):
         vertices = list(dict.fromkeys(vertices))
         declared = set(vertices)
-        edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        labels = frozenset(alphabet.symbols)
+        edges = list(map(Edge._make, edges))
         for e in edges:
-            if e.label not in alphabet:
+            if e.label not in labels:
                 raise ValueError("edge label %r outside alphabet" % (e.label,))
             if e.source not in declared or e.target not in declared:
                 raise ValueError("edge %r uses undeclared vertex" % (e,))
-        if essentialize:
-            vertices, edges = _essential_part(vertices, edges)
+        vertices, edges = _essential_part(vertices, edges)
         if not vertices:
             raise EmptyShiftError("presentation has no bi-infinite walks")
         self.vertices: tuple = tuple(vertices)
@@ -143,6 +144,8 @@ class EdgeShift:
         for i, e in enumerate(self.edges):
             self._out[e.source].append(i)
             self._in[e.target].append(i)
+        # (start state set, step memo) of is_word_admissible, made on first use
+        self._walk = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -176,16 +179,17 @@ class EdgeShift:
 def _essential_part(vertices, edges):
     """Drop vertices lacking in- or out-edges, until none lacks either.
 
-    One worklist over in- and out-degrees, so each edge is dropped once;
-    the kept vertices and edges stay in their input order.
+    The degrees are counted once; when no vertex lacks either, the input
+    is returned as it is.  Otherwise one worklist over the degrees drops
+    each edge once; the kept vertices and edges stay in their input order.
     """
-    indeg = dict.fromkeys(vertices, 0)
-    outdeg = dict.fromkeys(vertices, 0)
+    outdeg = Counter(e.source for e in edges)
+    indeg = Counter(e.target for e in edges)
+    if len(outdeg) == len(indeg) == len(vertices):
+        return vertices, edges
     into = {v: [] for v in vertices}
     out = {v: [] for v in vertices}
     for i, e in enumerate(edges):
-        outdeg[e.source] += 1
-        indeg[e.target] += 1
         out[e.source].append(i)
         into[e.target].append(i)
     dropped = [v for v in vertices if not indeg[v] or not outdeg[v]]
@@ -291,8 +295,7 @@ def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple[EdgeShift, di
             window = blk + (e.label,)
             windows[len(edges)] = Word(window)
             edges.append((source, names[e.target, window[1:]], e.label))
-    recoded = EdgeShift(list(names.values()), edges, base.alphabet, essentialize=False)
-    return recoded, windows
+    return EdgeShift(list(names.values()), edges, base.alphabet), windows
 
 
 def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, Word]]:
@@ -347,7 +350,7 @@ def resolving_base(shift: EdgeShift) -> EdgeShift:
     determinization.  Then closed walks give every orbit through that word
     in one period; two vertices in a 2-cycle with both labels on each edge
     close no walk spelling 0."""
-    if shift.is_right_resolving() and (not is_transitive(shift) or has_synchronizing_word(shift)):
+    if shift.is_right_resolving() and (has_synchronizing_word(shift) or not is_transitive(shift)):
         return shift
     return determinize(shift)
 
@@ -397,16 +400,27 @@ def determinize(shift: EdgeShift) -> EdgeShift:
 
 
 def is_word_admissible(shift: EdgeShift, w: Word) -> bool:
-    """True iff some edge path spells w."""
-    for s in w:
-        if s not in shift.alphabet:
-            raise ValueError("symbol %r outside alphabet" % (s,))
-    states = set(shift.vertices)
-    for s in w:
-        states = shift.step(states, s)
-        if not states:
-            return False
-    return True
+    """True iff some edge path spells w.
+
+    That is iff the subset walk from the set of all vertices, one
+    ``shift.step`` per symbol, ends at a nonempty set.  The walk's steps,
+    (state set, symbol) -> next state set, are memoized on the shift, so
+    the words asked of one shift share them.  The alphabet is checked on
+    a memo miss; the empty set steps to itself, so a symbol outside the
+    alphabet raises ValueError also after the walk has died.
+    """
+    walk = shift._walk
+    if walk is None:
+        walk = shift._walk = (frozenset(shift.vertices), {})
+    states, steps = walk
+    for s in w.symbols:
+        following = steps.get((states, s))
+        if following is None:
+            if s not in shift.alphabet:
+                raise ValueError("symbol %r outside alphabet" % (s,))
+            following = steps[states, s] = frozenset(shift.step(states, s))
+        states = following
+    return bool(states)
 
 
 def admissible_words(shift: EdgeShift, length: int) -> list[Word]:

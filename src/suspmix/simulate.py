@@ -26,10 +26,9 @@ _BATCH_CELLS = 1 << 13
 
 @dataclass
 class SuspensionPoint:
-    """A point (base, height) in the suspension space with 0 <= height < r(base)."""
+    """The point (base, 0) of the suspension space."""
 
     base: EventuallyPeriodicPoint
-    height: float = 0.0
 
 
 @dataclass

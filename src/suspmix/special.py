@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from suspmix.decider import ShiftOracle, decide_mixing_synchronized, periodic_words_in_cylinder
-from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word, reachable
+from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word
 
 
 class PrecisionError(ArithmeticError):
@@ -261,7 +261,9 @@ def build_beta_graph(shift: BetaShift, depth: int) -> EdgeShift:
 
     Spine edges V_n -> V_{n+1} carry digit nu_n; each state V_n with
     nu_n >= 1 falls back to V_1 on every digit 0 .. nu_n - 1.  Only the
-    strongly connected core through V_1 is kept.
+    strongly connected core through V_1 is kept: the spine reaches every
+    state from V_1, and every cycle runs through V_1, which has a loop as
+    nu_1 >= 1, so pruning to the essential part leaves exactly that core.
     """
     if depth > len(shift.nu):
         raise ValueError("depth exceeds the computed expansion prefix")
@@ -274,10 +276,7 @@ def build_beta_graph(shift: BetaShift, depth: int) -> EdgeShift:
             edges.append(("V%d" % n, "V%d" % (n + 1), digit))
         for c in range(digit):
             edges.append(("V%d" % n, "V1", c))
-    graph = EdgeShift(vertices, edges, shift.alphabet(), essentialize=False)
-    core = reachable(graph, "V1") & reachable(graph, "V1", forward=False)
-    kept_edges = [(s, t, c) for s, t, c in edges if s in core and t in core]
-    return EdgeShift(sorted(core), kept_edges, shift.alphabet())
+    return EdgeShift(vertices, edges, shift.alphabet())
 
 
 def decide_mixing_beta(shift: BetaShift, roof, depth: int, period_bound: int):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from suspmix.decider import CycleData, HypothesisError
 from suspmix.roofs import WeightedShift
 from suspmix.shift import EdgeShift, Word, is_transitive
-from suspmix.special import two_orbit_is_admissible
+from suspmix.special import BetaShift, two_orbit_is_admissible
 
 
 def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
@@ -61,6 +61,45 @@ def essential_part(vertices, edges):
             return [v for v in vertices if v in vset], kept
         vset = alive
         edges = kept
+
+
+def set_walk_admissible(shift: EdgeShift, w: Word) -> bool:
+    """True iff some edge path spells w: every symbol checked against the
+    alphabet first, then one walk over plain vertex sets, nothing kept."""
+    for s in w:
+        if s not in shift.alphabet:
+            raise ValueError("symbol %r outside alphabet" % (s,))
+    states = set(shift.vertices)
+    for s in w:
+        states = shift.step(states, s)
+        if not states:
+            return False
+    return True
+
+
+def beta_graph_core(shift: BetaShift, depth: int) -> tuple[list[str], list[tuple]]:
+    """The truncated beta-graph's vertices and edges, kept where both ends
+    lie in the intersection of the forward and backward sweeps from V1."""
+    nu = list(shift.nu)
+    edges = []
+    for n in range(1, depth + 1):
+        if n < depth:
+            edges.append(("V%d" % n, "V%d" % (n + 1), nu[n - 1]))
+        edges += [("V%d" % n, "V1", c) for c in range(nu[n - 1])]
+
+    def sweep(forward):
+        seen, stack = {"V1"}, ["V1"]
+        while stack:
+            u = stack.pop()
+            for s, t, _ in edges:
+                a, b = (s, t) if forward else (t, s)
+                if a == u and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    core = sweep(True) & sweep(False)
+    return sorted(core), [e for e in edges if e[0] in core and e[1] in core]
 
 
 def cycle_data(weighted: WeightedShift) -> CycleData:

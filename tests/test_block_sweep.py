@@ -99,8 +99,7 @@ def reference_recode(shift, k):
             e = base.edges[i]
             edges.append((name(v, blk), name(e.target, blk[1:] + (e.label,)), e.label))
             windows.append(Word(blk + (e.label,)))
-    recoded = EdgeShift([name(v, blk) for v, blk in ordered], edges, shift.alphabet,
-                        essentialize=False)
+    recoded = EdgeShift([name(v, blk) for v, blk in ordered], edges, shift.alphabet)
     return recoded, dict(enumerate(windows))
 
 

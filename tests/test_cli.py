@@ -126,6 +126,10 @@ class TestReaderNeedsNoNumpy:
             "    cli.main(['decide', '--preset', 'example-4.1'])\n"
             "    cli.main(['cohomology', '--mode', 'normalize', '--preset', 'example-4.1'])\n"
             "    cli.main(['beta', '--preset', 'golden-beta'])\n"
+            "    # the harmonic roof is named, not a table: Unknown, and an error\n"
+            "    assert cli.main(['decide', '--preset', 'example-4.2']) == 20\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.main(['cohomology', '--mode', 'test', '--preset', 'example-4.2']) == 2\n"
             "print('numpy' in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['simulate', '--preset', 'example-4.1']) == 0\n"

@@ -23,7 +23,7 @@ from suspmix.roofs import LocallyConstantRoof, WeightedShift
 from suspmix.shift import Alphabet, Edge, EdgeShift, EmptyShiftError, Word, _essential_part, is_transitive
 from suspmix.special import BetaShift, QuadraticReal, build_beta_graph
 
-from reference import cycles_up_to, essential_part
+from reference import beta_graph_core, cycles_up_to, essential_part
 
 BINARY = Alphabet.of_size(2)
 RATIONAL = RealBasis.rational()
@@ -35,7 +35,6 @@ def multigraph_strategy(**list_options):
             st.just(n),
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1)),
                      max_size=14, **list_options),
-            st.booleans(),
         )
     )
 
@@ -47,9 +46,9 @@ multigraphs = multigraph_strategy()
 distinct_edge_multigraphs = multigraph_strategy(unique_by=lambda edge: edge)
 
 
-def build(n, edges, essentialize):
+def build(n, edges):
     try:
-        return EdgeShift(range(n), edges, BINARY, essentialize=essentialize)
+        return EdgeShift(range(n), edges, BINARY)
     except EmptyShiftError:
         return None
 
@@ -70,7 +69,7 @@ def test_is_transitive_matches_networkx(graph):
 
 @given(multigraphs)
 def test_essential_part_matches_the_pruning_loop(graph):
-    n, edges, _ = graph
+    n, edges = graph
     edges = [Edge(*e) for e in edges]
     assert _essential_part(list(range(n)), edges) == essential_part(list(range(n)), edges)
 
@@ -147,6 +146,18 @@ def test_beta_graph_core_is_the_scc_of_v1(beta, depth):
             full.add_edge("V%d" % n, "V1")
     scc = next(c for c in nx.strongly_connected_components(full) if "V1" in c)
     assert set(build_beta_graph(shift, depth).vertices) == scc
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=str)
+def test_beta_graph_keeps_the_two_sweep_core(beta):
+    """One pruned build gives the vertices and edges that the core of the
+    sweeps from V1 keeps, at every depth; only the vertex order differs."""
+    shift = BetaShift.create(beta)
+    for depth in range(1, 17):
+        graph = build_beta_graph(shift, depth)
+        vertices, edges = beta_graph_core(shift, depth)
+        assert sorted(graph.vertices) == vertices, depth
+        assert list(graph.edges) == edges, depth
 
 
 def ring_with_chord(n, labels):

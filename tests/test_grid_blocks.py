@@ -61,7 +61,7 @@ def weighted_graphs(draw):
     edges = [(order[i], order[(i + 1) % n], 0) for i in range(n)]
     edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.just(0)),
                            max_size=12))
-    shift = EdgeShift(range(n), edges, Alphabet.of_size(1), essentialize=False)
+    shift = EdgeShift(range(n), edges, Alphabet.of_size(1))
     weights = tuple(
         QVector(basis, draw(st.tuples(*[coefficients] * len(basis)))) for _ in shift.edges
     )

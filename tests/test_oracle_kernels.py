@@ -2,9 +2,9 @@
 
 The balanced-2/3 coded shift's one-pass membership and cyclic periodic
 test, the two-orbit shift's closed-form periodic test and the memoized
-subset walk of ``ShiftOracle.from_edge_shift`` must give the answers of
-the run-list, repetition and ``is_word_admissible`` versions kept in
-``reference.py``, including their errors.
+subset walk of ``is_word_admissible``, which ``ShiftOracle.from_edge_shift``
+asks, must give the answers of the run-list, repetition and plain set-walk
+versions kept in ``reference.py``, including their errors.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from suspmix.special import (
 from reference import (
     balanced_member_runs,
     balanced_periodic_runs,
+    set_walk_admissible,
     two_orbit_periodic_by_repetition,
 )
 
@@ -122,15 +123,19 @@ def answer(call, *args):
 
 
 def periodic_by_repetition(shift, w):
-    return len(w) > 0 and is_word_admissible(shift, w * len(shift.vertices))
+    return len(w) > 0 and set_walk_admissible(shift, w * len(shift.vertices))
 
 
 def assert_matches_subset_walk(shift, max_len):
-    """Every word over the alphabet and one symbol outside it."""
+    """Every word over the alphabet and one symbol past it, asked in a row
+    of the same shift, so that later words meet the memo of earlier ones;
+    the symbol past the alphabet comes before and after the walk dies."""
     oracle = ShiftOracle.from_edge_shift(shift)
     outside = max(shift.alphabet.symbols) + 1
     for w in map(Word, all_words(shift.alphabet.symbols + (outside,), max_len)):
-        assert answer(oracle.is_admissible, w) == answer(is_word_admissible, shift, w), w
+        expected = answer(set_walk_admissible, shift, w)
+        assert answer(is_word_admissible, shift, w) == expected, w
+        assert answer(oracle.is_admissible, w) == expected, w
         assert answer(oracle.periodic_admissible, w) == answer(periodic_by_repetition, shift, w), w
 
 
@@ -176,6 +181,8 @@ def test_edge_oracle_checks_symbols_after_the_walk_dies():
     oracle = ShiftOracle.from_edge_shift(shift)
     assert not oracle.is_admissible(Word.parse("0110"))
     for text in ["1105", "115", "5", "0105"]:
+        with pytest.raises(ValueError, match="symbol 5 outside alphabet"):
+            is_word_admissible(shift, Word.parse(text))
         with pytest.raises(ValueError, match="symbol 5 outside alphabet"):
             oracle.is_admissible(Word.parse(text))
         with pytest.raises(ValueError, match="symbol 5 outside alphabet"):
