@@ -37,7 +37,7 @@ from suspmix.decider import (
     section_blocks,
     unit_cross_section,
 )
-from suspmix.exact import QVector, RealBasis, parse_qvector
+from suspmix.exact import AmbiguousSignError, QVector, RealBasis, parse_qvector
 from suspmix.roofs import LocallyConstantRoof, MissingWindowError, birkhoff_sum, example_roof_harmonic
 from suspmix.shift import (
     Alphabet,
@@ -52,6 +52,7 @@ from suspmix.shift import (
 from suspmix.special import (
     BetaShift,
     CodedGenerator,
+    PrecisionError,
     QuadraticReal,
     _GuardedFloat,
     balanced_oracle,
@@ -866,7 +867,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report, lines = run_command(load_config(args), args)
-    except (ValueError, MissingWindowError) as exc:
+    except (ValueError, MissingWindowError, AmbiguousSignError, PrecisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     emit(report, args, lines)

@@ -18,7 +18,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional
 
-from suspmix.exact import QVector, RealBasis, common_rows, from_rows, setwise_commensurate
+from suspmix.exact import (QVector, RealBasis, common_rows, floor_mod, from_rows,
+                           setwise_commensurate)
 from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, window_counts
 from suspmix.shift import (
     Alphabet,
@@ -500,20 +501,6 @@ class GridNormalization:
     delta: QVector
 
 
-def _reduce_mod(value: QVector, delta: QVector) -> QVector:
-    """value - n*delta in [0, delta), via a float-guided exact choice of n."""
-    n = math.floor(float(value) / float(delta))
-    for candidate_n in (n - 1, n, n + 1):
-        candidate = value - delta.scale(candidate_n)
-        f = float(candidate)
-        if -1e-12 <= f < float(delta) - 1e-12:
-            if candidate.is_zero() or candidate.is_positive():
-                return candidate
-            if f <= 0:
-                continue
-    raise ArithmeticError("cannot place %s on the [0, %s) interval" % (value, delta))
-
-
 @dataclass
 class GridBlocks:
     """A table roof's weights on a symbol-named block presentation.
@@ -576,29 +563,28 @@ def normalize_to_delta_grid(
     if blocks is None:
         blocks = normalizing_blocks(shift, roof)
     data, k = blocks.data, blocks.k
-    recoded, weights, windows = data.weighted.shift, data.weighted.weights, data.weighted.windows
+    recoded, windows = data.weighted.shift, data.weighted.windows
+    multiples = []
     for c in data.cycle_values:
-        if c.is_zero():
-            continue
         q = c.ratio_to(delta)
         if q is None or q.denominator != 1:
             raise HypothesisError("delta %s does not divide cycle value %s" % (delta, c))
-    min_w = float(roof.min_value())
-    if float(delta) >= min_w:
-        shrink = math.floor(float(delta) / min_w) + 1
+        multiples.append(q.numerator)
+    shrink = floor_mod(delta, roof.min_value())[0] + 1
+    if shrink > 1:
         delta = delta.scale(Fraction(1, shrink))
-    g = TransferFunction(
-        past=k - roof.future,
-        future=roof.future - 1,
-        table={v: _reduce_mod(-data.potentials[v], delta) for v in recoded.vertices},
-    )
+    # -p(v) = n_v*delta + g(v) with g(v) in [0, delta)
+    n, table = {}, {}
+    for v in recoded.vertices:
+        n[v], table[v] = floor_mod(-data.potentials[v], delta)
+    g = TransferFunction(past=k - roof.future, future=roof.future - 1, table=table)
+    # s = w - g + g∘σ is the cycle value plus (n_src - n_tgt)*delta on each edge
     s_table = {}
     for i, e in enumerate(recoded.edges):
-        s_val = weights[i] - g.table[e.source] + g.table[e.target]
-        q = s_val.ratio_to(delta)
-        if q is None or q.denominator != 1 or q < 1:
-            raise ArithmeticError("normalized value %s is not in %s*N" % (s_val, delta))
-        s_table[windows[i]] = s_val
+        m = shrink * multiples[i] + n[e.source] - n[e.target]
+        if m < 1:
+            raise ArithmeticError("normalized value %d*(%s) is not in %s*N" % (m, delta, delta))
+        s_table[windows[i]] = delta.scale(m)
     s = LocallyConstantRoof(past=k - roof.future, future=roof.future, table=s_table)
     return GridNormalization(g, s, delta)
 

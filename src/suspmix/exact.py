@@ -4,7 +4,9 @@ Real numbers are represented as rational linear combinations of a small
 ordered basis of positive reals.  The basis conventionally starts with the
 constant 1, and the user asserts (but the library never verifies) that the
 basis elements are linearly independent over the rationals.  Float
-approximations ride along for sign checks and for the simulator.
+approximations ride along for the simulator, for first guesses, and for
+the one sign decision exact arithmetic cannot make alone: that of a
+combination with coefficients of both signs (``QVector.is_positive``).
 
 A :class:`QVector` stores its coefficients as one row of integer
 numerators over a single positive common denominator, in lowest terms, so
@@ -179,12 +181,18 @@ class QVector:
         return not any(self.num)
 
     def is_positive(self) -> bool:
-        """Sign via float approximation with the guard band ``SIGN_GUARD``.
+        """Whether the value is positive; every exact sign decision asks this.
 
-        Exact zero is not positive.  A nonzero value whose approximation is
-        within the band raises AmbiguousSignError rather than guessing.
+        Exact zero is not positive.  The basis elements are positive, so
+        when no two coefficients have opposite signs their common sign is
+        the answer.  Otherwise the float approximation decides, and a value
+        within the guard band ``SIGN_GUARD`` raises AmbiguousSignError
+        rather than guessing.
         """
-        if self.is_zero():
+        num = self.num
+        if min(num) >= 0:
+            return max(num) > 0
+        if max(num) <= 0:
             return False
         f = float(self)
         if abs(f) <= SIGN_GUARD:
@@ -192,6 +200,16 @@ class QVector:
                 "cannot certify sign of %s (float %.3e within guard %g)" % (self, f, SIGN_GUARD)
             )
         return f > 0
+
+    def sign(self) -> int:
+        """-1, 0 or 1; ``is_positive`` decides every nonzero sign."""
+        return 0 if self.is_zero() else 1 if self.is_positive() else -1
+
+    def __lt__(self, other: "QVector") -> bool:
+        return (other - self).is_positive()
+
+    def __abs__(self) -> "QVector":
+        return -self if self.sign() < 0 else self
 
     def ratio_to(self, other: "QVector") -> Fraction | None:
         """The exact rational q with self == q * other, if one exists."""
@@ -342,14 +360,8 @@ def rational_gcd(values: Iterable[Fraction]) -> Fraction:
         raise ValueError("rational_gcd of an empty collection")
     if any(v == 0 for v in values):
         raise ValueError("rational_gcd requires nonzero values")
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    numers = [abs(v.numerator) * (denom // v.denominator) for v in values]
-    g = 0
-    for n in numers:
-        g = math.gcd(g, n)
-    return Fraction(g, denom)
+    denom = math.lcm(*(v.denominator for v in values))
+    return Fraction(math.gcd(*(v.numerator * (denom // v.denominator) for v in values)), denom)
 
 
 def span_rank(vectors: Sequence[QVector]) -> int:
@@ -407,7 +419,21 @@ def setwise_commensurate(values: Sequence[QVector]) -> QVector | None:
         if q is None or q == 0:
             raise ArithmeticError("rank-1 values %s and %s have no exact ratio" % (v, generator))
         multipliers.append(q)
-    delta = generator.scale(rational_gcd(multipliers))
-    if not delta.is_positive():
-        delta = -delta
-    return delta
+    return abs(generator.scale(rational_gcd(multipliers)))
+
+
+def floor_mod(x, unit) -> tuple[int, object]:
+    """(n, r) with x == n*unit + r and 0 <= r < unit, for unit > 0.
+
+    ``x`` and ``unit`` are exact values with ``sign()``, ``+``, ``-`` and
+    ``* int`` (QVectors, or a QuadraticReal and an int).  A float quotient
+    only guesses n; the exact signs of r and r - unit decide it.
+    """
+    n = math.floor(float(x) / float(unit))
+    r = x - unit * n
+    while r.sign() < 0:
+        n, r = n - 1, r + unit
+    above = r - unit
+    while above.sign() >= 0:
+        n, r, above = n + 1, above, above - unit
+    return n, r

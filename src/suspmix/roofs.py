@@ -127,10 +127,10 @@ class LocallyConstantRoof:
         return list(self.table.values())
 
     def min_value(self) -> QVector:
-        return min(self.table.values(), key=float)
+        return min(dict.fromkeys(self.table.values()))
 
     def max_value(self) -> QVector:
-        return max(self.table.values(), key=float)
+        return max(dict.fromkeys(self.table.values()))
 
     def admissible_words_from_table(self, length: int) -> list[Word]:
         """Words all of whose windows occur in the table.
@@ -262,10 +262,7 @@ def walters_norm(roof: LocallyConstantRoof) -> QVector:
                     if wa != wb:
                         diff = diff + roof.value_on_window(wa)
                         diff = diff - roof.value_on_window(wb)
-                if abs(float(diff)) > abs(float(best)):
-                    best = diff
-    if float(best) < 0:
-        best = -best
+                best = max(best, abs(diff))
     return two_sup + best
 
 

@@ -179,7 +179,7 @@ def hitting_times(
     ]
     floor = getattr(roof, "floor", None)
     if floor is None:
-        floor = float(roof.min_value())
+        floor = min(map(float, roof.values()))
     if epsilon >= floor:
         raise ValueError("epsilon must be below the minimum roof value")
     if omega is None:

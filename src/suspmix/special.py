@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from suspmix.decider import ShiftOracle, decide_mixing_synchronized, periodic_words_in_cylinder
+from suspmix.exact import floor_mod
 from suspmix.shift import Alphabet, EdgeShift, EventuallyPeriodicPoint, Word
 
 
@@ -77,31 +78,15 @@ class QuadraticReal:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        bigger_rational = lhs > rhs
-        if self.a > 0:
-            return 1 if bigger_rational else (-1 if lhs != rhs else 0)
-        return -1 if bigger_rational else (1 if lhs != rhs else 0)
-
-    def compare(self, q) -> int:
-        return (self - Fraction(q)).sign()
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the term of larger square wins; a^2 == b^2 d would
+        # make sqrt(d) rational
+        return sa if self.a * self.a > self.b * self.b * self.d else sb
 
     def exact_floor(self) -> int:
-        n = math.floor(float(self))
-        while self.compare(n) < 0:
-            n -= 1
-        while self.compare(n + 1) >= 0:
-            n += 1
-        return n
+        return floor_mod(self, 1)[0]
 
 
 class _GuardedFloat:
@@ -160,6 +145,11 @@ def beta_expansion_of_one(beta, n_digits: int) -> Word:
     ``beta`` may be a Fraction (exact), a QuadraticReal (exact), or a
     _GuardedFloat (raises PrecisionError when a digit is ambiguous).
     """
+    return _greedy_orbit(beta, n_digits)[0]
+
+
+def _greedy_orbit(beta, n_digits: int) -> tuple[Word, object]:
+    """The first digits of the expansion of 1, and the remainder after them."""
     if isinstance(beta, int):
         beta = Fraction(beta)
     if float(beta) <= 1:
@@ -171,7 +161,7 @@ def beta_expansion_of_one(beta, n_digits: int) -> Word:
         d = _floor(y)
         digits.append(d)
         x = y - d
-    return Word(digits)
+    return Word(digits), x
 
 
 @dataclass
@@ -188,16 +178,11 @@ class BetaShift:
 
     @classmethod
     def create(cls, beta) -> "BetaShift":
-        nu = beta_expansion_of_one(beta, NU_DIGITS)
-        exact_tail = False
-        if isinstance(beta, (int, Fraction, QuadraticReal)):
-            # replay to see whether the greedy orbit terminates at 0
-            b = Fraction(beta) if not isinstance(beta, QuadraticReal) else beta
-            x = b * 0 + 1
-            for d in nu:
-                x = b * x - d
-            exact_tail = x.is_zero() if isinstance(x, QuadraticReal) else x == 0
-        return cls(beta, nu, exact_tail)
+        nu, rest = _greedy_orbit(beta, NU_DIGITS)
+        # only an exact remainder certifies that the orbit of 1 ended at 0
+        if isinstance(rest, QuadraticReal):
+            return cls(beta, nu, rest.is_zero())
+        return cls(beta, nu, isinstance(rest, Fraction) and rest == 0)
 
     @classmethod
     def golden(cls) -> "BetaShift":
@@ -416,15 +401,16 @@ class AperiodicSequence:
         return [self.term(i) for i in range(1, n + 1)]
 
 
-_SEQ = AperiodicSequence()
-_SEQ_PREFIX_LEN = 4096
-_SEQ_PREFIX = _SEQ.prefix(_SEQ_PREFIX_LEN)
+@functools.lru_cache(maxsize=None)
+def _seq_prefix() -> list[int]:
+    """The 4,096-term scaffold prefix the factor tests read, built on first use."""
+    return AperiodicSequence().prefix(4096)
 
 
 @functools.lru_cache(maxsize=None)
 def _scaffold_factors(n: int) -> frozenset:
     """Every length-n factor of the scaffold prefix (about 3n distinct ones)."""
-    a = _SEQ_PREFIX
+    a = _seq_prefix()
     return frozenset(tuple(a[i : i + n]) for i in range(len(a) - n + 1))
 
 

@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from suspmix.decider import CycleData, HypothesisError
+from suspmix.decider import CycleData, HypothesisError, normalizing_blocks
 from suspmix.roofs import WeightedShift
 from suspmix.shift import EdgeShift, Word, is_transitive
 from suspmix.special import BetaShift, two_orbit_is_admissible
@@ -125,6 +125,47 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
         for i, e in enumerate(shift.edges)
     )
     return CycleData(weighted, root, potentials, values, tree)
+
+
+def _reduce_mod(value, delta):
+    """value - n*delta in [0, delta), via a float-guided exact choice of n."""
+    n = math.floor(float(value) / float(delta))
+    for candidate_n in (n - 1, n, n + 1):
+        candidate = value - delta.scale(candidate_n)
+        f = float(candidate)
+        if -1e-12 <= f < float(delta) - 1e-12:
+            if candidate.is_zero() or candidate.is_positive():
+                return candidate
+            if f <= 0:
+                continue
+    raise ArithmeticError("cannot place %s on the [0, %s) interval" % (value, delta))
+
+
+def normalize_to_delta_grid(shift, roof, delta):
+    """(delta, g table, s table) of the float-guided normalization: a float
+    shrink of delta, float floors of the potentials, and two QVector
+    operations and a ratio per edge."""
+    data = normalizing_blocks(shift, roof).data
+    recoded, weights, windows = data.weighted.shift, data.weighted.weights, data.weighted.windows
+    for c in data.cycle_values:
+        if c.is_zero():
+            continue
+        q = c.ratio_to(delta)
+        if q is None or q.denominator != 1:
+            raise HypothesisError("delta %s does not divide cycle value %s" % (delta, c))
+    min_w = float(min(roof.table.values(), key=float))
+    if float(delta) >= min_w:
+        shrink = math.floor(float(delta) / min_w) + 1
+        delta = delta.scale(Fraction(1, shrink))
+    g = {v: _reduce_mod(-data.potentials[v], delta) for v in recoded.vertices}
+    s = {}
+    for i, e in enumerate(recoded.edges):
+        s_val = weights[i] - g[e.source] + g[e.target]
+        q = s_val.ratio_to(delta)
+        if q is None or q.denominator != 1 or q < 1:
+            raise ArithmeticError("normalized value %s is not in %s*N" % (s_val, delta))
+        s[windows[i]] = s_val
+    return delta, g, s
 
 
 # -- exact values as tuples of Fractions --------------------------------------

@@ -184,6 +184,22 @@ class TestInputErrors:
         assert main(argv + ["--config", str(cfg)]) == 2
         assert one_error_line(capsys) == "error: window 1 not in roof table (inadmissible context)"
 
+    def test_a_sign_the_float_guard_cannot_certify(self, tmp_path, capsys):
+        cfg = tmp_path / "ambiguous.cfg"
+        cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[basis]\n"
+                       "constants = a 1.4142135623730951\n\n[roof]\npast = 0\nfuture = 0\n"
+                       "0 = a - 1.4142135623730951\n1 = 1\n")
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys).startswith("error: cannot certify sign of ")
+
+    @pytest.mark.parametrize("command", ["decide", "beta"])
+    def test_a_beta_digit_the_float_guard_cannot_certify(self, tmp_path, capsys, command):
+        cfg = tmp_path / "guarded.cfg"
+        cfg.write_text("[shift]\nkind = beta\nbeta = float 1.6180339887498949 guard 1e-9\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == (
+            "error: floor of 1.0000000000000002 is within the guard band 1e-09 of an integer")
+
 
 class TestDecide:
     def test_exit_codes_by_preset(self):
@@ -248,6 +264,17 @@ class TestCohomology:
         out = capsys.readouterr().out
         assert "delta: 1" in out
         assert "s[01] = 3" in out
+
+    def test_normalize_decides_same_sign_values_exactly(self, tmp_path, capsys):
+        # the potentials differ by 1e-13, inside the float guard band
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[shift]\nkind = edges\nalphabet = 3\nedges = p q 0, q p 1, p p 2\n\n"
+                       "[roof]\npast = 0\nfuture = 0\n0 = 1 + 1/10000000000000\n"
+                       "1 = 2 - 1/10000000000000\n2 = 2\n")
+        assert main(["cohomology", "--mode", "normalize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "delta: 1", "s[01] = 2", "s[10] = 1", "s[12] = 2", "s[20] = 1", "s[22] = 2",
+            "g[0] = 0", "g[1] = 1/10000000000000", "g[2] = 1/10000000000000"]
 
     def test_section_mode(self, capsys):
         assert main(["cohomology", "--preset", "example-4.1", "--mode", "section"]) == 0

@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,13 @@ from suspmix.exact import (
     AmbiguousSignError,
     QVector,
     RealBasis,
+    floor_mod,
     parse_qvector,
     rational_gcd,
     setwise_commensurate,
     span_rank,
 )
+from suspmix.special import QuadraticReal
 
 RATIONAL = RealBasis.rational()
 AB = RealBasis.with_constants(("a", 1.2599210498948732), ("b", 1.4422495703074083))
@@ -219,3 +223,77 @@ class TestQVector:
     def test_render_roundtrip_random(self, coords):
         v = qv(AB, *coords)
         assert parse_qvector(v.render(), AB) == v
+
+
+class TestSignAndOrder:
+    def test_same_sign_coefficients_need_no_float(self):
+        # 1e-13 is inside the float guard band, but no coefficient is negative
+        tiny = RATIONAL.from_rational(Fraction(1, 10**13))
+        assert tiny.is_positive() and tiny.sign() == 1
+        assert not (-tiny).is_positive() and (-tiny).sign() == -1
+        assert qv(AB, 0, Fraction(1, 10**15), Fraction(1, 10**15)).sign() == 1
+        assert qv(AB, Fraction(-1, 10**15), 0, Fraction(-1, 10**15)).sign() == -1
+        assert AB.zero().sign() == 0
+
+    def test_order_and_abs(self):
+        a, b = AB.unit(1), AB.unit(2)  # a ~ 1.26, b ~ 1.44
+        assert a < b and b > a and not b < a and not a < a
+        assert min([b, a]) is a and max([a, b]) is b
+        assert abs(a - b) == abs(b - a) == b - a
+        assert abs(AB.zero()) == AB.zero()
+
+    def test_mixed_signs_inside_the_guard_still_raise(self):
+        near = AB.unit(1).scale(Fraction(1, 10**12))
+        other = AB.from_rational(Fraction(12599210498948732, 10**28))
+        with pytest.raises(AmbiguousSignError):
+            near < other
+        with pytest.raises(AmbiguousSignError):
+            abs(near - other)
+
+
+def fraction_floor_mod(x, unit):
+    n = math.floor(x / unit)
+    return n, x - n * unit
+
+
+# values within 1e-13 of a multiple of the unit, on either side of it
+near_multiples = st.builds(
+    lambda k, unit, e: (k * unit + e, unit),
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4)),
+    st.sampled_from([Fraction(-1, 10**13), Fraction(0), Fraction(1, 10**13)]),
+)
+anywhere = st.tuples(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**9),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=1000, max_denominator=10**9),
+)
+
+
+class TestFloorMod:
+    @given(st.one_of(near_multiples, anywhere), st.integers(0, 2))
+    def test_matches_fraction_floor_and_mod(self, case, element):
+        # a rational multiple of one basis element has a same-sign coefficient row
+        x, unit = case
+        n, r = fraction_floor_mod(x, unit)
+        e = AB.unit(element)
+        assert floor_mod(e.scale(x), e.scale(unit)) == (n, e.scale(r))
+
+    @given(st.fractions(min_value=-20, max_value=20, max_denominator=50),
+           st.fractions(min_value=-20, max_value=20, max_denominator=50),
+           st.sampled_from([2, 3, 5, 7, 10]))
+    def test_floors_a_quadratic_real(self, a, b, d):
+        x = QuadraticReal(a, b, d)
+        with localcontext() as ctx:
+            # 60 digits: a + b*sqrt(d) with these a, b is an integer or far from one
+            ctx.prec = 60
+            value = (Decimal(a.numerator) / a.denominator
+                     + Decimal(b.numerator) / b.denominator * Decimal(d).sqrt())
+            want = [n for n in range(-200, 200) if n <= value < n + 1]
+        assert floor_mod(x, 1) == (want[0], x - want[0])
+        assert x.exact_floor() == want[0]
+
+    def test_a_bad_first_guess_is_corrected(self):
+        # the float quotient rounds up to the next integer; the signs step back
+        x, unit = RATIONAL.from_rational(Fraction(3 * 10**17 - 1, 10**17)), RATIONAL.from_rational(1)
+        assert math.floor(float(x) / float(unit)) == 3
+        assert floor_mod(x, unit) == (2, RATIONAL.from_rational(Fraction(10**17 - 1, 10**17)))

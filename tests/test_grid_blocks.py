@@ -158,3 +158,51 @@ def test_section_reuses_the_blocks_it_is_given():
     assert delta == ALPHA.from_rational(1)
     built, reused = unit_cross_section(shift, roof, delta), unit_cross_section(shift, roof, delta, blocks)
     assert (built.vertices, built.edges) == (reused.vertices, reused.edges)
+
+
+small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def grid_roofs(draw):
+    """A transitive forbidden-word SFT and a roof of width 1 to 3 over a basis
+    of rank 1 to 3: multiples of a positive step plus a coboundary, so the
+    flow is not mixing and the step, a multiple of delta, may exceed the
+    least roof value."""
+    alphabet = Alphabet.of_size(draw(st.integers(2, 3)))
+    words = draw(st.lists(st.lists(st.sampled_from(alphabet.symbols), min_size=2, max_size=3),
+                          max_size=3))
+    try:
+        shift = sft_from_forbidden_words(alphabet, [Word(w) for w in words])
+    except EmptyShiftError:
+        assume(False)
+    assume(is_transitive(shift))
+    basis = draw(st.sampled_from(BASES))
+    step = QVector(basis, [abs(c) for c in draw(st.tuples(*[small] * len(basis)))])
+    assume(not step.is_zero())
+    width = draw(st.integers(1, 3))
+    h = {w: QVector(basis, draw(st.tuples(*[small] * len(basis))))
+         for w in itertools.product(alphabet.symbols, repeat=width - 1)}
+    table = {}
+    for w in admissible_words(shift, width):
+        value = step.scale(draw(st.integers(1, 3))) + h[w.symbols[1:]] - h[w.symbols[:-1]]
+        assume(float(value) > 1e-6)
+        table[w] = value
+    past = draw(st.integers(0, width - 1))
+    return shift, LocallyConstantRoof(past, width - 1 - past, table)
+
+
+@PROPERTY
+@given(grid_roofs(), st.integers(1, 3))
+def test_normalize_matches_the_float_guided_reference(case, divisor):
+    shift, roof = case
+    verdict = decide_mixing_sft(shift, roof)
+    assert verdict.kind == "NotTopMixing"
+    delta = verdict.delta.scale(Fraction(1, divisor))
+    try:
+        want = reference.normalize_to_delta_grid(shift, roof, delta)
+    except ArithmeticError:
+        assume(False)
+    got = normalize_to_delta_grid(shift, roof, delta)
+    assert (got.delta, got.transfer.table, got.roof.table) == want
+    assert list(got.roof.table) == list(want[2])

@@ -37,7 +37,7 @@ from suspmix.shift import (
     full_shift,
     sft_from_forbidden_words,
 )
-from suspmix.special import _SEQ_PREFIX, _factor_occurs, two_orbit_periodic_words
+from suspmix.special import _factor_occurs, _seq_prefix, two_orbit_periodic_words
 
 from reference import cycles_up_to
 
@@ -144,7 +144,7 @@ def test_two_orbit_scan_finds_exactly_its_two_orbits():
 
 def linear_factor_occurs(interior, lead, trail) -> bool:
     """The scaffold lookup as a scan over every start position."""
-    a, t = _SEQ_PREFIX, len(interior)
+    a, t = _seq_prefix(), len(interior)
     if t == 0:
         return lead <= 4 and trail <= 4
     for i in range(1, len(a) - t):
@@ -263,3 +263,17 @@ def test_invariants_survive_optimized_mode():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.stdout.strip() == "raised"
+
+
+def test_the_scaffold_is_built_on_first_use():
+    src = str(Path(suspmix.special.__file__).resolve().parents[1])
+    script = (
+        "import suspmix.cli\n"
+        "from suspmix.special import _factor_occurs, _seq_prefix\n"
+        "print(_seq_prefix.cache_info().currsize)\n"
+        "_factor_occurs([3, 4], 0, 0)\n"
+        "print(_seq_prefix.cache_info().currsize)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.split() == ["0", "1"]

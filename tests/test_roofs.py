@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from suspmix.decider import weigh_windows
 from suspmix.exact import QVector, RealBasis
@@ -66,6 +66,20 @@ class TestLocallyConstantRoof:
         r = rational_roof_two_three()
         assert r.min_value() == RATIONAL.from_rational(2)
         assert r.max_value() == RATIONAL.from_rational(3)
+
+    @given(st.lists(st.tuples(st.integers(1, 40), st.integers(-5, 5), st.integers(1, 5)),
+                    min_size=1, max_size=8))
+    def test_min_max_agree_with_the_float_choice(self, coords):
+        # positive, well-separated values: the exact order is that of the floats
+        basis = RealBasis.with_constants(("a", math.sqrt(2)))
+        values = [QVector(basis, (Fraction(p, q), Fraction(c, 7))) for p, c, q in coords]
+        floats = sorted(map(float, values))
+        assume(floats[0] > 1e-6)
+        assume(all(y - x > 1e-6 or y == x for x, y in zip(floats, floats[1:])))
+        table = {Word([i]): v for i, v in enumerate(values)}
+        r = LocallyConstantRoof(0, 0, table)
+        assert r.min_value() == min(values, key=float)
+        assert r.max_value() == max(values, key=float)
 
     def test_from_function_window(self):
         shift = full_shift(BINARY)

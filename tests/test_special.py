@@ -86,6 +86,10 @@ class TestBetaShift:
         assert list(shift.nu[:5]) == [1, 1, 0, 0, 0]
         assert shift.exact_tail
 
+    def test_guarded_float_tail_is_never_exact(self):
+        assert not BetaShift.create(_GuardedFloat(1.5)).exact_tail
+        assert BetaShift.create(Fraction(3)).exact_tail
+
     def test_golden_comparison_sequence(self):
         shift = BetaShift.golden()
         seq, start = shift.comparison_sequence()
