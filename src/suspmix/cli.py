@@ -102,6 +102,9 @@ class SystemConfig:
             sec = sections["shift"]
             cfg.shift_kind = sec.get("kind", "full")
             cfg.alphabet_size = int(sec.get("alphabet", 2))
+            if cfg.shift_kind in ("full", "forbidden-words", "edges") and cfg.alphabet_size > 10:
+                raise ValueError("alphabet %d is above 10: windows spell each symbol as one digit"
+                                 % cfg.alphabet_size)
             cfg.forbidden = tuple(sec.get("forbidden", "").split())
             cfg.beta_spec = sec.get("beta", "")
             cfg.depth = int(sec.get("depth", 0))
@@ -277,19 +280,20 @@ def read_sections(text: str) -> dict[str, dict[str, str]]:
     indent = 0
     for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
-        if stripped.startswith(("#", ";")):
-            continue
         if not stripped:
             if key is not None:
                 current[key].append("")
             continue
-        depth = len(line) - len(line.lstrip())
+        first = stripped[0]
+        if first == "#" or first == ";":
+            continue
+        depth = line.find(first)
         if key is not None and depth > indent:
             current[key].append(stripped)
             continue
         indent = depth
-        close = stripped.rfind("]")
-        if stripped.startswith("[") and close > 1:
+        close = stripped.rfind("]") if first == "[" else -1
+        if close > 1:
             name, key = stripped[1:close], None
             if name in sections:
                 raise _parse_error(lineno, "section [%s] repeated" % name)
@@ -297,7 +301,9 @@ def read_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if current is None:
             raise _parse_error(lineno, "%r comes before any [section]" % stripped)
-        cut = min((i for i in (stripped.find("="), stripped.find(":")) if i >= 0), default=-1)
+        cut, colon = stripped.find("="), stripped.find(":")
+        if colon >= 0 and not 0 <= cut < colon:
+            cut = colon
         key = stripped[:cut].rstrip()
         if cut < 0 or not key:
             raise _parse_error(lineno, "%r is not key = value" % stripped)
@@ -352,7 +358,8 @@ def emit(report: dict, args, human_lines: list[str]) -> None:
 
 def rendered(function) -> dict[str, str]:
     """A table roof or transfer function as window text -> value text."""
-    return {str(w): v.render() for w, v in sorted(function.table.items(), key=lambda kv: str(kv[0]))}
+    by_text = {str(w): v for w, v in function.table.items()}
+    return {w: by_text[w].render() for w in sorted(by_text)}
 
 
 # -- commands ---------------------------------------------------------------
@@ -419,18 +426,10 @@ def cmd_cohomology(config: SystemConfig, args):
         return 0, {"mode": mode, "delta": delta.render(), "s": s_table, "g": g_table}, lines
     if mode == "section":
         section = unit_cross_section(base, roof, delta, blocks)
-
-        def vertex_name(v):
-            if isinstance(v, tuple) and len(v) == 2:
-                return "%s@%s" % (v[0], v[1])
-            return str(v)
-
-        edge_list = sorted(
-            "%s -> %s" % (vertex_name(e.source), vertex_name(e.target))
-            for e in section.edges
-        )
+        edge_list = sorted("%s -> %s" % (section.texts[s], section.texts[t])
+                           for s, t in zip(section.sources, section.targets))
         period = base_period(section)
-        lines = ["vertices: %d" % len(section.vertices), "edges: %d" % len(section.edges)]
+        lines = ["vertices: %d" % len(section.vertices), "edges: %d" % len(edge_list)]
         lines += edge_list + ["base period: %d" % period]
         body = {"mode": mode, "vertices": len(section.vertices), "edges": edge_list, "base_period": period}
         return 0, body, lines

@@ -83,7 +83,9 @@ class CycleData:
     ``potentials[v]`` is the weight of a tree path discounted so that tree
     edges have cycle-value zero; ``cycle_values[i] = p(src) + w - p(tgt)``
     for edge i.  ``tree[v]`` is the in-tree edge leaving v toward the
-    root, so the tree path from v to the root sums to -p(v).  The subgroup
+    root (None at the root), so the tree path from v to the root sums to
+    -p(v).  The root is the vertex whose name's text is least, so that the
+    potentials do not depend on the numbering.  The subgroup
     generated by closed-walk weight sums equals the subgroup generated by
     the cycle values: each cycle value is a difference of two closed-walk
     sums through the root, and every closed-walk sum telescopes to a sum
@@ -93,10 +95,10 @@ class CycleData:
     """
 
     weighted: WeightedShift
-    root: object
-    potentials: dict
+    root: int
+    potentials: list[QVector]
     cycle_values: tuple[QVector, ...]
-    tree: dict
+    tree: list[Optional[int]]
 
     def nonzero_cycle_values(self) -> list[QVector]:
         return [c for c in self.cycle_values if not c.is_zero()]
@@ -109,32 +111,29 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
         raise HypothesisError("weighted presentation is not strongly connected")
     basis = weighted.weights[0].basis
     den, rows = common_rows(weighted.weights)
-    edges = shift.edges
-    root = min(shift.vertices, key=str)
+    sources, targets = shift.sources, shift.targets
+    root = min(shift.vertices, key=shift.texts.__getitem__)
     # in-tree toward the root: the tree edge v -> u found from u has cycle
     # value zero, so p(v) + w = p(u)
-    potentials = {root: (0,) * len(basis)}
-    tree = {}
+    potentials: list = [None] * len(shift.vertices)
+    potentials[root] = (0,) * len(basis)
+    tree: list = [None] * len(shift.vertices)
     frontier = [root]
     while frontier:
         u = frontier.pop()
         pu = potentials[u]
         for i in shift.in_edges(u):
-            v = edges[i].source
-            if v not in potentials:
+            v = sources[i]
+            if potentials[v] is None:
                 potentials[v] = tuple(map(sub, pu, rows[i]))
                 tree[v] = i
                 frontier.append(v)
     values = [
-        [a + w - b for a, w, b in zip(potentials[e.source], rows[i], potentials[e.target])]
-        for i, e in enumerate(edges)
+        [a + w - b for a, w, b in zip(potentials[s], row, potentials[t])]
+        for s, row, t in zip(sources, rows, targets)
     ]
     return CycleData(
-        weighted,
-        root,
-        dict(zip(potentials, from_rows(basis, potentials.values(), den))),
-        tuple(from_rows(basis, values, den)),
-        tree,
+        weighted, root, from_rows(basis, potentials, den), tuple(from_rows(basis, values, den)), tree
     )
 
 
@@ -148,15 +147,9 @@ def weigh_windows(
     ``width`` symbols, asked once per distinct such window.  Closed walks
     then sum the table over the periodic orbits they spell.
     """
-    by_window: dict = {}
-    weights = []
-    for i in range(len(recoded.edges)):
-        key = windows[i].symbols[-width:]
-        weight = by_window.get(key)
-        if weight is None:
-            weight = by_window[key] = lookup(Word(key))
-        weights.append(weight)
-    return WeightedShift(recoded, tuple(weights), windows)
+    keys = [windows[i].symbols[-width:] for i in range(len(recoded.labels))]
+    by_window = {key: lookup(Word(key)) for key in dict.fromkeys(keys)}
+    return WeightedShift(recoded, tuple(map(by_window.__getitem__, keys)), windows)
 
 
 def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerdict:
@@ -170,7 +163,7 @@ def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerd
     # positive roofs force a nonzero cycle value on every cycle
     delta = setwise_commensurate(generators)
     reason = ""
-    if len(weighted.shift.edges) == len(weighted.shift.vertices):
+    if len(weighted.shift.labels) == len(weighted.shift.vertices):
         reason = "base is a single periodic orbit; the dichotomy is vacuous there"
     if delta is None:
         return MixingVerdict("TopMixing", generators=tuple(generators))
@@ -390,18 +383,13 @@ def are_cohomologous(
     recoded, diffs = weighted.shift, weighted.weights
     data = cycle_data(weighted)
     if any(not c.is_zero() for c in data.cycle_values):
-        witness = _nonzero_cycle_witness(data)
-        return CohomologyResult(False, None, witness)
+        return CohomologyResult(False, None, _nonzero_cycle_witness(data))
     # d(e) = p(target) - p(source) on every edge: g is the potential read
     # on source blocks, which cover positions [j - (k - future), j + future - 1]
     potentials = data.potentials
-    g = TransferFunction(
-        past=k - future,
-        future=future - 1,
-        table={v: potentials[v] for v in recoded.vertices},
-    )
-    for i, e in enumerate(recoded.edges):
-        if diffs[i] != potentials[e.target] - potentials[e.source]:
+    g = TransferFunction(past=k - future, future=future - 1, table=dict(zip(recoded.names, potentials)))
+    for i, (s, t) in enumerate(zip(recoded.sources, recoded.targets)):
+        if diffs[i] != potentials[t] - potentials[s]:
             raise ArithmeticError("transfer does not reproduce the difference on edge %d" % i)
     return CohomologyResult(True, g)
 
@@ -418,38 +406,39 @@ def _nonzero_cycle_witness(data: CycleData) -> EventuallyPeriodicPoint:
     """
     shift = data.weighted.shift
     weights = data.weighted.weights
+    sources, targets, tree = shift.sources, shift.targets, data.tree
     e = next(i for i, c in enumerate(data.cycle_values) if not c.is_zero())
-    source, target = shift.edges[e].source, shift.edges[e].target
-    # breadth-first out-tree for the root -> src(e) leg
-    parent = {data.root: None}
+    # breadth-first out-tree for the root -> src(e) leg, -1 at the root
+    parent: list = [None] * len(shift.vertices)
+    parent[data.root] = -1
     queue = deque([data.root])
     while queue:
         u = queue.popleft()
         for i in shift.out_edges(u):
-            if shift.edges[i].target not in parent:
-                parent[shift.edges[i].target] = i
-                queue.append(shift.edges[i].target)
+            if parent[targets[i]] is None:
+                parent[targets[i]] = i
+                queue.append(targets[i])
     from_root = []
-    x = source
-    while parent[x] is not None:
+    x = sources[e]
+    while parent[x] != -1:
         from_root.append(parent[x])
-        x = shift.edges[parent[x]].source
+        x = sources[parent[x]]
     from_root.reverse()
 
     def to_root(x) -> list[int]:
         edges = []
-        while x in data.tree:
-            edges.append(data.tree[x])
-            x = shift.edges[data.tree[x]].target
+        while tree[x] is not None:
+            edges.append(tree[x])
+            x = targets[tree[x]]
         return edges
 
-    for walk in (from_root + to_root(source), from_root + [e] + to_root(target)):
+    for walk in (from_root + to_root(sources[e]), from_root + [e] + to_root(targets[e])):
         for cyc in _simple_cycles(shift, walk):
             total = weights[cyc[0]].basis.zero()
             for i in cyc:
                 total = total + weights[i]
             if not total.is_zero():
-                return EventuallyPeriodicPoint.periodic(Word(shift.edges[i].label for i in cyc))
+                return EventuallyPeriodicPoint.periodic(Word(shift.labels[i] for i in cyc))
     raise ArithmeticError("nonzero cycle value but no nonzero simple cycle")
 
 
@@ -458,19 +447,20 @@ def _simple_cycles(shift: EdgeShift, walk: list[int]) -> list[list[int]]:
     if not walk:
         return []
     stack: list[int] = []
-    # vertex -> length of the stack when the current path reached it
-    position = {shift.edges[walk[0]].source: 0}
+    # per vertex, the length of the stack when the current path reached it
+    position: list = [None] * len(shift.vertices)
+    position[shift.sources[walk[0]]] = 0
     cycles = []
     for i in walk:
         stack.append(i)
-        v = shift.edges[i].target
-        if v not in position:
+        v = shift.targets[i]
+        if position[v] is None:
             position[v] = len(stack)
             continue
         cyc = stack[position[v] :]
         del stack[position[v] :]
         for j in cyc[:-1]:
-            del position[shift.edges[j].target]
+            position[shift.targets[j]] = None
         cycles.append(cyc)
     return cycles
 
@@ -574,14 +564,13 @@ def normalize_to_delta_grid(
     if shrink > 1:
         delta = delta.scale(Fraction(1, shrink))
     # -p(v) = n_v*delta + g(v) with g(v) in [0, delta)
-    n, table = {}, {}
-    for v in recoded.vertices:
-        n[v], table[v] = floor_mod(-data.potentials[v], delta)
-    g = TransferFunction(past=k - roof.future, future=roof.future - 1, table=table)
+    n, g_values = zip(*(floor_mod(-p, delta) for p in data.potentials))
+    g = TransferFunction(past=k - roof.future, future=roof.future - 1,
+                         table=dict(zip(recoded.names, g_values)))
     # s = w - g + g∘σ is the cycle value plus (n_src - n_tgt)*delta on each edge
     s_table = {}
-    for i, e in enumerate(recoded.edges):
-        m = shrink * multiples[i] + n[e.source] - n[e.target]
+    for i, (source, target) in enumerate(zip(recoded.sources, recoded.targets)):
+        m = shrink * multiples[i] + n[source] - n[target]
         if m < 1:
             raise ArithmeticError("normalized value %d*(%s) is not in %s*N" % (m, delta, delta))
         s_table[windows[i]] = delta.scale(m)
@@ -598,9 +587,9 @@ def unit_cross_section(
     """Return-map graph of the cross-section at heights j*delta.
 
     Every roof value must be a positive integer multiple of delta.  Each
-    block vertex u with value k_u*delta expands into levels (u, 0) ...
-    (u, k_u - 1) chained upward, with top levels feeding the bottom
-    levels of the successors; the induced flow has constant roof delta.
+    block vertex u with value k_u*delta expands into levels "u@0" ...
+    "u@k_u-1" chained upward, with top levels feeding the bottom levels
+    of the successors; the induced flow has constant roof delta.
     ``blocks`` is the presentation from ``section_blocks``; it is built
     here when needed and not given.
     """
@@ -611,22 +600,19 @@ def unit_cross_section(
         blocks = section_blocks(shift, roof)
     weighted = blocks.weighted
     recoded = weighted.shift
-    multiples = {}
+    # the levels of v are numbered bottom[v] .. bottom[v + 1] - 1
+    bottom, names = [], []
     for v in recoded.vertices:
         q = weighted.weights[recoded.in_edges(v)[0]].ratio_to(delta)
         if q is None or q.denominator != 1 or q < 1:
-            raise HypothesisError(
-                "roof value at %s is not a positive integer multiple of %s" % (v, delta)
-            )
-        multiples[v] = int(q)
-    vertices = [(v, l) for v in recoded.vertices for l in range(multiples[v])]
-    edges = []
-    for v in recoded.vertices:
-        for l in range(multiples[v] - 1):
-            edges.append(((v, l), (v, l + 1), 0))
-    for e in recoded.edges:
-        edges.append(((e.source, multiples[e.source] - 1), (e.target, 0), 0))
-    return EdgeShift(vertices, edges, Alphabet.of_size(1))
+            raise HypothesisError("roof value at %s is not a positive integer multiple of %s"
+                                  % (recoded.texts[v], delta))
+        bottom.append(len(names))
+        names += ["%s@%d" % (recoded.texts[v], l) for l in range(int(q))]
+    bottom.append(len(names))
+    edges = [(u, u + 1, 0) for v in recoded.vertices for u in range(bottom[v], bottom[v + 1] - 1)]
+    edges += [(bottom[s + 1] - 1, bottom[t], 0) for s, t in zip(recoded.sources, recoded.targets)]
+    return EdgeShift(names, edges, Alphabet.of_size(1), numbered=True)
 
 
 # -- density of non-mixing roofs --------------------------------------------

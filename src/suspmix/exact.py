@@ -346,8 +346,11 @@ def common_rows(values: Sequence[QVector]) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def from_rows(basis: RealBasis, rows: Iterable[Sequence[int]], den: int) -> list[QVector]:
-    """One QVector ``row / den`` per integer row, each in lowest terms."""
-    return [_reduced(basis, tuple(row), den) for row in rows]
+    """One QVector ``row / den`` per integer row, each in lowest terms;
+    equal rows share one."""
+    rows = list(map(tuple, rows))
+    made = {row: _reduced(basis, row, den) for row in dict.fromkeys(rows)}
+    return [made[row] for row in rows]
 
 
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:

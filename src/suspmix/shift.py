@@ -9,6 +9,7 @@ essential (every vertex has an incoming and an outgoing edge).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -86,19 +87,19 @@ class Word:
         return Word(self.symbols * k)
 
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols) if self.symbols else "ε"
+        return "".join(map(str, self.symbols)) if self.symbols else "ε"
 
     @classmethod
     def parse(cls, text: str) -> "Word":
         """Word from a string of single-character decimal symbols."""
-        return cls(int(c) for c in text.strip())
+        return cls(map(int, text.strip()))
 
 
 class Edge(NamedTuple):
-    """One labeled edge of an EdgeShift."""
+    """One labeled edge of an EdgeShift, between vertex numbers."""
 
-    source: object
-    target: object
+    source: int
+    target: int
     label: int
 
 
@@ -106,14 +107,20 @@ class EdgeShift:
     """A shift space presented by a finite labeled directed multigraph.
 
     Every presentation is pruned to its essential part: vertices without
-    incoming or outgoing edges are dropped, until none lacks either.
+    incoming or outgoing edges are dropped, until none lacks either.  The
+    kept vertices are numbered 0 .. V-1 in their declared order; edge i
+    runs from ``sources[i]`` to ``targets[i]`` reading ``labels[i]``.
+    ``names[v]`` is the name vertex v was declared with: only reports, and
+    choices that must not depend on the numbering, read it.
 
     Parameters
     ----------
     vertices : iterable
         Hashable vertex names.
     edges : iterable of (source, target, label)
-        Directed labeled edges; parallel edges are allowed.
+        Directed labeled edges between named vertices; parallel edges are
+        allowed.  With ``numbered``, the names are distinct and the edges'
+        ends are positions in them.
     alphabet : Alphabet
         Ambient alphabet; every edge label must belong to it.
 
@@ -123,91 +130,98 @@ class EdgeShift:
         If pruning removes every vertex.
     """
 
-    def __init__(self, vertices, edges, alphabet: Alphabet):
-        vertices = list(dict.fromkeys(vertices))
-        declared = set(vertices)
-        labels = frozenset(alphabet.symbols)
-        edges = list(map(Edge._make, edges))
-        for e in edges:
-            if e.label not in labels:
-                raise ValueError("edge label %r outside alphabet" % (e.label,))
-            if e.source not in declared or e.target not in declared:
-                raise ValueError("edge %r uses undeclared vertex" % (e,))
-        vertices, edges = _essential_part(vertices, edges)
-        if not vertices:
+    def __init__(self, vertices, edges, alphabet: Alphabet, numbered: bool = False):
+        if numbered:
+            names, edges = list(vertices), list(edges)
+        else:
+            names = list(dict.fromkeys(vertices))
+            number = {v: i for i, v in enumerate(names)}
+            try:
+                edges = [(number[s], number[t], c) for s, t, c in edges]
+            except KeyError as exc:
+                raise ValueError("edge uses undeclared vertex %r" % (exc.args[0],)) from None
+        outside = {e[2] for e in edges}.difference(alphabet.symbols)
+        if outside:
+            raise ValueError("edge label %r outside alphabet" % (min(outside),))
+        kept, edges = _essential_part(range(len(names)), edges)
+        if not kept:
             raise EmptyShiftError("presentation has no bi-infinite walks")
-        self.vertices: tuple = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        if len(kept) < len(names):
+            number = {v: i for i, v in enumerate(kept)}
+            names = [names[v] for v in kept]
+            edges = [(number[s], number[t], c) for s, t, c in edges]
+        self.names: tuple = tuple(names)
+        self.vertices = range(len(names))
+        self.sources, self.targets, self.labels = (tuple(x) for x in zip(*edges))
         self.alphabet = alphabet
-        self._out: dict = {v: [] for v in self.vertices}
-        self._in: dict = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            self._out[e.source].append(i)
-            self._in[e.target].append(i)
+        self._out: list[list[int]] = [[] for _ in names]
+        self._in: list[list[int]] = [[] for _ in names]
+        for i, (s, t) in enumerate(zip(self.sources, self.targets)):
+            self._out[s].append(i)
+            self._in[t].append(i)
         # (start state set, step memo) of is_word_admissible, made on first use
         self._walk = None
 
     # -- basic queries ------------------------------------------------------
 
-    def out_edges(self, v) -> list[int]:
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as records, built on first use."""
+        return tuple(map(Edge, self.sources, self.targets, self.labels))
+
+    @functools.cached_property
+    def texts(self) -> tuple[str, ...]:
+        """``str`` of each vertex's name, made once."""
+        return tuple(map(str, self.names))
+
+    def out_edges(self, v: int) -> list[int]:
         """Indices into ``edges`` of the out-edges of v."""
         return self._out[v]
 
-    def in_edges(self, v) -> list[int]:
+    def in_edges(self, v: int) -> list[int]:
         return self._in[v]
 
     def is_right_resolving(self) -> bool:
-        for v in self.vertices:
-            labels = [self.edges[i].label for i in self._out[v]]
-            if len(labels) != len(set(labels)):
-                return False
-        return True
+        return all(len(out) == len({self.labels[i] for i in out}) for out in self._out)
 
-    def step(self, states: set, symbol: int) -> set:
+    def step(self, states, symbol: int) -> set[int]:
         """Targets of edges labeled ``symbol`` leaving any state in ``states``."""
-        out = set()
-        for v in states:
-            for i in self._out[v]:
-                if self.edges[i].label == symbol:
-                    out.add(self.edges[i].target)
-        return out
+        out, targets, labels = self._out, self.targets, self.labels
+        return {targets[i] for v in states for i in out[v] if labels[i] == symbol}
 
     def __repr__(self) -> str:
-        return "EdgeShift(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
+        return "EdgeShift(%d vertices, %d edges)" % (len(self.vertices), len(self.labels))
 
 
 def _essential_part(vertices, edges):
     """Drop vertices lacking in- or out-edges, until none lacks either.
 
-    The degrees are counted once; when no vertex lacks either, the input
-    is returned as it is.  Otherwise one worklist over the degrees drops
-    each edge once; the kept vertices and edges stay in their input order.
+    The degrees of the (source, target, label) edges are counted once; when
+    no vertex lacks either, the input is returned as it is.  Otherwise one
+    worklist over the degrees drops each edge once; the kept vertices and
+    edges stay in their input order.
     """
-    outdeg = Counter(e.source for e in edges)
-    indeg = Counter(e.target for e in edges)
+    outdeg = Counter(e[0] for e in edges)
+    indeg = Counter(e[1] for e in edges)
     if len(outdeg) == len(indeg) == len(vertices):
         return vertices, edges
-    into = {v: [] for v in vertices}
-    out = {v: [] for v in vertices}
+    touching = {v: [] for v in vertices}
     for i, e in enumerate(edges):
-        out[e.source].append(i)
-        into[e.target].append(i)
+        touching[e[0]].append(i)
+        touching[e[1]].append(i)
     dropped = [v for v in vertices if not indeg[v] or not outdeg[v]]
     dead = set(dropped)
     cut = [False] * len(edges)
     while dropped:
-        v = dropped.pop()
-        for i in out[v] + into[v]:
-            if cut[i]:
-                continue
-            cut[i] = True
-            e = edges[i]
-            outdeg[e.source] -= 1
-            indeg[e.target] -= 1
-            for u in (e.source, e.target):
-                if u not in dead and (not indeg[u] or not outdeg[u]):
-                    dead.add(u)
-                    dropped.append(u)
+        for i in touching[dropped.pop()]:
+            if not cut[i]:
+                cut[i] = True
+                outdeg[edges[i][0]] -= 1
+                indeg[edges[i][1]] -= 1
+                for u in edges[i][:2]:
+                    if u not in dead and (not indeg[u] or not outdeg[u]):
+                        dead.add(u)
+                        dropped.append(u)
     return [v for v in vertices if v not in dead], [e for i, e in enumerate(edges) if not cut[i]]
 
 
@@ -245,13 +259,14 @@ def sft_from_forbidden_words(alphabet: Alphabet, forbidden: Iterable[Word]) -> E
         )
 
     blocks = [b for b in itertools.product(alphabet.symbols, repeat=k - 1) if clean(b)]
+    number = {b: i for i, b in enumerate(blocks)}
     edges = []
-    for b in blocks:
+    for i, b in enumerate(blocks):
         for c in alphabet.symbols:
             if clean(b + (c,)):
-                edges.append((Word(b), Word(b[1:] + (c,)), c))
+                edges.append((i, number[b[1:] + (c,)], c))
     try:
-        return EdgeShift([Word(b) for b in blocks], edges, alphabet)
+        return EdgeShift([Word(b) for b in blocks], edges, alphabet, numbered=True)
     except EmptyShiftError:
         raise EmptyShiftError("every bi-infinite sequence hits a forbidden word")
 
@@ -259,43 +274,38 @@ def sft_from_forbidden_words(alphabet: Alphabet, forbidden: Iterable[Word]) -> E
 def _block_sweep(shift: EdgeShift):
     """Yield, for n = 0, 1, 2, ..., the map from each admissible n-block
     (a tuple of symbols) to the set of ends of the edge paths spelling it."""
-    ends: dict[tuple, set] = {(): set(shift.vertices)}
+    out, targets, labels = shift._out, shift.targets, shift.labels
+    ends: dict[tuple, set[int]] = {(): set(shift.vertices)}
     while True:
         yield ends
-        longer: dict[tuple, set] = {}
+        longer: dict[tuple, set[int]] = {}
         for blk, vs in ends.items():
             for v in vs:
-                for i in shift._out[v]:
-                    e = shift.edges[i]
-                    longer.setdefault(blk + (e.label,), set()).add(e.target)
+                for i in out[v]:
+                    longer.setdefault(blk + (labels[i],), set()).add(targets[i])
         ends = longer
 
 
 def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple[EdgeShift, dict[int, Word]]:
     """The presentation on the (end, block) pairs of one map of the sweep.
 
-    A vertex is shown as its plain block when that block has one end.  The
-    edge out of (v, block) along base edge e is labeled e's symbol and
-    reads the window block + symbol.  Each pair is named once, and the
-    vertex and every edge end share that name.
+    The pairs are numbered by block, and the ends of one block by their
+    names' text.  A vertex is named by its plain block when that block has
+    one end, else by (end's name, block).  The edge out of (v, block) along
+    base edge e is labeled e's symbol and reads the window block + symbol.
     """
-    names = {}
-    for blk in sorted(ends):
-        vs = ends[blk]
-        if len(vs) == 1:
-            names[next(iter(vs)), blk] = Word(blk)
-        else:
-            for v in sorted(vs, key=str):
-                names[v, blk] = (v, Word(blk))
+    pairs = [(v, blk) for blk in sorted(ends) for v in sorted(ends[blk], key=base.texts.__getitem__)]
+    number = {pair: i for i, pair in enumerate(pairs)}
+    names = [Word(blk) if len(ends[blk]) == 1 else (base.names[v], Word(blk)) for v, blk in pairs]
+    out, targets, labels = base._out, base.targets, base.labels
     edges = []
     windows = {}
-    for (v, blk), source in names.items():
-        for i in base.out_edges(v):
-            e = base.edges[i]
-            window = blk + (e.label,)
+    for (v, blk), source in number.items():
+        for i in out[v]:
+            window = blk + (labels[i],)
             windows[len(edges)] = Word(window)
-            edges.append((source, names[e.target, window[1:]], e.label))
-    return EdgeShift(list(names.values()), edges, base.alphabet), windows
+            edges.append((source, number[targets[i], window[1:]], labels[i]))
+    return EdgeShift(names, edges, base.alphabet, numbered=True), windows
 
 
 def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, Word]]:
@@ -317,7 +327,7 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
         raise ValueError("block length must be >= 0")
     base = resolving_base(shift)
     if k == 0:
-        return base, {i: Word([e.label]) for i, e in enumerate(base.edges)}
+        return base, {i: Word([c]) for i, c in enumerate(base.labels)}
     return _block_graph(base, next(itertools.islice(_block_sweep(base), k, None)))
 
 
@@ -362,7 +372,8 @@ def has_synchronizing_word(shift: EdgeShift) -> bool:
 
 def _subset_edges(shift: EdgeShift) -> Iterator[tuple[frozenset, frozenset, int]]:
     """Edges (S, T, c) of the subset graph from the set of all vertices: T is
-    the nonempty set of ends of the c-labeled edges out of S.  Depth first."""
+    the nonempty set of ends of the c-labeled edges out of S.  Depth first;
+    the sets hold vertex numbers."""
     start = frozenset(shift.vertices)
     seen = {start}
     stack = [start]
@@ -385,15 +396,18 @@ def determinize(shift: EdgeShift) -> EdgeShift:
     connected, has a synchronizing word, and presents the same shift (Lind
     & Marcus, §3.3).
     """
-    edges = list(_subset_edges(shift))
-    states = {frozenset(shift.vertices), *(t for _, t, _ in edges)}
-    subsets = EdgeShift(states, edges, shift.alphabet)
+    number = {frozenset(shift.vertices): 0}
+    edges = [(number.setdefault(s, len(number)), number.setdefault(t, len(number)), c)
+             for s, t, c in _subset_edges(shift)]
+    names = [frozenset(map(shift.names.__getitem__, s)) for s in number]
+    subsets = EdgeShift(names, edges, shift.alphabet, numbered=True)
     if not is_transitive(shift):
         return subsets
-    # every subset reaches each smallest one, so what that reaches is terminal
-    keep = reachable(subsets, min(subsets.vertices, key=len))
-    return EdgeShift([s for s in subsets.vertices if s in keep],
-                     [e for e in subsets.edges if e.source in keep], shift.alphabet)
+    # every subset reaches each smallest one, so what that reaches is
+    # terminal; pruning drops the rest, left without out-edges
+    keep = reachable(subsets, min(subsets.vertices, key=lambda v: len(subsets.names[v])))
+    return EdgeShift(subsets.names, [e for e in subsets.edges if keep[e.source]], shift.alphabet,
+                     numbered=True)
 
 
 # -- language and structure -------------------------------------------------
@@ -428,43 +442,41 @@ def admissible_words(shift: EdgeShift, length: int) -> list[Word]:
     return sorted(Word(b) for b in next(itertools.islice(_block_sweep(shift), length, None)))
 
 
-def reachable(shift: EdgeShift, root, forward: bool = True) -> set:
-    """Vertices reachable from root along edges (against them if not forward)."""
-    adjacency = shift._out if forward else shift._in
-    seen = {root}
+def reachable(shift: EdgeShift, root: int, forward: bool = True) -> list[bool]:
+    """Per vertex, whether root reaches it along (or if not forward, against) edges."""
+    adjacency, ends = (shift._out, shift.targets) if forward else (shift._in, shift.sources)
+    seen = [False] * len(shift.vertices)
+    seen[root] = True
     stack = [root]
     while stack:
         for i in adjacency[stack.pop()]:
-            e = shift.edges[i]
-            v = e.target if forward else e.source
-            if v not in seen:
-                seen.add(v)
+            v = ends[i]
+            if not seen[v]:
+                seen[v] = True
                 stack.append(v)
     return seen
 
 
 def is_transitive(shift: EdgeShift) -> bool:
     """True iff the presenting graph is strongly connected."""
-    root = shift.vertices[0]
-    n = len(shift.vertices)
-    return len(reachable(shift, root)) == n and len(reachable(shift, root, forward=False)) == n
+    return all(reachable(shift, 0)) and all(reachable(shift, 0, forward=False))
 
 
 def base_period(shift: EdgeShift) -> int:
     """gcd of the lengths of all cycles; the base shift is mixing iff 1."""
     if not is_transitive(shift):
         raise ValueError("base_period requires a strongly connected presentation")
-    root = shift.vertices[0]
-    level = {root: 0}
-    queue = [root]
+    level = [None] * len(shift.vertices)
+    level[0] = 0
+    queue = [0]
     while queue:
         u = queue.pop()
         for i in shift.out_edges(u):
-            v = shift.edges[i].target
-            if v not in level:
+            v = shift.targets[i]
+            if level[v] is None:
                 level[v] = level[u] + 1
                 queue.append(v)
-    return math.gcd(*(level[e.source] + 1 - level[e.target] for e in shift.edges)) or 1
+    return math.gcd(*(level[s] + 1 - level[t] for s, t in zip(shift.sources, shift.targets))) or 1
 
 
 # -- points -----------------------------------------------------------------

@@ -108,7 +108,7 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
     if not is_transitive(shift):
         raise HypothesisError("weighted presentation is not strongly connected")
     basis = weighted.weights[0].basis
-    root = min(shift.vertices, key=str)
+    root = min(shift.vertices, key=lambda v: str(shift.names[v]))
     potentials = {root: basis.zero()}
     tree = {}
     frontier = [root]
@@ -157,7 +157,7 @@ def normalize_to_delta_grid(shift, roof, delta):
     if float(delta) >= min_w:
         shrink = math.floor(float(delta) / min_w) + 1
         delta = delta.scale(Fraction(1, shrink))
-    g = {v: _reduce_mod(-data.potentials[v], delta) for v in recoded.vertices}
+    g = [_reduce_mod(-data.potentials[v], delta) for v in recoded.vertices]
     s = {}
     for i, e in enumerate(recoded.edges):
         s_val = weights[i] - g[e.source] + g[e.target]
@@ -165,7 +165,7 @@ def normalize_to_delta_grid(shift, roof, delta):
         if q is None or q.denominator != 1 or q < 1:
             raise ArithmeticError("normalized value %s is not in %s*N" % (s_val, delta))
         s[windows[i]] = s_val
-    return delta, g, s
+    return delta, dict(zip(recoded.names, g)), s
 
 
 # -- exact values as tuples of Fractions --------------------------------------

@@ -8,11 +8,17 @@ at every block length until each vertex is named by its block.  The last
 tests build several presentations of one shift, which must decide alike.
 """
 
+import contextlib
+import io
 import itertools
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from suspmix.cli import main
 from suspmix.decider import (
     HypothesisError,
     are_cohomologous,
@@ -32,6 +38,7 @@ from suspmix.shift import (
     admissible_words,
     determinize,
     higher_block_recode,
+    is_transitive,
     is_word_admissible,
     resolving_base,
     sft_from_forbidden_words,
@@ -90,9 +97,9 @@ def reference_recode(shift, k):
         by_block.setdefault(blk, set()).add(v)
 
     def name(v, blk):
-        return Word(blk) if len(by_block[blk]) == 1 else (v, Word(blk))
+        return Word(blk) if len(by_block[blk]) == 1 else (base.names[v], Word(blk))
 
-    ordered = sorted(pairs, key=lambda p: (p[1], str(p[0])))
+    ordered = sorted(pairs, key=lambda p: (p[1], str(base.names[p[0]])))
     edges, windows = [], []
     for v, blk in ordered:
         for i in base.out_edges(v):
@@ -108,7 +115,7 @@ def reference_presentation(shift, k):
     base = resolving_base(shift)
     for kk in range(k, k + len(shift.vertices) + 2):
         recoded, windows = higher_block_recode(base, kk)
-        if all(isinstance(v, Word) for v in recoded.vertices):
+        if all(isinstance(v, Word) for v in recoded.names):
             return recoded, windows, kk
     return None
 
@@ -117,7 +124,7 @@ def same_presentation(got, want):
     if want is None:
         return got is None
     (g, g_windows, g_k), (w, w_windows, w_k) = got, want
-    return (g.vertices, g.edges, g_windows, g_k) == (w.vertices, w.edges, w_windows, w_k)
+    return (g.names, g.edges, g_windows, g_k) == (w.names, w.edges, w_windows, w_k)
 
 
 @SWEEP
@@ -125,10 +132,9 @@ def same_presentation(got, want):
 def test_higher_block_recode_matches_the_per_vertex_frontier(shift, k):
     assume(shift is not None)
     got, want = higher_block_recode(shift, k), reference_recode(shift, k)
-    assert (got[0].vertices, got[0].edges, got[1]) == (want[0].vertices, want[0].edges, want[1])
-    # each (end, block) pair is named once, and its edges share that name
-    names = {id(v) for v in got[0].vertices}
-    assert all(id(e.source) in names and id(e.target) in names for e in got[0].edges)
+    assert (got[0].names, got[0].edges, got[1]) == (want[0].names, want[0].edges, want[1])
+    # each (end, block) pair is one vertex
+    assert len(set(got[0].names)) == len(got[0].names)
 
 
 @SWEEP
@@ -179,7 +185,8 @@ def test_edge_roof_value_depends_only_on_the_target_block(shift, past, future, d
         for i, w in enumerate(itertools.product(range(3), repeat=width))
     })
     for i, e in enumerate(recoded.edges):
-        assert roof.value_at(windows[i], kk - future) == roof.value_at(e.target, kk - 1 - future)
+        target = recoded.names[e.target]
+        assert roof.value_at(windows[i], kk - future) == roof.value_at(target, kk - 1 - future)
 
 
 def even_shift():
@@ -285,3 +292,63 @@ def test_a_presentation_without_a_synchronizing_word():
         roof = LocallyConstantRoof(past, future, {
             Word(w): one for w in itertools.product((0, 1), repeat=past + future + 1)})
         assert verdict_delta_reason(shift, roof) == ("NotTopMixing", one, "")
+
+
+# -- the numbering of the vertices ---------------------------------------------
+
+
+@st.composite
+def symbol_determined_edge_lists(draw):
+    """A strongly connected edge list on named vertices, binary labels,
+    whose blocks of some length name every vertex: a ring through 2-4
+    vertices and one to five more edges."""
+    n = draw(st.integers(2, 4))
+    labels = st.integers(0, 1)
+    ends = st.integers(0, n - 1)
+    edges = [(i, (i + 1) % n, draw(labels)) for i in range(n)]
+    edges += draw(st.lists(st.tuples(ends, ends, labels), min_size=1, max_size=5))
+    edges = [("v%d" % s, "v%d" % t, c) for s, t, c in edges]
+    shift = EdgeShift(sorted({v for e in edges for v in e[:2]}), edges, BINARY)
+    assume(is_transitive(shift) and symbol_named_presentation(shift, 2) is not None)
+    return edges
+
+
+def edge_config(edges, roof, roof2) -> str:
+    def table(values):
+        return "".join("%s = %s\n" % (w, v) for w, v in sorted(values.items()))
+    return ("[shift]\nkind = edges\nalphabet = 2\nedges = %s\n\n[roof]\npast = 0\nfuture = 1\n%s"
+            "\n[roof2]\n%s" % (", ".join("%s %s %d" % e for e in edges), table(roof), table(roof2)))
+
+
+def report(argv, config: str):
+    """Exit code, stdout and stderr of one command on ``config``; the
+    config's hash, which the edge order changes, is left out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.cfg"
+        path.write_text(config)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(path)])
+    lines = [line for line in out.getvalue().split("\n") if '"config_sha256"' not in line]
+    return code, "\n".join(lines), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(symbol_determined_edge_lists(), st.data())
+def test_reports_do_not_depend_on_the_edge_order(edges, data):
+    """The declared edge order numbers the edges and fixes the spanning
+    tree, but the root is the vertex whose name reads least, and g mod
+    delta does not depend on the tree: normalize, section and a
+    cohomologous test print the same bytes for every order.  The roof is
+    a grid roof plus a nonzero coboundary, so that g is not constant;
+    section reads the grid roof itself."""
+    windows = ["00", "01", "10", "11"]
+    grid = {w: data.draw(st.integers(1, 3)) for w in windows}
+    h = {"0": 0, "1": Fraction(data.draw(st.integers(1, 3)), 4)}
+    shifted = {w: grid[w] + h[w[1]] - h[w[0]] for w in windows}
+    shuffled = data.draw(st.permutations(edges))
+    for argv, roof, roof2 in ((["cohomology", "--mode", "normalize"], shifted, grid),
+                              (["cohomology", "--mode", "test"], shifted, grid),
+                              (["cohomology", "--mode", "section"], grid, shifted)):
+        want = report(argv + ["--json"], edge_config(edges, roof, roof2))
+        assert report(argv + ["--json"], edge_config(shuffled, roof, roof2)) == want, argv

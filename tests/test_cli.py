@@ -184,6 +184,17 @@ class TestInputErrors:
         assert main(argv + ["--config", str(cfg)]) == 2
         assert one_error_line(capsys) == "error: window 1 not in roof table (inadmissible context)"
 
+    @pytest.mark.parametrize("kind", ["full", "forbidden-words\nforbidden = 00",
+                                      "edges\nedges = p p 10, p p 1"])
+    def test_an_alphabet_above_ten_symbols(self, tmp_path, capsys, kind):
+        # a window spells one decimal digit per symbol, so 10 and (1, 0) would read alike
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[shift]\nkind = %s\nalphabet = 11\n\n[roof]\npast = 0\nfuture = 0\n0 = 1\n"
+                       % kind)
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == (
+            "error: alphabet 11 is above 10: windows spell each symbol as one digit")
+
     def test_a_sign_the_float_guard_cannot_certify(self, tmp_path, capsys):
         cfg = tmp_path / "ambiguous.cfg"
         cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[basis]\n"

@@ -84,8 +84,9 @@ def test_long_tail_is_pruned_in_linear_time(inward):
     start = time.perf_counter()
     shift = EdgeShift(range(n + 2), edges, BINARY)
     elapsed = time.perf_counter() - start
-    assert shift.vertices == (n, n + 1)
-    assert [(e.source, e.target) for e in shift.edges] == [(n, n + 1), (n + 1, n)]
+    assert shift.names == (n, n + 1)
+    assert [(shift.names[e.source], shift.names[e.target]) for e in shift.edges] == [
+        (n, n + 1), (n + 1, n)]
     assert elapsed < 1.0
 
 
@@ -145,7 +146,7 @@ def test_beta_graph_core_is_the_scc_of_v1(beta, depth):
         for _ in range(nu[n - 1]):
             full.add_edge("V%d" % n, "V1")
     scc = next(c for c in nx.strongly_connected_components(full) if "V1" in c)
-    assert set(build_beta_graph(shift, depth).vertices) == scc
+    assert set(build_beta_graph(shift, depth).names) == scc
 
 
 @pytest.mark.parametrize("beta", BETAS, ids=str)
@@ -156,8 +157,9 @@ def test_beta_graph_keeps_the_two_sweep_core(beta):
     for depth in range(1, 17):
         graph = build_beta_graph(shift, depth)
         vertices, edges = beta_graph_core(shift, depth)
-        assert sorted(graph.vertices) == vertices, depth
-        assert list(graph.edges) == edges, depth
+        assert sorted(graph.names) == vertices, depth
+        assert [(graph.names[e.source], graph.names[e.target], e.label)
+                for e in graph.edges] == edges, depth
 
 
 def ring_with_chord(n, labels):

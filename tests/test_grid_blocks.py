@@ -72,12 +72,12 @@ def weighted_graphs(draw):
 @given(weighted_graphs())
 def test_cycle_data_matches_the_qvector_reference(weighted):
     got, want = cycle_data(weighted), reference.cycle_data(weighted)
+    vertices = weighted.shift.vertices
     assert got.root == want.root
-    assert got.tree == want.tree
-    assert got.potentials == want.potentials
-    assert list(got.potentials) == list(want.potentials)
+    assert got.tree == [want.tree.get(v) for v in vertices]
+    assert got.potentials == [want.potentials[v] for v in vertices]
     assert got.cycle_values == want.cycle_values
-    for v in got.cycle_values + tuple(got.potentials.values()):
+    for v in got.cycle_values + tuple(got.potentials):
         assert v.den > 0 and math.gcd(v.den, *v.num) == 1
 
 

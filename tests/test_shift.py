@@ -73,13 +73,13 @@ class TestConstructors:
 class TestHigherBlock:
     def test_full_shift_two_blocks(self):
         recoded, windows = higher_block_recode(full_shift(BINARY), 1)
-        assert sorted(str(v) for v in recoded.vertices) == ["0", "1"]
+        assert sorted(str(v) for v in recoded.names) == ["0", "1"]
         assert len(recoded.edges) == 4
         assert sorted(str(w) for w in windows.values()) == ["00", "01", "10", "11"]
 
     def test_golden_mean_two_blocks(self):
         recoded, _ = higher_block_recode(golden_mean(), 2)
-        assert sorted(str(v) for v in recoded.vertices) == ["00", "01", "10"]
+        assert sorted(str(v) for v in recoded.names) == ["00", "01", "10"]
 
     def test_preserves_language(self):
         shift = golden_mean()
@@ -173,7 +173,7 @@ class TestDeterminize:
         # the full set {p, q} loops on 0 but is left for good on 1
         shift = EdgeShift("pq", [("p", "q", 0), ("p", "q", 0), ("q", "p", 0), ("p", "q", 1)], BINARY)
         det = determinize(shift)
-        assert set(det.vertices) == {frozenset("p"), frozenset("q")}
+        assert set(det.names) == {frozenset("p"), frozenset("q")}
         assert det.is_right_resolving() and is_transitive(det)
         for n in range(7):
             for w in itertools.product((0, 1), repeat=n):
@@ -182,7 +182,7 @@ class TestDeterminize:
     def test_keeps_every_subset_of_an_intransitive_graph(self):
         # two loops have no common terminal component
         shift = EdgeShift(range(2), [(0, 0, 1), (0, 0, 1), (1, 1, 0)], BINARY)
-        assert set(determinize(shift).vertices) == {frozenset({0}), frozenset({1})}
+        assert set(determinize(shift).names) == {frozenset({0}), frozenset({1})}
 
 
 class TestPoints:

@@ -130,7 +130,8 @@ class TestBetaGraph:
         graph = build_beta_graph(shift, 3)
         assert len(graph.vertices) == 3
         falls = {
-            v: sorted(e.label for e in graph.edges if e.source == v and e.target == "V1")
+            v: sorted(e.label for e in graph.edges
+                      if graph.names[e.source] == v and graph.names[e.target] == "V1")
             for v in ("V1", "V2", "V3")
         }
         assert falls == {"V1": [0, 1], "V2": [], "V3": [0]}
