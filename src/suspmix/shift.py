@@ -140,9 +140,9 @@ class EdgeShift:
                 edges = [(number[s], number[t], c) for s, t, c in edges]
             except KeyError as exc:
                 raise ValueError("edge uses undeclared vertex %r" % (exc.args[0],)) from None
-        outside = {e[2] for e in edges}.difference(alphabet.symbols)
-        if outside:
-            raise ValueError("edge label %r outside alphabet" % (min(outside),))
+        outside = next((e[2] for e in edges if e[2] not in alphabet.symbols), None)
+        if outside is not None:
+            raise ValueError("edge label %r outside alphabet" % (outside,))
         kept, edges = _essential_part(range(len(names)), edges)
         if not kept:
             raise EmptyShiftError("presentation has no bi-infinite walks")
