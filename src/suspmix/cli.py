@@ -93,6 +93,8 @@ class SystemConfig:
     options: tuple[tuple[str, str], ...] = ()
     # exact roof values by their rendered text, filled by ``normalized``
     _values: dict[str, QVector] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # roof windows by their text, parsed once for [roof] and [roof2]
+    _words: dict[str, Word] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def parse(cls, text: str) -> "SystemConfig":
@@ -231,7 +233,11 @@ class SystemConfig:
         return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof2_table))
 
     def _table(self, rows: tuple[tuple[str, str], ...]) -> dict[Word, QVector]:
-        return {Word.parse(w): self._values[v] for w, v in rows}
+        words = self._words
+        for w, _ in rows:
+            if w not in words:
+                words[w] = Word.parse(w)
+        return {words[w]: self._values[v] for w, v in rows}
 
     def option(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return dict(self.options).get(key, default)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from suspmix.exact import (QVector, RealBasis, common_rows, floor_mod, from_rows,
                            setwise_commensurate)
-from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum, window_counts
+from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
@@ -71,8 +71,14 @@ class MixingVerdict:
             rec["bound"] = self.bound
         if self.reason:
             rec["reason"] = self.reason
-        rec["generators"] = [g.render() for g in self.generators]
-        rec["witness_orbits"] = [str(w) for w in self.witnesses]
+        # a scan lists a few distinct sums over many orbits, each sum one
+        # object; equal values that are not one object render alike anyway
+        texts: dict = {}
+        for g in self.generators:
+            if id(g) not in texts:
+                texts[id(g)] = g.render()
+        rec["generators"] = [texts[id(g)] for g in self.generators]
+        rec["witness_orbits"] = list(map(str, self.witnesses))
         return rec
 
 
@@ -222,37 +228,39 @@ def periodic_words_in_cylinder(
             return []
         symbols.remove(v[0])
         symbols.insert(0, v[0])
-    rank = {s: i for i, s in enumerate(symbols)}
+    # the symbols ranked above each symbol, highest first, as they are pushed
+    above = {s: tuple(symbols[:i:-1]) for i, s in enumerate(symbols)}
+    is_admissible, periodic_admissible = oracle.is_admissible, oracle.periodic_admissible
+    rotate = len(v) > 1
     found = []
     prefix: list = []
     # (length, period, last symbol): the prefix of that length, whose
     # smallest period is p, is a prenecklace; it is Lyndon iff p == length
     stack = [(1, 1, s) for s in reversed(symbols[:1] if len(v) else symbols)]
+    pop, push = stack.pop, stack.append
     while stack:
-        t, p, s = stack.pop()
+        t, p, s = pop()
         del prefix[t - 1 :]
         prefix.append(s)
         word = Word(prefix)
-        if not oracle.is_admissible(word):
+        if not is_admissible(word):
             continue
         if p == t:
-            w = _rotation_in_cylinder(word, v)
-            if w is not None and oracle.periodic_admissible(word):
+            w = _rotation_in_cylinder(word, v) if rotate else word
+            if w is not None and periodic_admissible(word):
                 found.append(w)
         if t < period_bound:
             repeat = prefix[t - p]
-            stack.extend(
-                (t + 1, t + 1, symbols[j])
-                for j in range(len(symbols) - 1, rank[repeat], -1)
-            )
-            stack.append((t + 1, p, repeat))
+            t += 1
+            for a in above[repeat]:
+                push((t, t, a))
+            push((t, p, repeat))
     return found
 
 
 def _rotation_in_cylinder(lyndon: Word, v: Word) -> Optional[Word]:
-    """The first rotation of ``lyndon`` whose repetition starts with v."""
-    if len(v) <= 1:
-        return lyndon
+    """The first rotation of ``lyndon`` whose repetition starts with v,
+    for |v| >= 2."""
     n = len(lyndon)
     for i in range(n):
         if all(lyndon[(i + k) % n] == v[k] for k in range(len(v))):
@@ -260,22 +268,36 @@ def _rotation_in_cylinder(lyndon: Word, v: Word) -> Optional[Word]:
     return None
 
 
-def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
-    """Exact Birkhoff sum over one period of each w-bar.
+def _orbit_sums(
+    roof: LocallyConstantRoof, words: list[Word]
+) -> tuple[list[QVector], list[QVector]]:
+    """Exact Birkhoff sum over one period of each w-bar, and the distinct
+    sums in order of first occurrence; equal sums are one object.
 
-    The sum depends only on how often each roof window occurs cyclically
-    in w, so one exact sum is computed per distinct vector of such counts.
+    The sum depends only on the multiset of roof windows that occur
+    cyclically in w, so one exact sum is computed per distinct multiset,
+    keyed by its windows sorted; a width-1 roof's windows are the symbols
+    of w.  A word that reads a window missing from the table shares its
+    multiset with no earlier word (that one would have raised), so its sum
+    is computed, and raises.
     """
     width = roof.past + roof.future + 1
-    by_counts: dict = {}
+    by_windows: dict = {}
+    distinct: dict = {}
     sums = []
     for w in words:
-        n = len(w)
-        counts = frozenset(window_counts(w.symbols * (width // n + 2), width, n).items())
-        if counts not in by_counts:
-            by_counts[counts] = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), n)
-        sums.append(by_counts[counts])
-    return sums
+        if width == 1:
+            key = tuple(sorted(w.symbols))
+        else:
+            n = len(w)
+            cyclic = w.symbols * (width // n + 2)
+            key = tuple(sorted(zip(*[cyclic[k : k + n] for k in range(width)])))
+        total = by_windows.get(key)
+        if total is None:
+            total = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), len(w))
+            total = by_windows[key] = distinct.setdefault(total, total)
+        sums.append(total)
+    return sums, list(distinct)
 
 
 def decide_mixing_synchronized(
@@ -298,9 +320,9 @@ def decide_mixing_synchronized(
             bound=period_bound,
             reason="no periodic point found in the cylinder within the period bound",
         )
-    sums = _orbit_sums(roof, words)
+    sums, distinct = _orbit_sums(roof, words)
     # positive roofs give nonzero sums, so None means rank >= 2
-    delta = setwise_commensurate(list(dict.fromkeys(sums)))
+    delta = setwise_commensurate(distinct)
     if delta is None:
         return MixingVerdict("TopMixing", generators=tuple(sums), witnesses=tuple(words))
     return MixingVerdict(

@@ -50,6 +50,16 @@ class RealBasis:
             raise ValueError("duplicate basis names: %r" % (self.names,))
         if any(a <= 0 for a in self.approx):
             raise ValueError("basis approximations must be strictly positive")
+        # not a field: the hash the dataclass would compute, so set orders
+        # hold; every QVector hash asks for it
+        object.__setattr__(self, "_hash", hash((self.names, self.approx)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string hash differs between processes
+        return RealBasis, (self.names, self.approx)
 
     @classmethod
     def rational(cls) -> "RealBasis":

@@ -190,19 +190,29 @@ def birkhoff_sum(roof, p, n: int):
     Exact (QVector) for locally constant roofs, float otherwise.  A table
     roof reads p[-past .. n + future) once, counts its windows, and sums
     count × value on integer rows, with one lookup per distinct window in
-    order of first occurrence.
+    order of first occurrence.  A purely periodic point is read as a slice
+    of its period repeated.
     """
     if n < 0:
         raise ValueError("birkhoff_sum needs n >= 0")
     if isinstance(roof, LocallyConstantRoof):
         if not n:
             return roof.basis.zero()
-        symbols = [p[i] for i in range(-roof.past, n + roof.future)]
+        symbols = _read(p, -roof.past, n + roof.future)
         counts = window_counts(symbols, roof.past + roof.future + 1, n)
         den, rows = common_rows([roof.value_on_window(Word(w)) for w in counts])
         total = [sum(map(mul, counts.values(), column)) for column in zip(*rows)]
         return from_rows(roof.basis, [total], den)[0]
     return sum(roof.value_at(p, j) for j in range(n))
+
+
+def _read(p, lo: int, hi: int):
+    """The symbols p[lo .. hi) as a sequence."""
+    if p.__class__ is EventuallyPeriodicPoint and not p.core and p.left_period == p.right_period:
+        period = p.right_period.symbols
+        start = (lo + p.origin_offset) % len(period)
+        return (period * ((start + hi - lo) // len(period) + 1))[start : start + hi - lo]
+    return [p[i] for i in range(lo, hi)]
 
 
 def window_counts(symbols, width: int, n: int) -> Counter:

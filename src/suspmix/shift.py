@@ -44,6 +44,10 @@ class Alphabet:
         return len(self.symbols)
 
 
+# the text of each one-digit symbol
+_DIGITS = {s: str(s) for s in range(10)}
+
+
 @dataclass(frozen=True, order=True)
 class Word:
     """A finite string of symbols; compares lexicographically."""
@@ -54,7 +58,9 @@ class Word:
     _hash = None
 
     def __init__(self, symbols: Iterable[int] = ()):
-        object.__setattr__(self, "symbols", tuple(symbols))
+        # past the frozen check, as object.__setattr__, with one call fewer:
+        # the scan builds a Word per node
+        self.__dict__["symbols"] = tuple(symbols)
 
     def __hash__(self) -> int:
         # the value the dataclass would compute, so set iteration order holds
@@ -87,7 +93,12 @@ class Word:
         return Word(self.symbols * k)
 
     def __str__(self) -> str:
-        return "".join(map(str, self.symbols)) if self.symbols else "ε"
+        if not self.symbols:
+            return "ε"
+        try:
+            return "".join(map(_DIGITS.__getitem__, self.symbols))
+        except KeyError:  # a symbol outside 0-9
+            return "".join(map(str, self.symbols))
 
     @classmethod
     def parse(cls, text: str) -> "Word":

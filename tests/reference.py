@@ -363,3 +363,71 @@ def two_orbit_periodic_by_repetition(w: Word, i_cap=None) -> bool:
         return False
     reps = max(6, -(-140 // len(w)))
     return two_orbit_is_admissible(w * reps, i_cap)
+
+
+# -- the periodic-orbit scan ----------------------------------------------------
+
+
+def lyndon_scan(oracle, v: Word, period_bound: int) -> list[Word]:
+    """``decider.periodic_words_in_cylinder`` as it was written before its
+    per-node work was cut: the rank dictionary, a generator of children
+    per node and the rotation asked of every Lyndon word."""
+    symbols = list(oracle.alphabet.symbols)
+    if len(v):
+        if v[0] not in symbols:
+            return []
+        symbols.remove(v[0])
+        symbols.insert(0, v[0])
+    rank = {s: i for i, s in enumerate(symbols)}
+    found = []
+    prefix: list = []
+    stack = [(1, 1, s) for s in reversed(symbols[:1] if len(v) else symbols)]
+    while stack:
+        t, p, s = stack.pop()
+        del prefix[t - 1 :]
+        prefix.append(s)
+        word = Word(prefix)
+        if not oracle.is_admissible(word):
+            continue
+        if p == t:
+            w = rotation_in_cylinder(word, v)
+            if w is not None and oracle.periodic_admissible(word):
+                found.append(w)
+        if t < period_bound:
+            repeat = prefix[t - p]
+            stack.extend(
+                (t + 1, t + 1, symbols[j])
+                for j in range(len(symbols) - 1, rank[repeat], -1)
+            )
+            stack.append((t + 1, p, repeat))
+    return found
+
+
+def rotation_in_cylinder(lyndon: Word, v: Word):
+    if len(v) <= 1:
+        return lyndon
+    n = len(lyndon)
+    for i in range(n):
+        if all(lyndon[(i + k) % n] == v[k] for k in range(len(v))):
+            return lyndon[i:] + lyndon[:i]
+    return None
+
+
+def window_sum(table: dict, past: int, future: int, read, n: int):
+    """Sum over j < n of ``table[read(j - past) .. read(j + future)]``, as a
+    tuple of Fractions; ``table`` maps symbol tuples to Fraction tuples.
+
+    Raises KeyError naming the first window, in j order, missing from the
+    table."""
+    total = None
+    for j in range(n):
+        window = tuple(read(i) for i in range(j - past, j + future + 1))
+        value = table[window]
+        total = value if total is None else tuple(map(sum, zip(total, value)))
+    return total
+
+
+def cyclic_window_sum(table: dict, past: int, future: int, w) -> tuple:
+    """The roof summed over one period of w-bar, w read cyclically."""
+    n = len(w)
+    return window_sum(table, past, future, lambda i: w[i % n], n)

@@ -179,3 +179,18 @@ def test_word_hash_equality_and_order(s, t):
     assert repr(a) == "Word(symbols=%r)" % (tuple(s),)
     assert pickle.loads(pickle.dumps(a)) == a
     assert a[1:] == Word(s[1:]) and hash(a[1:]) == hash((tuple(s[1:]),))
+
+
+@given(st.lists(st.integers(0, 12), max_size=6))
+def test_word_text_spells_each_symbol(s):
+    assert str(Word(s)) == ("".join(map(str, s)) if s else "ε")
+
+
+def test_basis_hash_is_the_dataclass_hash_and_is_rebuilt_on_unpickling():
+    for basis in BASES:
+        assert hash(basis) == hash((basis.names, basis.approx))
+        assert {basis: 1}[RealBasis(basis.names, basis.approx)] == 1
+        # a string hash differs between processes, so a pickle carries none
+        assert b"_hash" not in pickle.dumps(basis)
+        copy = pickle.loads(pickle.dumps(basis))
+        assert copy == basis and hash(copy) == hash(basis)
