@@ -759,11 +759,11 @@ def check_harmonic_witness(lines: list[str]) -> bool:
 
     roof = example_roof_harmonic()
     u, v = Word.parse("01"), Word.parse("10")
+    w, zero, one = u + Word.parse("1"), Word([0]), Word([1])
     formula_ok = True
     for m in range(1, 9):
         for n in range(1, 9):
-            core = u + Word.parse("1") + Word([0]) * m + Word([1]) * n
-            x = EventuallyPeriodicPoint.from_parts(v, core, v, 0)
+            x = EventuallyPeriodicPoint.from_runs(v, ((w, 1), (zero, m), (one, n)), v)
             start = birkhoff_sum(roof, x, len(u) + 1)
             expected = start + m + n + sum(1.0 / j for j in range(2, m + 2))
             got = birkhoff_sum(roof, x, len(u) + 1 + m + n)

@@ -53,7 +53,7 @@ def _zero_tail_start(point) -> int | None:
         offset += point._offset
         point = point._point
     if isinstance(point, EventuallyPeriodicPoint) and not any(point.right_period):
-        return len(point.core) - point.origin_offset - offset
+        return point.core_length - point.origin_offset - offset
     return None
 
 
@@ -208,7 +208,7 @@ def birkhoff_sum(roof, p, n: int):
 
 def _read(p, lo: int, hi: int):
     """The symbols p[lo .. hi) as a sequence."""
-    if p.__class__ is EventuallyPeriodicPoint and not p.core and p.left_period == p.right_period:
+    if p.__class__ is EventuallyPeriodicPoint and not p.core_length and p.left_period == p.right_period:
         period = p.right_period.symbols
         start = (lo + p.origin_offset) % len(period)
         return (period * ((start + hi - lo) // len(period) + 1))[start : start + hi - lo]

@@ -493,7 +493,6 @@ def base_period(shift: EdgeShift) -> int:
 # -- points -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EventuallyPeriodicPoint:
     """A bi-infinite sequence: periodic left tail, finite core, periodic right tail.
 
@@ -503,21 +502,37 @@ class EventuallyPeriodicPoint:
     ``origin_offset + a`` give the shifted point, read at i as this one at
     i + a.
 
+    The core is kept as ``runs``, pairs ``(block, count)`` read as each
+    block repeated count times, laid end to end: a witness
+    ...u w v1^n v2^m zeta^inf is three runs, whatever n and m are.
+    Indexing and ``core_length`` read the runs; ``core`` is the word they
+    spell, built on first use.  Points compare, hash and print by their
+    parts, so a point built from runs equals the one built from its core.
+
     Examples
     --------
     >>> p = EventuallyPeriodicPoint.periodic(Word.parse("01"))
     >>> [p[i] for i in range(-2, 4)]
     [0, 1, 0, 1, 0, 1]
+    >>> q = EventuallyPeriodicPoint.from_runs(Word.parse("0"), [(Word.parse("10"), 2)], Word.parse("1"))
+    >>> q == EventuallyPeriodicPoint.from_parts(Word.parse("0"), Word.parse("1010"), Word.parse("1"))
+    True
     """
 
-    left_period: Word
-    core: Word
-    right_period: Word
-    origin_offset: int = 0
+    __slots__ = ("left_period", "runs", "right_period", "origin_offset", "core_length", "_core")
 
-    def __post_init__(self):
-        if len(self.left_period) == 0 or len(self.right_period) == 0:
+    def __init__(self, left_period: Word, core: Word, right_period: Word, origin_offset: int = 0):
+        self._set(left_period, ((core, 1),), right_period, origin_offset, len(core), core)
+
+    def _set(self, left, runs, right, origin_offset, core_length, core) -> None:
+        if len(left) == 0 or len(right) == 0:
             raise ValueError("periodic tails must be nonempty")
+        # the arguments come in the order of __slots__
+        for name, value in zip(self.__slots__, (left, runs, right, origin_offset, core_length, core)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EventuallyPeriodicPoint is immutable")
 
     @classmethod
     def periodic(cls, w: Word) -> "EventuallyPeriodicPoint":
@@ -528,31 +543,80 @@ class EventuallyPeriodicPoint:
     def from_parts(cls, left: Word, core: Word, right: Word, origin_offset: int = 0):
         return cls(left, core, right, origin_offset)
 
+    @classmethod
+    def from_runs(
+        cls, left: Word, runs: Iterable[tuple[Word, int]], right: Word, origin_offset: int = 0
+    ) -> "EventuallyPeriodicPoint":
+        """The point whose core is each block repeated its count times, in order."""
+        runs = tuple(runs)
+        if any(count < 0 for _, count in runs):
+            raise ValueError("run counts must be non-negative")
+        point = cls.__new__(cls)
+        point._set(left, runs, right, origin_offset, sum(len(b) * c for b, c in runs), None)
+        return point
+
+    @property
+    def core(self) -> Word:
+        core = self._core
+        if core is None:
+            core = Word(itertools.chain.from_iterable(b.symbols * c for b, c in self.runs))
+            object.__setattr__(self, "_core", core)
+        return core
+
     def __getitem__(self, i: int) -> int:
-        start = -self.origin_offset
-        if i < start:
-            return self.left_period[(i - start) % len(self.left_period)]
-        if i < start + len(self.core):
-            return self.core[i - start]
-        return self.right_period[(i - start - len(self.core)) % len(self.right_period)]
+        k = i + self.origin_offset  # the position in the core
+        if k < 0:
+            left = self.left_period.symbols
+            return left[k % len(left)]
+        if k < self.core_length:
+            if self._core is not None:
+                return self._core.symbols[k]
+            for block, count in self.runs:
+                if k < len(block) * count:
+                    return block.symbols[k % len(block)]
+                k -= len(block) * count
+        right = self.right_period.symbols
+        return right[(k - self.core_length) % len(right)]
+
+    def _parts(self) -> tuple:
+        return (self.left_period, self.core, self.right_period, self.origin_offset)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.left_period, self.right_period, self.origin_offset, self.core_length)
+            == (other.left_period, other.right_period, other.origin_offset, other.core_length)
+            and (self.runs == other.runs or self.core == other.core)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._parts())
+
+    def __repr__(self) -> str:
+        return "%s(left_period=%r, core=%r, right_period=%r, origin_offset=%r)" % (
+            self.__class__.__qualname__, *self._parts())
+
+    def __reduce__(self):
+        return (self.from_runs, (self.left_period, self.runs, self.right_period, self.origin_offset))
 
     def is_periodic_with(self, q: int) -> bool:
         """Exact check that the whole sequence has period q."""
         if q < 1:
             return False
         span = (
-            len(self.core)
+            self.core_length
             + q
             + math.lcm(q, len(self.left_period))
             + math.lcm(q, len(self.right_period))
         )
         lo = -self.origin_offset - span
-        hi = -self.origin_offset + len(self.core) + span
+        hi = -self.origin_offset + self.core_length + span
         return all(self[i] == self[i + q] for i in range(lo, hi + 1))
 
     def minimal_period(self) -> int | None:
         """Smallest period, or None if the point is not periodic."""
-        bound = len(self.core) + math.lcm(len(self.left_period), len(self.right_period))
+        bound = self.core_length + math.lcm(len(self.left_period), len(self.right_period))
         for q in range(1, bound + 1):
             if self.is_periodic_with(q):
                 return q

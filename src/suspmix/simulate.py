@@ -8,7 +8,6 @@ empirically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -17,10 +16,11 @@ import numpy as np
 from suspmix.roofs import EvaluableRoof, LocallyConstantRoof
 from suspmix.shift import EventuallyPeriodicPoint, Word
 
-# Cells (members times symbols) in one batch of hitting_times.  The work is
-# per cell: on the 1,500-member harmonic family, batches of 2**12 to 2**16
-# cells run within 7 % of each other.  2**13 keeps the simulate workload's
-# peak RSS where the per-member loop had it (51.8 MB; 63 MB at 2**17).
+# Cells (members times symbols) in one batch of hitting_times.  At 2**13
+# the simulate workload's peak RSS is 39.2 MB.  At 2**17 it is 44.0 MB and
+# the workload's wall_s reads about a third lower (0.27 s against 0.41 s,
+# two runs each); the size stays, so that perfbench's roofs.table_symbols,
+# which adds up each batch's longest count, stays comparable across changes.
 _BATCH_CELLS = 1 << 13
 
 
@@ -76,27 +76,49 @@ class MixingDiagnostic:
 
 
 def _nonnegative_symbols(points: Sequence[EventuallyPeriodicPoint], n: int) -> np.ndarray:
-    """The symbols x[0..n) of each point, one row per point, built by tiling the tails."""
-    prefixes, tails = [], []
-    for point in points:
-        core, right = point.core.symbols, point.right_period.symbols
-        offset = point.origin_offset
-        if offset <= len(core):
-            prefixes.append(core[offset : offset + n])
-            tails.append(right)
-        else:
-            phase = (offset - len(core)) % len(right)
-            prefixes.append(())
-            tails.append(right[phase:] + right[:phase])
-    plen = np.array([len(s) for s in prefixes], dtype=np.int64)[:, None]
-    period = np.array([len(s) for s in tails], dtype=np.int64)[:, None]
-    # the rows' tails laid end to end; cell j of a row reads its tail at j - plen
-    first = np.cumsum(period) - period[:, 0]
-    flat = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64)
-    cols = np.arange(n, dtype=np.int64)
-    out = flat[first[:, None] + (cols - plen) % period]
-    out[cols < plen] = np.fromiter(itertools.chain.from_iterable(prefixes), dtype=np.int64)
-    return out
+    """The symbols x[0..n) of each point, one row per point.
+
+    Each distinct block (a run's block or a tail period) becomes an int64
+    array once, tiled to the most of it that a row reads: n symbols from
+    any phase, or all of its longest run.  A row is the slices of those
+    tiles that its left tail, its runs and its right tail put in columns
+    [0, n), and the rows are laid end to end in one array.
+    """
+    reps: dict = {}  # block -> the most repetitions of it that a row reads
+    for x in points:
+        blocks = [*x.runs, (x.right_period, n)]
+        if x.origin_offset < 0:
+            blocks.append((x.left_period, n))
+        for block, count in blocks:
+            if block.symbols:
+                reps[block] = max(count, reps.get(block, 0))
+    tiles = {}
+    for block, count in reps.items():
+        # a slice starts at a phase below the block's length and holds at most n symbols
+        size = len(block.symbols)
+        count = min(count, -(-(n + size - 1) // size))
+        tiles[block] = np.tile(np.array(block.symbols, dtype=np.int64), count)
+    parts = [np.empty(0, dtype=np.int64)]
+    for x in points:
+        k, col = x.origin_offset, 0  # column col reads position k of the core
+        if k < 0:
+            col, phase = min(-k, n), k % len(x.left_period.symbols)
+            parts.append(tiles[x.left_period][phase : phase + col])
+            k = 0
+        for block, count in x.runs:
+            if col == n:
+                break
+            size = len(block.symbols)
+            if k >= size * count:
+                k -= size * count
+                continue
+            take, phase = min(size * count - k, n - col), k % size
+            parts.append(tiles[block][phase : phase + take])
+            col, k = col + take, 0
+        if col < n:
+            phase = k % len(x.right_period.symbols)
+            parts.append(tiles[x.right_period][phase : phase + n - col])
+    return np.concatenate(parts).reshape(len(points), n)
 
 
 def _roof_values(roof, points: Sequence, symbols: np.ndarray, n: int) -> np.ndarray:
@@ -189,7 +211,7 @@ def hitting_times(
     counts, starts, widths = [], [], []
     for x in members:
         period = len(x.right_period)
-        core_end = max(0, len(x.core) - x.origin_offset)
+        core_end = max(0, x.core_length - x.origin_offset)
         n = n_max
         if max_hits_per_member is not None:
             # from core_end on the hit candidates repeat with the tail period,
@@ -251,6 +273,7 @@ def witness_family(
 ) -> list[EventuallyPeriodicPoint]:
     """The witnesses ...u w v1^n v2^m zeta^inf, one per (n, m), origin at w.
 
+    Each core is kept as its three runs (w, 1), (v1, n), (v2, m).
     ``shift`` supplies admissibility checking: an EdgeShift, an object
     with an ``is_admissible`` callable, or None to skip the check.
     """
@@ -265,14 +288,10 @@ def witness_family(
     family = []
     for n in n_range:
         for m in m_range:
-            core = w + v1 * n + v2 * m
-            if checker is not None:
-                probe = u + u + core + zeta + zeta
-                if not checker(probe):
-                    raise ValueError(
-                        "inadmissible concatenation at (n, m) = (%d, %d)" % (n, m)
-                    )
-            family.append(EventuallyPeriodicPoint.from_parts(u, core, zeta, 0))
+            x = EventuallyPeriodicPoint.from_runs(u, ((w, 1), (v1, n), (v2, m)), zeta)
+            if checker is not None and not checker(u + u + x.core + zeta + zeta):
+                raise ValueError("inadmissible concatenation at (n, m) = (%d, %d)" % (n, m))
+            family.append(x)
     return family
 
 
@@ -325,16 +344,12 @@ def export_series(obj, path) -> str:
     "bin,count,max_gap" with the global max gap repeated per row.  Floats
     are printed with 17 significant digits.
     """
-    f17 = lambda x: format(float(x), ".17g")
-    lines = []
     if isinstance(obj, ReturnTimeSeries):
-        lines.append("time,residue")
-        for t, r in zip(obj.times, obj.residues()):
-            lines.append("%s,%s" % (f17(t), f17(r)))
+        lines = ["time,residue"]
+        lines += ["%.17g,%.17g" % row for row in zip(obj.times, obj.residues().tolist())]
     elif isinstance(obj, MixingDiagnostic):
-        lines.append("bin,count,max_gap")
-        for i, c in enumerate(obj.bin_counts):
-            lines.append("%d,%d,%s" % (i, c, f17(obj.max_gap)))
+        lines = ["bin,count,max_gap"]
+        lines += ["%d,%d,%.17g" % (i, c, obj.max_gap) for i, c in enumerate(obj.bin_counts)]
     else:
         raise TypeError("expected a ReturnTimeSeries or MixingDiagnostic")
     with open(path, "w") as handle:

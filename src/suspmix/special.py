@@ -222,7 +222,7 @@ class BetaShift:
 def is_beta_admissible(w, shift: BetaShift) -> bool:
     """Every shifted tail must be lexicographically <= the governing sequence."""
     if isinstance(w, EventuallyPeriodicPoint):
-        span = len(w.core) + w.origin_offset
+        span = w.core_length + w.origin_offset
         horizon = 4 * (span + len(w.right_period) + len(w.left_period) + len(shift.nu) + 8)
         symbols = [w[i] for i in range(-span - horizon, horizon)]
         return _tails_dominated(symbols, shift)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +210,16 @@ class TestPoints:
         for n in range(-6, 12):
             q = EventuallyPeriodicPoint(p.left_period, p.core, p.right_period, p.origin_offset + n)
             assert all(q[i] == p[i + n] for i in range(-8, 8))
+
+    def test_run_built_point_is_immutable_and_pickles(self):
+        p = EventuallyPeriodicPoint.from_runs(
+            Word.parse("0"), [(Word.parse("10"), 3), (Word(), 2)], Word.parse("1"), -1
+        )
+        assert pickle.loads(pickle.dumps(p)) == p
+        with pytest.raises(AttributeError):
+            p.origin_offset = 0
+        with pytest.raises(ValueError, match="non-negative"):
+            EventuallyPeriodicPoint.from_runs(Word.parse("0"), [(Word.parse("1"), -1)], Word.parse("0"))
 
     def test_minimal_period(self):
         assert EventuallyPeriodicPoint.periodic(Word.parse("0101")).minimal_period() == 2

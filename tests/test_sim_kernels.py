@@ -160,11 +160,12 @@ def test_hitting_times_on_a_table_roof_match_value_at(family, past, future, targ
 
 
 def binary_points(max_core):
-    """Points over {0, 1}, core lengths up to max_core, origins up to 6 past the core."""
+    """Points over {0, 1}, core lengths up to max_core, origins from 6 before
+    the core (x[0..6) on the left tail) to 6 past it."""
     word = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(Word)
     return st.builds(
         lambda left, core, right, offset: EventuallyPeriodicPoint.from_parts(
-            left, core, right, offset % (len(core) + 7)),
+            left, core, right, offset % (len(core) + 13) - 6),
         word, st.lists(st.integers(0, 1), max_size=max_core).map(Word), word, st.integers(0, 60),
     )
 
@@ -248,3 +249,66 @@ def test_negative_max_hits_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         hitting_times([point], Word.parse("0"), 0.1, example_roof_harmonic(), 10.0,
                       max_hits_per_member=-1)
+
+
+# -- cores kept as runs ------------------------------------------------------
+
+
+def test_rows_read_the_left_tail_before_a_core_right_of_the_origin():
+    # origin 2 before the core: x[0..2) lies on the left tail
+    x = EventuallyPeriodicPoint.from_parts(Word.parse("1"), Word.parse("0011"), Word.parse("01"), -2)
+    row = simulate._nonnegative_symbols([x], 10)[0]
+    assert "".join(map(str, row)) == "1100110101" == "".join(str(x[i]) for i in range(10))
+    assert simulate._nonnegative_symbols([x, x], 0).shape == (2, 0)
+    roof, target = example_roof_harmonic(), Word.parse("0")
+    got = hitting_times([x], target, 0.1, roof, 12.0, omega=1.0)
+    want = reference.hitting_times([x], target, roof, 12.0)
+    assert same_bits(got.times, want)
+    assert got.times[1] == 2.0 + 4.0 / 3.0
+
+
+bit = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(Word)
+runs = st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=3).map(Word), st.integers(0, 6)),
+                max_size=4)
+
+
+@given(bit, runs, bit, st.integers(0, 60), st.lists(st.integers(0, 1), min_size=1, max_size=2).map(Word),
+       st.sampled_from([None, 1, 3]), st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_run_built_points_match_their_from_parts_twins(left, blocks, right, offset, target,
+                                                       max_hits, tail_only):
+    core = Word(s for block, count in blocks for s in block.symbols * count)
+    offset = offset % (len(core) + 13) - 6
+    x = EventuallyPeriodicPoint.from_runs(left, blocks, right, offset)
+    twin = EventuallyPeriodicPoint.from_parts(left, core, right, offset)
+    assert x.core_length == len(core)
+    assert [x[i] for i in range(-offset - 8, len(core) - offset + 8)] == \
+        [twin[i] for i in range(-offset - 8, len(core) - offset + 8)]
+    n = len(core) + 12
+    assert np.array_equal(simulate._nonnegative_symbols([x, twin, x], n),
+                          simulate._nonnegative_symbols([twin] * 3, n))
+    roof = example_roof_harmonic()
+    got = hitting_times([x], target, 0.1, roof, 30.0, omega=1.0,
+                        max_hits_per_member=max_hits, tail_only=tail_only)
+    assert x._core is None
+    want = reference.hitting_times([twin], target, roof, 30.0, max_hits, tail_only)
+    assert same_bits(got.times, want)
+    assert x == twin and twin == x and hash(x) == hash(twin) and repr(x) == repr(twin)
+    assert x.core == core
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_harmonic_witnesses_are_the_words_built_by_hand(m):
+    u, v = Word.parse("01"), Word.parse("10")
+    by_hand = EventuallyPeriodicPoint.from_parts(
+        v, u + Word.parse("1") + Word([0]) * m + Word([1]), v, 0)
+    x = harmonic_witnesses(m)[-1]
+    assert x.runs == ((u + Word.parse("1"), 1), (Word([0]), m), (Word([1]), 1))
+    assert x == by_hand and hash(x) == hash(by_hand) and x.core == by_hand.core
+
+
+def test_hitting_times_on_witnesses_builds_no_core():
+    family = harmonic_witnesses(200)
+    hitting_times(family, Word.parse("10"), 0.05, example_roof_harmonic(), 400.0, omega=2.5,
+                  max_hits_per_member=1, tail_only=True)
+    assert all(x._core is None for x in family)
