@@ -52,9 +52,7 @@ from suspmix.shift import (
 from suspmix.special import (
     BetaShift,
     CodedGenerator,
-    PrecisionError,
     QuadraticReal,
-    _GuardedFloat,
     balanced_oracle,
     build_beta_graph,
     decide_mixing_beta,
@@ -329,17 +327,16 @@ def _parse_error(lineno: int, what: str) -> ValueError:
 
 
 def parse_beta_spec(text: str):
-    """Parse "rational p/q", "quadratic a b d", or "float x guard g"."""
+    """Parse "rational p/q" (a Fraction) or "quadratic a b d" (a + b*sqrt(d)).
+
+    Both are exact; a decimal beta such as 3.7 is "rational 37/10".
+    """
     parts = text.split()
-    if not parts:
-        raise ValueError("empty beta descriptor")
-    if parts[0] == "rational" and len(parts) == 2:
+    if parts[:1] == ["rational"] and len(parts) == 2:
         return Fraction(parts[1])
-    if parts[0] == "quadratic" and len(parts) == 4:
+    if parts[:1] == ["quadratic"] and len(parts) == 4:
         return QuadraticReal(Fraction(parts[1]), Fraction(parts[2]), int(parts[3]))
-    if parts[0] == "float" and len(parts) == 4 and parts[2] == "guard":
-        return _GuardedFloat(float(parts[1]), float(parts[3]))
-    raise ValueError("malformed beta descriptor %r" % text)
+    raise ValueError('malformed beta descriptor %r: use "rational p/q" or "quadratic a b d"' % text)
 
 
 # -- reports ----------------------------------------------------------------
@@ -405,6 +402,8 @@ def cmd_decide(config: SystemConfig, args):
 
 def cmd_cohomology(config: SystemConfig, args):
     mode = args.mode or config.option("mode", "test")
+    if mode not in ("test", "normalize", "section"):
+        raise ValueError("unknown mode %r" % mode)
     kind, base = config.build_shift()
     if kind != "sft":
         raise ValueError("cohomology commands need a finite-type base")
@@ -430,16 +429,14 @@ def cmd_cohomology(config: SystemConfig, args):
         lines += ["s[%s] = %s" % kv for kv in s_table.items()]
         lines += ["g[%s] = %s" % kv for kv in g_table.items()]
         return 0, {"mode": mode, "delta": delta.render(), "s": s_table, "g": g_table}, lines
-    if mode == "section":
-        section = unit_cross_section(base, roof, delta, blocks)
-        edge_list = sorted("%s -> %s" % (section.texts[s], section.texts[t])
-                           for s, t in zip(section.sources, section.targets))
-        period = base_period(section)
-        lines = ["vertices: %d" % len(section.vertices), "edges: %d" % len(edge_list)]
-        lines += edge_list + ["base period: %d" % period]
-        body = {"mode": mode, "vertices": len(section.vertices), "edges": edge_list, "base_period": period}
-        return 0, body, lines
-    raise ValueError("unknown mode %r" % mode)
+    section = unit_cross_section(base, roof, delta, blocks)
+    edge_list = sorted("%s -> %s" % (section.texts[s], section.texts[t])
+                       for s, t in zip(section.sources, section.targets))
+    period = base_period(section)
+    lines = ["vertices: %d" % len(section.vertices), "edges: %d" % len(edge_list)]
+    lines += edge_list + ["base period: %d" % period]
+    body = {"mode": mode, "vertices": len(section.vertices), "edges": edge_list, "base_period": period}
+    return 0, body, lines
 
 
 def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, args):
@@ -452,7 +449,7 @@ def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, args):
     # read on every path, so that a malformed bound is always reported
     bound = args.bound or int(config.option("bound", "12"))
     blocks = None
-    if mode in ("normalize", "section") and roof is not None and is_transitive(base):
+    if roof is not None and is_transitive(base):
         build = normalizing_blocks if mode == "normalize" else section_blocks
         with contextlib.suppress(HypothesisError):  # no symbol-named presentation
             blocks = build(base, roof)
@@ -544,12 +541,7 @@ def cmd_beta(config: SystemConfig, args):
     shift = BetaShift.create(parse_beta_spec(config.beta_spec))
     graph = build_beta_graph(shift, config.depth or 2)
     prefix = "".join(str(d) for d in shift.nu[:16])
-    checks = {}
-    for text in ("0", "00", "11", "0101"):
-        try:
-            checks[text] = is_beta_admissible(Word.parse(text), shift)
-        except Exception as exc:  # precision errors surfaced per word
-            checks[text] = str(exc)
+    checks = {w: is_beta_admissible(Word.parse(w), shift) for w in ("0", "00", "11", "0101")}
     body = {
         "nu_prefix": prefix,
         "exact_tail": shift.exact_tail,
@@ -872,7 +864,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report, lines = run_command(load_config(args), args)
-    except (ValueError, MissingWindowError, AmbiguousSignError, PrecisionError) as exc:
+    except (ValueError, MissingWindowError, AmbiguousSignError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     emit(report, args, lines)

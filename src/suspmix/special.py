@@ -73,8 +73,8 @@ class QuadraticReal:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
@@ -85,65 +85,24 @@ class QuadraticReal:
         # make sqrt(d) rational
         return sa if self.a * self.a > self.b * self.b * self.d else sb
 
-    def exact_floor(self) -> int:
+    def __floor__(self) -> int:
         return floor_mod(self, 1)[0]
-
-
-class _GuardedFloat:
-    """Float arithmetic whose floor refuses to guess near integers."""
-
-    __slots__ = ("value", "guard")
-
-    def __init__(self, value: float, guard: float = 1e-9):
-        self.value = value
-        self.guard = guard
-
-    def __add__(self, other):
-        return _GuardedFloat(self.value + _as_float(other), self.guard)
-
-    def __sub__(self, other):
-        return _GuardedFloat(self.value - _as_float(other), self.guard)
-
-    def __mul__(self, other):
-        return _GuardedFloat(self.value * _as_float(other), self.guard)
-
-    def __float__(self):
-        return self.value
-
-    def is_zero(self) -> bool:
-        return abs(self.value) <= self.guard
-
-    def exact_floor(self) -> int:
-        n = math.floor(self.value)
-        if min(self.value - n, n + 1 - self.value) <= self.guard:
-            raise PrecisionError(
-                "floor of %.17g is within the guard band %g of an integer"
-                % (self.value, self.guard)
-            )
-        return n
-
-
-def _as_float(x):
-    return float(x) if not isinstance(x, (int, Fraction)) else x
 
 
 # -- beta-shifts ------------------------------------------------------------
 
 # Digits of the expansion of 1 that a BetaShift computes: no graph
-# presentation is deeper, and an expansion whose tail is not known exactly
-# is read no further.
+# presentation is deeper, and an expansion whose orbit of 1 does not end at
+# 0 is read no further.
 NU_DIGITS = 64
-
-
-def _floor(y) -> int:
-    return y.exact_floor() if hasattr(y, "exact_floor") else math.floor(y)
 
 
 def beta_expansion_of_one(beta, n_digits: int) -> Word:
     """First digits of the greedy expansion of 1 in base beta.
 
-    ``beta`` may be a Fraction (exact), a QuadraticReal (exact), or a
-    _GuardedFloat (raises PrecisionError when a digit is ambiguous).
+    ``beta`` is an int, a Fraction or a QuadraticReal, all exact: every
+    digit is an exact floor.  Once the orbit of 1 reaches 0 the remaining
+    digits are 0.
     """
     return _greedy_orbit(beta, n_digits)[0]
 
@@ -152,24 +111,24 @@ def _greedy_orbit(beta, n_digits: int) -> tuple[Word, object]:
     """The first digits of the expansion of 1, and the remainder after them."""
     if isinstance(beta, int):
         beta = Fraction(beta)
-    if float(beta) <= 1:
+    if math.floor(beta) < 1 or not beta - 1:
         raise ValueError("beta must exceed 1")
     x = beta * 0 + 1  # the unit of the same arithmetic type
     digits = []
-    for _ in range(n_digits):
+    while x and len(digits) < n_digits:
         y = beta * x
-        d = _floor(y)
+        d = math.floor(y)
         digits.append(d)
         x = y - d
-    return Word(digits), x
+    return Word(digits + [0] * (n_digits - len(digits))), x
 
 
 @dataclass
 class BetaShift:
     """A beta-shift described by its expansion of 1.
 
-    ``nu`` is the computed prefix of the greedy expansion; ``exact`` marks
-    whether the trailing zeros are certified (the orbit of 1 hit 0).
+    ``nu`` is the computed prefix of the greedy expansion; ``exact_tail``
+    marks whether its trailing zeros are certified (the orbit of 1 hit 0).
     """
 
     beta: object
@@ -179,10 +138,7 @@ class BetaShift:
     @classmethod
     def create(cls, beta) -> "BetaShift":
         nu, rest = _greedy_orbit(beta, NU_DIGITS)
-        # only an exact remainder certifies that the orbit of 1 ended at 0
-        if isinstance(rest, QuadraticReal):
-            return cls(beta, nu, rest.is_zero())
-        return cls(beta, nu, isinstance(rest, Fraction) and rest == 0)
+        return cls(beta, nu, exact_tail=not rest)
 
     @classmethod
     def golden(cls) -> "BetaShift":
@@ -198,9 +154,14 @@ class BetaShift:
         """The sequence governing admissibility, as (prefix, period start).
 
         For a finite (simple Parry) expansion nu_1..nu_k the quasi-greedy
-        sequence (nu_1 .. nu_{k-1} (nu_k - 1)) repeated governs the closed
-        shift; otherwise the known prefix of nu with no period.
+        sequence (nu_1 .. nu_{k-1} (nu_k - 1)) repeated from its start
+        governs the closed shift; otherwise the known prefix of nu with no
+        period.
         """
+        return self._governing
+
+    @functools.cached_property
+    def _governing(self) -> tuple[list[int], Optional[int]]:
         digits = list(self.nu)
         if self.exact_tail:
             last = max(i for i, d in enumerate(digits) if d != 0)
@@ -211,9 +172,9 @@ class BetaShift:
 
     def bound_digit(self, i: int) -> int:
         """Symbol i of the governing sequence; raises past the known prefix."""
-        seq, period_start = self.comparison_sequence()
+        seq, period_start = self._governing
         if period_start is not None:
-            return seq[period_start + (i - period_start) % (len(seq) - period_start)]
+            return seq[i % len(seq)]
         if i >= len(seq):
             raise PrecisionError("admissibility undecided at digit %d of nu" % i)
         return seq[i]
@@ -222,9 +183,11 @@ class BetaShift:
 def is_beta_admissible(w, shift: BetaShift) -> bool:
     """Every shifted tail must be lexicographically <= the governing sequence."""
     if isinstance(w, EventuallyPeriodicPoint):
-        span = w.core_length + w.origin_offset
-        horizon = 4 * (span + len(w.right_period) + len(w.left_period) + len(shift.nu) + 8)
-        symbols = [w[i] for i in range(-span - horizon, horizon)]
+        # the core and every phase of both tails around it, wherever the
+        # origin lies
+        start = -w.origin_offset
+        margin = 4 * (w.core_length + len(w.right_period) + len(w.left_period) + len(shift.nu) + 8)
+        symbols = [w[i] for i in range(start - margin, start + w.core_length + margin)]
         return _tails_dominated(symbols, shift)
     return _tails_dominated(list(w), shift)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import suspmix.cli
 from suspmix.cli import PRESETS, SystemConfig, build_parser, main, parse_beta_spec, read_sections
-from suspmix.special import QuadraticReal, _GuardedFloat
+from suspmix.special import QuadraticReal
 
 
 class TestConfig:
@@ -35,10 +35,9 @@ class TestConfig:
         assert parse_beta_spec("rational 3/2") == pytest.approx(1.5)
         q = parse_beta_spec("quadratic 1/2 1/2 5")
         assert isinstance(q, QuadraticReal)
-        g = parse_beta_spec("float 1.8 guard 1e-9")
-        assert isinstance(g, _GuardedFloat)
-        with pytest.raises(ValueError):
-            parse_beta_spec("nonsense 3")
+        for text in ("nonsense 3", "", "float 1.8 guard 1e-9"):
+            with pytest.raises(ValueError, match="^malformed beta descriptor"):
+                parse_beta_spec(text)
 
     def test_default_keys_follow_the_section_keys(self):
         # configparser lists a section's own keys first, then [DEFAULT]'s
@@ -205,11 +204,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", ["decide", "beta"])
     def test_a_beta_digit_the_float_guard_cannot_certify(self, tmp_path, capsys, command):
+        # a float beta is no longer read: the error names the exact forms
         cfg = tmp_path / "guarded.cfg"
         cfg.write_text("[shift]\nkind = beta\nbeta = float 1.6180339887498949 guard 1e-9\n")
         assert main([command, "--config", str(cfg)]) == 2
         assert one_error_line(capsys) == (
-            "error: floor of 1.0000000000000002 is within the guard band 1e-09 of an integer")
+            "error: malformed beta descriptor 'float 1.6180339887498949 guard 1e-9': "
+            'use "rational p/q" or "quadratic a b d"')
 
 
 class TestDecide:
@@ -310,6 +311,16 @@ class TestCohomology:
         assert main(["cohomology", "--preset", "example-4.2", "--mode", "test"]) == 2
         assert one_error_line(capsys) == (
             "error: cohomology --mode test needs a locally constant (table) roof")
+
+    @pytest.mark.parametrize("roof", ["0 = 1\n1 = a", "0 = 1\n1 = 2"])
+    def test_unknown_mode_named_before_any_decision(self, tmp_path, capsys, roof):
+        # a mixing roof (no grid) and a grid roof get the same message
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n"
+                       "[basis]\nconstants = a 1.4142135623730951\n\n"
+                       "[roof]\npast = 0\nfuture = 0\n%s\n\n[options]\nmode = bogus\n" % roof)
+        assert main(["cohomology", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: unknown mode 'bogus'"
 
     @pytest.mark.parametrize("mode", ["normalize", "section"])
     def test_no_grid_names_an_unknown_verdict(self, capsys, mode):

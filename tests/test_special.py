@@ -13,7 +13,7 @@ from suspmix.special import (
     NU_DIGITS,
     PrecisionError,
     QuadraticReal,
-    _GuardedFloat,
+    _greedy_orbit,
     balanced_oracle,
     beta_expansion_of_one,
     build_beta_graph,
@@ -29,6 +29,9 @@ from suspmix.special import (
 )
 
 GOLDEN = QuadraticReal(Fraction(1, 2), Fraction(1, 2), 5)
+# the 20-decimal truncation of sqrt(2), and the next 20-decimal number above it
+SQRT2_BELOW = Fraction(math.isqrt(2 * 10**40), 10**20)
+SQRT2_ABOVE = SQRT2_BELOW + Fraction(1, 10**20)
 
 
 class TestQuadraticReal:
@@ -37,7 +40,8 @@ class TestQuadraticReal:
 
     def test_arithmetic(self):
         x = GOLDEN * GOLDEN - GOLDEN - 1  # the golden ratio satisfies x^2 = x + 1
-        assert x.is_zero()
+        assert not x
+        assert GOLDEN and QuadraticReal(0, 1, 2)
 
     def test_sign_exact_near_zero(self):
         # sqrt(2) - 1.41421356237 has sign decided exactly, not by floats
@@ -46,9 +50,9 @@ class TestQuadraticReal:
         assert (tiny * -1).sign() == -1
 
     def test_exact_floor(self):
-        assert GOLDEN.exact_floor() == 1
-        assert (GOLDEN * GOLDEN).exact_floor() == 2
-        assert QuadraticReal(2, 0, 5).exact_floor() == 2
+        assert math.floor(GOLDEN) == 1
+        assert math.floor(GOLDEN * GOLDEN) == 2
+        assert math.floor(QuadraticReal(2, 0, 5)) == 2
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -70,14 +74,25 @@ class TestExpansionOfOne:
         got = beta_expansion_of_one(Fraction(3, 2), 9)
         assert got == Word([1, 0, 1, 0, 0, 0, 0, 0, 1])
 
-    def test_guarded_float_raises_on_ties(self):
-        # the orbit of 1 under the golden ratio hits an exact integer
-        with pytest.raises(PrecisionError):
-            beta_expansion_of_one(_GuardedFloat((1 + math.sqrt(5)) / 2), 5)
+    def test_stops_at_a_zero_remainder(self):
+        # the orbit of 1 under the golden ratio reaches 0 after two digits
+        nu, rest = _greedy_orbit(GOLDEN, 7)
+        assert nu == Word([1, 1, 0, 0, 0, 0, 0]) and not rest
+        # a rational base that is not an integer never reaches 0
+        nu, rest = _greedy_orbit(Fraction(5, 2), 3)
+        assert nu == Word([2, 1, 0]) and rest == Fraction(5, 8)
 
-    def test_guarded_float_safe_base(self):
-        got = beta_expansion_of_one(_GuardedFloat(1.5), 9)
-        assert got == Word([1, 0, 1, 0, 0, 0, 0, 0, 1])
+    @pytest.mark.parametrize("beta", [1, Fraction(9, 10), QuadraticReal(1, 0, 2),
+                                      QuadraticReal(1 - SQRT2_ABOVE, 1, 2)])
+    def test_beta_at_most_one_rejected(self, beta):
+        with pytest.raises(ValueError):
+            beta_expansion_of_one(beta, 3)
+
+    def test_beta_just_above_one_is_read_exactly(self):
+        # 1 + (sqrt(2) - SQRT2_BELOW) exceeds 1 by under 1e-20: its float is 1.0
+        beta = QuadraticReal(1 - SQRT2_BELOW, 1, 2)
+        assert float(beta) == 1.0
+        assert beta_expansion_of_one(beta, 4) == Word([1, 0, 0, 0])
 
 
 class TestBetaShift:
@@ -86,9 +101,10 @@ class TestBetaShift:
         assert list(shift.nu[:5]) == [1, 1, 0, 0, 0]
         assert shift.exact_tail
 
-    def test_guarded_float_tail_is_never_exact(self):
-        assert not BetaShift.create(_GuardedFloat(1.5)).exact_tail
+    def test_only_a_zero_remainder_is_an_exact_tail(self):
         assert BetaShift.create(Fraction(3)).exact_tail
+        assert not BetaShift.create(Fraction(5, 2)).exact_tail
+        assert not BetaShift.create(QuadraticReal(0, 1, 2)).exact_tail  # sqrt(2)
 
     def test_golden_comparison_sequence(self):
         shift = BetaShift.golden()
@@ -97,7 +113,7 @@ class TestBetaShift:
         assert [shift.bound_digit(i) for i in range(6)] == [1, 0, 1, 0, 1, 0]
 
     def test_unknown_tail_raises_past_prefix(self):
-        shift = BetaShift.create(1.8)
+        shift = BetaShift.create(Fraction(9, 5))
         assert not shift.exact_tail
         shift.bound_digit(NU_DIGITS - 1)
         with pytest.raises(PrecisionError):
@@ -114,6 +130,15 @@ class TestBetaShift:
         shift = BetaShift.golden()
         assert is_beta_admissible(EventuallyPeriodicPoint.periodic(Word.parse("10")), shift)
         assert not is_beta_admissible(EventuallyPeriodicPoint.periodic(Word.parse("11")), shift)
+
+    @pytest.mark.parametrize("offset", [0, -3, -20, -60, -100, 7])
+    def test_admissibility_reads_the_core_wherever_the_origin_lies(self, offset):
+        shift = BetaShift.golden()
+        zero = Word([0])
+        point = EventuallyPeriodicPoint.from_parts(zero, Word([1, 1]), zero, offset)
+        assert not is_beta_admissible(point, shift)
+        point = EventuallyPeriodicPoint.from_parts(zero, Word([1, 0, 1]), zero, offset)
+        assert is_beta_admissible(point, shift)
 
 
 class TestBetaGraph:
