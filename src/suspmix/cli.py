@@ -332,10 +332,13 @@ def parse_beta_spec(text: str):
     Both are exact; a decimal beta such as 3.7 is "rational 37/10".
     """
     parts = text.split()
-    if parts[:1] == ["rational"] and len(parts) == 2:
-        return Fraction(parts[1])
-    if parts[:1] == ["quadratic"] and len(parts) == 4:
-        return QuadraticReal(Fraction(parts[1]), Fraction(parts[2]), int(parts[3]))
+    try:
+        if parts[:1] == ["rational"] and len(parts) == 2:
+            return Fraction(parts[1])
+        if parts[:1] == ["quadratic"] and len(parts) == 4:
+            return QuadraticReal(Fraction(parts[1]), Fraction(parts[2]), int(parts[3]))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in beta descriptor %r" % text) from None
     raise ValueError('malformed beta descriptor %r: use "rational p/q" or "quadratic a b d"' % text)
 
 
@@ -390,8 +393,16 @@ def run_decide(config: SystemConfig, bound: int) -> MixingVerdict:
         return MixingVerdict("Unknown", reason=str(exc))
 
 
+def period_bound(config: SystemConfig, args) -> int:
+    """``--bound`` when it is given, else the config's ``bound`` (default 12)."""
+    bound = int(config.option("bound", "12")) if args.bound is None else args.bound
+    if bound < 1:
+        raise ValueError("period bound must be at least 1, got %d" % bound)
+    return bound
+
+
 def cmd_decide(config: SystemConfig, args):
-    verdict = run_decide(config, args.bound or int(config.option("bound", "12")))
+    verdict = run_decide(config, period_bound(config, args))
     lines = ["verdict: %s" % verdict.kind]
     if verdict.delta is not None:
         lines.append("delta: %s" % verdict.delta.render())
@@ -447,7 +458,7 @@ def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, args):
     blocks is None and the decision gives delta or names why there is none.
     """
     # read on every path, so that a malformed bound is always reported
-    bound = args.bound or int(config.option("bound", "12"))
+    bound = period_bound(config, args)
     blocks = None
     if roof is not None and is_transitive(base):
         build = normalizing_blocks if mode == "normalize" else section_blocks

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 from suspmix.exact import (QVector, RealBasis, common_rows, floor_mod, from_rows,
                            setwise_commensurate)
@@ -29,6 +29,7 @@ from suspmix.shift import (
     higher_block_recode,
     is_transitive,
     is_word_admissible,
+    subset_walk,
     symbol_named_presentation,
 )
 
@@ -183,29 +184,48 @@ def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerd
 
 @dataclass
 class ShiftOracle:
-    """Language access for shifts given without a finite presentation.
+    """Language access for shifts given without a finite presentation: an
+    automaton that the orbit scan carries, from ``start`` on the empty word.
 
-    ``is_admissible`` answers finite-word membership; ``periodic_admissible``
-    answers whether the bi-infinite repetition of a word lies in the shift.
+    ``step(state, symbol)`` is the next state, or None once the word has
+    left the language.  ``is_admissible`` answers finite-word membership,
+    by default a walk of ``step``; ``periodic_admissible`` answers whether
+    the bi-infinite repetition of a word lies in the shift.
     """
 
     alphabet: Alphabet
-    is_admissible: Callable[[Word], bool]
+    start: Hashable
+    step: Callable[[Hashable, int], Optional[Hashable]]
     periodic_admissible: Callable[[Word], bool]
+    is_admissible: Optional[Callable[[Word], bool]] = None
+
+    def __post_init__(self):
+        if self.is_admissible is None:
+            self.is_admissible = self._walk
+
+    def _walk(self, w: Word) -> bool:
+        state, step = self.start, self.step
+        for s in w:
+            state = step(state, s)
+            if state is None:
+                return False
+        return True
 
     @classmethod
     def from_edge_shift(cls, shift: EdgeShift) -> "ShiftOracle":
         """The oracle of the shift that an edge graph presents.
 
-        Both questions go to ``is_word_admissible``, whose memoized subset
-        walk the oracle's queries share.  w-bar is in the shift iff a
+        Its state is the set of vertices that the paths spelling the word
+        end at, and its step is the shift's memoized ``subset_walk``, which
+        ``is_word_admissible`` walks too.  w-bar is in the shift iff a
         closed path spells a power of w; a path spelling w^|V| passes some
         vertex twice at a boundary between copies of w, so it exists
         exactly then.
         """
         copies = len(shift.vertices)
-        return cls(shift.alphabet, lambda w: is_word_admissible(shift, w),
-                   lambda w: len(w) > 0 and is_word_admissible(shift, w * copies))
+        return cls(shift.alphabet, *subset_walk(shift),
+                   lambda w: len(w) > 0 and is_word_admissible(shift, w * copies),
+                   lambda w: is_word_admissible(shift, w))
 
 
 def periodic_words_in_cylinder(
@@ -217,11 +237,15 @@ def periodic_words_in_cylinder(
     over all lengths (Fredricksen-Kessler-Maiorana), with ``v[0]`` ordered
     first so that every orbit visiting ``v[0]`` has its Lyndon word start
     there.  Every prefix of a Lyndon word is a factor of its repetition,
-    so prefixes failing ``is_admissible`` are pruned; ``periodic_admissible``
-    is asked only of Lyndon words.  The returned word is the Lyndon word
-    when ``|v| <= 1``, else its first rotation whose repetition starts with
-    v, so w-bar always lies in [v].  The order is that of the DFS.
+    so a prefix that ``oracle.step`` rejects is pruned.  Each stack entry
+    carries its parent's oracle state, so each node costs one step; a Word
+    is built, and ``periodic_admissible`` asked, only at Lyndon nodes.
+    The returned word is the Lyndon word when ``|v| <= 1``, else its first
+    rotation whose repetition starts with v, so w-bar always lies in [v].
+    The order is that of the DFS.  A bound below 1 raises ValueError.
     """
+    if period_bound < 1:
+        raise ValueError("period bound must be at least 1, got %d" % period_bound)
     symbols = list(oracle.alphabet.symbols)
     if len(v):
         if v[0] not in symbols:
@@ -230,22 +254,24 @@ def periodic_words_in_cylinder(
         symbols.insert(0, v[0])
     # the symbols ranked above each symbol, highest first, as they are pushed
     above = {s: tuple(symbols[:i:-1]) for i, s in enumerate(symbols)}
-    is_admissible, periodic_admissible = oracle.is_admissible, oracle.periodic_admissible
+    step, periodic_admissible, start = oracle.step, oracle.periodic_admissible, oracle.start
     rotate = len(v) > 1
     found = []
     prefix: list = []
-    # (length, period, last symbol): the prefix of that length, whose
-    # smallest period is p, is a prenecklace; it is Lyndon iff p == length
-    stack = [(1, 1, s) for s in reversed(symbols[:1] if len(v) else symbols)]
+    # (length, period, last symbol, oracle state before it): the prefix of
+    # that length, whose smallest period is p, is a prenecklace; it is
+    # Lyndon iff p == length
+    stack = [(1, 1, s, start) for s in reversed(symbols[:1] if len(v) else symbols)]
     pop, push = stack.pop, stack.append
     while stack:
-        t, p, s = pop()
+        t, p, s, state = pop()
+        state = step(state, s)
+        if state is None:
+            continue
         del prefix[t - 1 :]
         prefix.append(s)
-        word = Word(prefix)
-        if not is_admissible(word):
-            continue
         if p == t:
+            word = Word(prefix)
             w = _rotation_in_cylinder(word, v) if rotate else word
             if w is not None and periodic_admissible(word):
                 found.append(w)
@@ -253,8 +279,8 @@ def periodic_words_in_cylinder(
             repeat = prefix[t - p]
             t += 1
             for a in above[repeat]:
-                push((t, t, a))
-            push((t, p, repeat))
+                push((t, t, a, state))
+            push((t, p, repeat, state))
     return found
 
 

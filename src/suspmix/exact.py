@@ -315,15 +315,18 @@ def parse_qvector(text: str, basis: RealBasis) -> QVector:
     terms = []
     for term in body.replace(" - ", " + -").split(" + "):
         term = term.strip()
-        if "*" in term:
-            coef, name = term.split("*", 1)
-            p, q = _coefficient(coef)
-        elif term in index:
-            p, q, name = 1, 1, term
-        elif term.startswith("-") and term[1:] in index:
-            p, q, name = -1, 1, term[1:]
-        else:
-            (p, q), name = _coefficient(term), "1"
+        try:
+            if "*" in term:
+                coef, name = term.split("*", 1)
+                p, q = _coefficient(coef)
+            elif term in index:
+                p, q, name = 1, 1, term
+            elif term.startswith("-") and term[1:] in index:
+                p, q, name = -1, 1, term[1:]
+            else:
+                (p, q), name = _coefficient(term), "1"
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % text) from None
         if name not in index:
             raise ValueError("unknown basis element %r in %r" % (name, text))
         terms.append((index[name], p, q))

@@ -8,6 +8,7 @@ sums are exact for locally constant roofs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +30,10 @@ class MissingWindowError(KeyError):
 
     def __str__(self) -> str:
         return str(self.args[0])
+
+
+def _missing(w: Word) -> MissingWindowError:
+    return MissingWindowError("window %s not in roof table (inadmissible context)" % (w,))
 
 
 class _ShiftedView:
@@ -116,7 +121,14 @@ class LocallyConstantRoof:
         try:
             return self.table[w]
         except KeyError:
-            raise MissingWindowError("window %s not in roof table (inadmissible context)" % (w,))
+            raise _missing(w) from None
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, dict[tuple, tuple[int, ...]]]:
+        """(den, {window symbols: integer row}): the table as ``common_rows``
+        over one common denominator, made on first use."""
+        den, rows = common_rows(list(self.table.values()))
+        return den, dict(zip((w.symbols for w in self.table), rows))
 
     def value_at(self, point, j: int = 0) -> QVector:
         """Roof value at the point shifted j times."""
@@ -189,9 +201,10 @@ def birkhoff_sum(roof, p, n: int):
 
     Exact (QVector) for locally constant roofs, float otherwise.  A table
     roof reads p[-past .. n + future) once, counts its windows, and sums
-    count × value on integer rows, with one lookup per distinct window in
-    order of first occurrence.  A purely periodic point is read as a slice
-    of its period repeated.
+    count × row on the roof's cached integer ``rows``, with one lookup per
+    distinct window in order of first occurrence, so a missing window is
+    named by the first one in that order.  A purely periodic point is read
+    as a slice of its period repeated.
     """
     if n < 0:
         raise ValueError("birkhoff_sum needs n >= 0")
@@ -200,7 +213,11 @@ def birkhoff_sum(roof, p, n: int):
             return roof.basis.zero()
         symbols = _read(p, -roof.past, n + roof.future)
         counts = window_counts(symbols, roof.past + roof.future + 1, n)
-        den, rows = common_rows([roof.value_on_window(Word(w)) for w in counts])
+        den, rows = roof.rows
+        try:
+            rows = [rows[w] for w in counts]
+        except KeyError as exc:
+            raise _missing(Word(exc.args[0])) from None
         total = [sum(map(mul, counts.values(), column)) for column in zip(*rows)]
         return from_rows(roof.basis, [total], den)[0]
     return sum(roof.value_at(p, j) for j in range(n))

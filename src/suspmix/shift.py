@@ -14,7 +14,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class EmptyShiftError(ValueError):
@@ -59,7 +59,7 @@ class Word:
 
     def __init__(self, symbols: Iterable[int] = ()):
         # past the frozen check, as object.__setattr__, with one call fewer:
-        # the scan builds a Word per node
+        # the scan builds a Word per Lyndon node
         self.__dict__["symbols"] = tuple(symbols)
 
     def __hash__(self) -> int:
@@ -170,7 +170,7 @@ class EdgeShift:
         for i, (s, t) in enumerate(zip(self.sources, self.targets)):
             self._out[s].append(i)
             self._in[t].append(i)
-        # (start state set, step memo) of is_word_admissible, made on first use
+        # (start, memoized step) of subset_walk, made on first use
         self._walk = None
 
     # -- basic queries ------------------------------------------------------
@@ -424,28 +424,39 @@ def determinize(shift: EdgeShift) -> EdgeShift:
 # -- language and structure -------------------------------------------------
 
 
-def is_word_admissible(shift: EdgeShift, w: Word) -> bool:
-    """True iff some edge path spells w.
+def subset_walk(shift: EdgeShift) -> tuple[frozenset, Callable]:
+    """The start and the step of the subset walk that spells words on ``shift``.
 
-    That is iff the subset walk from the set of all vertices, one
-    ``shift.step`` per symbol, ends at a nonempty set.  The walk's steps,
-    (state set, symbol) -> next state set, are memoized on the shift, so
-    the words asked of one shift share them.  The alphabet is checked on
-    a memo miss; the empty set steps to itself, so a symbol outside the
-    alphabet raises ValueError also after the walk has died.
+    The start is the set of all vertices; ``step(states, symbol)`` is the
+    nonempty set of targets of ``symbol``-edges leaving ``states``, or None
+    once no path spells the word, and None steps to None.  The steps are
+    memoized on the shift, so every walk on one shift shares them.  The
+    alphabet is checked on a memo miss, so a symbol outside it raises
+    ValueError also after the walk has died.
     """
-    walk = shift._walk
-    if walk is None:
-        walk = shift._walk = (frozenset(shift.vertices), {})
-    states, steps = walk
+    if shift._walk is None:
+        steps = {}
+        alphabet, targets = shift.alphabet, shift.step
+
+        def step(states, s):
+            try:
+                return steps[states, s]
+            except KeyError:
+                if s not in alphabet:
+                    raise ValueError("symbol %r outside alphabet" % (s,)) from None
+                following = steps[states, s] = states and frozenset(targets(states, s)) or None
+                return following
+
+        shift._walk = (frozenset(shift.vertices), step)
+    return shift._walk
+
+
+def is_word_admissible(shift: EdgeShift, w: Word) -> bool:
+    """True iff some edge path spells w: its ``subset_walk`` ends at a state."""
+    states, step = subset_walk(shift)
     for s in w.symbols:
-        following = steps.get((states, s))
-        if following is None:
-            if s not in shift.alphabet:
-                raise ValueError("symbol %r outside alphabet" % (s,))
-            following = steps[states, s] = frozenset(shift.step(states, s))
-        states = following
-    return bool(states)
+        states = step(states, s)
+    return states is not None
 
 
 def admissible_words(shift: EdgeShift, length: int) -> list[Word]:

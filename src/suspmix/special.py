@@ -262,35 +262,35 @@ def _runs(symbols: list[int]) -> list[tuple[int, int]]:
 _BALANCED_SYMBOLS = frozenset((0, 1, 2, 3))
 
 
-def _balanced_member(symbols) -> bool:
-    """Infix test for bi-infinite concatenations of {2^n 3^n} | {0, 1}.
+def _balanced_step(state, s):
+    """The balanced-2/3 oracle's step: infix membership for bi-infinite
+    concatenations of {2^n 3^n} | {0, 1}, one symbol at a time.
 
     A maximal 2-run whose right end is visible must be followed by a
     3-run of matching length (relaxed to an inequality when either run is
     cut off by the word boundary); a visible 3-run must be preceded by 2s.
-    One pass over the symbols: each run is checked when the next begins,
-    and the last run at the end.
+    The state is (symbol of the current run, its length, whether it is the
+    word's first run, the length of the 2-run before it, whether that is
+    the first run).  Each run is checked when the next begins, and the
+    open run as the word's last, so a state exists iff the word is a member.
     """
-    run = None  # symbol of the current run
-    length = 0  # its length so far
-    first = True  # the current run is the word's first, cut by its start
-    twos = 0  # length of the 2-run before the current run
-    twos_first = False  # that 2-run is the word's first run
-    for s in symbols:
-        if s == run:
-            length += 1
-            continue
+    run, length, first, twos, twos_first = state
+    if s == run:
+        length += 1
+    else:
         if s not in _BALANCED_SYMBOLS:
-            return False
+            return None
         if run is not None:
             if (run == 2) != (s == 3):
-                return False
+                return None
             if run == 3 and not first and (length < twos if twos_first else length != twos):
-                return False
+                return None
             twos, twos_first, first = length, first, False
         run, length = s, 1
     # a last 3-run is cut by the word's end: it may be shorter than its 2-run
-    return run != 3 or first or twos_first or length <= twos
+    if run == 3 and not (first or twos_first) and length > twos:
+        return None
+    return run, length, first, twos, twos_first
 
 
 def _balanced_periodic(w: Word) -> bool:
@@ -300,7 +300,7 @@ def _balanced_periodic(w: Word) -> bool:
     the cyclic runs of w as its runs, each 3-run after its predecessor.
     Every 2-run must be followed by a 3-run of equal length and every
     3-run preceded by a 2-run, cyclically.  Symbols outside 0-3 are not
-    rejected here; the scan asks ``_balanced_member`` of w first.
+    rejected here; the scan steps w through ``_balanced_step`` first.
     """
     symbols = w.symbols
     for start, s in enumerate(symbols):
@@ -321,12 +321,8 @@ def _balanced_periodic(w: Word) -> bool:
 
 
 def balanced_oracle() -> ShiftOracle:
-    gen = CodedGenerator.balanced_23()
-    return ShiftOracle(
-        gen.alphabet(),
-        is_admissible=lambda w: _balanced_member(w.symbols),
-        periodic_admissible=_balanced_periodic,
-    )
+    return ShiftOracle(CodedGenerator.balanced_23().alphabet(), (None, 0, True, 0, False),
+                       _balanced_step, _balanced_periodic)
 
 
 def coded_periodic_in_cylinder(
@@ -400,10 +396,6 @@ def _factor_occurs(interior: list[int], lead: int, trail: int) -> bool:
     )
 
 
-def _is_alternating(seg: list[int]) -> bool:
-    return all(seg[i] != seg[i + 1] for i in range(len(seg) - 1))
-
-
 def _segment_ok(seg: list[int], open_left: bool, open_right: bool, i_cap) -> bool:
     """Whether a maximal 1/01-segment fits the generator inventory.
 
@@ -412,38 +404,15 @@ def _segment_ok(seg: list[int], open_left: bool, open_right: bool, i_cap) -> boo
     """
     if not seg:
         return open_left or open_right
-    all_ones = all(s == 1 for s in seg)
-    if i_cap is not None:
-        alt_cap = 2 * i_cap + 1
-    else:
-        alt_cap = None
-    def alt_len_ok(length):
-        return alt_cap is None or length <= alt_cap
-    if open_left and open_right:
-        return all_ones or (_is_alternating(seg) and alt_len_ok(len(seg)))
-    if open_left:
-        # suffix of 1^j, or of 1(01)^k: alternating ending in 1
-        return all_ones or (
-            _is_alternating(seg) and seg[-1] == 1 and alt_len_ok(len(seg))
-        )
-    if open_right:
-        return all_ones or (
-            _is_alternating(seg) and seg[0] == 1 and alt_len_ok(len(seg))
-        )
-    if all_ones:
-        return len(seg) >= 2
-    return (
-        _is_alternating(seg)
-        and seg[0] == 1
-        and seg[-1] == 1
-        and len(seg) % 2 == 1
-        and len(seg) >= 3
-        and alt_len_ok(len(seg))
-    )
+    if all(s == 1 for s in seg):
+        return open_left or open_right or len(seg) >= 2
+    # an alternating word with a 1 at each closed end has odd length >= 3
+    return (all(a != b for a, b in zip(seg, seg[1:])) and (open_left or seg[0] == 1)
+            and (open_right or seg[-1] == 1) and (i_cap is None or len(seg) <= 2 * i_cap + 1))
 
 
 def two_orbit_is_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
-    """Word membership for the two-orbit mixing shift.
+    """Membership of w, a Word or a tuple of symbols, in the two-orbit shift.
 
     Points interleave generator words (1-runs of length >= 2 and
     alternating words 1(01)^k, with k <= i_cap when given) with zero
@@ -497,17 +466,11 @@ def two_orbit_is_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
                 return False
         return True
 
-    lead_options = [False]
-    trail_options = [False]
+    lead_options = trail_options = [False]
     if runs[0][0] == 0:
         lead_options = [True] if runs[0][1] >= 2 else [False, True]
-    if runs[-1][0] == 0:
-        if len(runs) == 1:
-            trail_options = [False]
-        elif runs[-1][1] >= 2:
-            trail_options = [True]
-        else:
-            trail_options = [False, True]
+    if runs[-1][0] == 0 and len(runs) > 1:
+        trail_options = [True] if runs[-1][1] >= 2 else [False, True]
     return any(check(l, t) for l in lead_options for t in trail_options)
 
 
@@ -531,8 +494,16 @@ def two_orbit_periodic_admissible(w: Word) -> bool:
     return half > 0 and symbols in ((0, 1) * half, (1, 0) * half)
 
 
+def _two_orbit_step(prefix: tuple, s: int) -> Optional[tuple]:
+    """The two-orbit oracle's step, the one that is not incremental: its state
+    is the word read, which ``two_orbit_is_admissible`` parses at every step."""
+    prefix += (s,)
+    return prefix if two_orbit_is_admissible(prefix) else None
+
+
 def two_orbit_oracle() -> ShiftOracle:
-    return ShiftOracle(Alphabet.of_size(2), two_orbit_is_admissible, two_orbit_periodic_admissible)
+    return ShiftOracle(Alphabet.of_size(2), (), _two_orbit_step, two_orbit_periodic_admissible,
+                       two_orbit_is_admissible)
 
 
 def two_orbit_shift_words(i: Optional[int], max_len: int) -> Iterator[Word]:

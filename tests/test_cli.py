@@ -38,6 +38,9 @@ class TestConfig:
         for text in ("nonsense 3", "", "float 1.8 guard 1e-9"):
             with pytest.raises(ValueError, match="^malformed beta descriptor"):
                 parse_beta_spec(text)
+        for text in ("rational 1/0", "quadratic 1/0 1 5", "quadratic 1 1/0 5"):
+            with pytest.raises(ValueError, match="^zero denominator in beta descriptor"):
+                parse_beta_spec(text)
 
     def test_default_keys_follow_the_section_keys(self):
         # configparser lists a section's own keys first, then [DEFAULT]'s
@@ -211,6 +214,39 @@ class TestInputErrors:
         assert one_error_line(capsys) == (
             "error: malformed beta descriptor 'float 1.6180339887498949 guard 1e-9': "
             'use "rational p/q" or "quadratic a b d"')
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [["decide", "--preset", "example-4.3"],
+                                      ["cohomology", "--preset", "example-4.1", "--mode", "normalize"],
+                                      ["cohomology", "--preset", "example-4.1", "--mode", "section"]])
+    def test_a_period_bound_below_one(self, capsys, argv, bound):
+        # an explicit --bound 0 is not read as absent, and no scan starts
+        assert main(argv + ["--bound", bound]) == 2
+        assert one_error_line(capsys) == "error: period bound must be at least 1, got %s" % bound
+
+    @pytest.mark.parametrize("command", ["decide", "cohomology --mode normalize"])
+    def test_a_config_period_bound_below_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text(PRESETS["example-4.1"].replace("bound = 12", "bound = 0"))
+        assert main(command.split() + ["--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: period bound must be at least 1, got 0"
+        # an explicit bound is used whenever it is given
+        assert main(command.split() + ["--config", str(cfg), "--bound", "1"]) in (0, 10)
+
+    @pytest.mark.parametrize("shift, roof, message", [
+        ("kind = full\nalphabet = 2", "0 = 1/0\n1 = 1", "zero denominator in '1/0'"),
+        ("kind = full\nalphabet = 2", "0 = 1\n1 = 2 + 3/0*a", "zero denominator in '2 + 3/0*a'"),
+        ("kind = beta\nbeta = rational 1/0", "0 = 1\n1 = 1",
+         "zero denominator in beta descriptor 'rational 1/0'"),
+        ("kind = beta\nbeta = quadratic 1 1/0 5", "0 = 1\n1 = 1",
+         "zero denominator in beta descriptor 'quadratic 1 1/0 5'"),
+    ])
+    def test_a_zero_denominator(self, tmp_path, capsys, shift, roof, message):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[shift]\n%s\n\n[basis]\nconstants = a 1.4142135623730951\n\n"
+                       "[roof]\npast = 0\nfuture = 0\n%s\n" % (shift, roof))
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: " + message
 
 
 class TestDecide:

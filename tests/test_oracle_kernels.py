@@ -1,18 +1,25 @@
-"""The scan's oracle kernels against the implementations they replaced.
+"""The scan's oracle automata against the implementations they replaced.
 
-The balanced-2/3 coded shift's one-pass membership and cyclic periodic
-test, the two-orbit shift's closed-form periodic test and the memoized
-subset walk of ``is_word_admissible``, which ``ShiftOracle.from_edge_shift``
-asks, must give the answers of the run-list, repetition and plain set-walk
-versions kept in ``reference.py``, including their errors.
+Each ``ShiftOracle`` is a start state and a step that the orbit scan
+carries, one step per DFS node.  The balanced-2/3 coded shift's step and
+cyclic periodic test, the two-orbit shift's prefix step and closed-form
+periodic test, and the edge-shift oracle's step, the memoized
+``subset_walk`` that ``is_word_admissible`` walks too, must give the
+answers of the run-list, repetition and plain set-walk versions kept in
+``reference.py``, including their errors.  The scan on the automata must
+list the words that ``reference.lyndon_scan`` lists when it asks those
+versions of every prefix, as the scan did before it carried states.
 """
 
+import dataclasses
 import itertools
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from suspmix.decider import ShiftOracle
+from suspmix.decider import ShiftOracle, periodic_words_in_cylinder
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
@@ -23,8 +30,11 @@ from suspmix.shift import (
     sft_from_forbidden_words,
 )
 from suspmix.special import (
-    _balanced_member,
+    BetaShift,
+    QuadraticReal,
     _balanced_periodic,
+    balanced_oracle,
+    build_beta_graph,
     two_orbit_is_admissible,
     two_orbit_oracle,
     two_orbit_periodic_admissible,
@@ -33,6 +43,7 @@ from suspmix.special import (
 from reference import (
     balanced_member_runs,
     balanced_periodic_runs,
+    lyndon_scan,
     set_walk_admissible,
     two_orbit_periodic_by_repetition,
 )
@@ -58,9 +69,20 @@ def per_orbit(reference, words):
         yield w, answers[w]
 
 
+def step_walk(oracle, w):
+    """Whether ``oracle.step``, walked from ``oracle.start``, reads all of w."""
+    state = oracle.start
+    for s in w:
+        state = oracle.step(state, s)
+        if state is None:
+            return False
+    return True
+
+
 def test_balanced_member_on_every_short_word():
+    oracle = balanced_oracle()
     for w in all_words(range(4), 8):
-        assert _balanced_member(w) == balanced_member_runs(w), w
+        assert oracle.is_admissible(Word(w)) == balanced_member_runs(w), w
 
 
 def test_balanced_periodic_on_every_short_word():
@@ -78,8 +100,14 @@ run_words = st.lists(st.tuples(st.integers(-1, 4), st.integers(1, 5)), max_size=
 @KERNELS
 @given(st.one_of(run_words, st.lists(st.integers(-1, 4), max_size=16).map(tuple)))
 def test_balanced_kernels_on_longer_words(w):
-    assert _balanced_member(w) == balanced_member_runs(w)
+    assert balanced_oracle().is_admissible(Word(w)) == balanced_member_runs(w)
     assert _balanced_periodic(Word(w)) == balanced_periodic_runs(Word(w))
+
+
+def test_two_orbit_step_walk_on_every_short_word():
+    oracle = two_orbit_oracle()
+    for w in all_words((0, 1), 12):
+        assert step_walk(oracle, w) == two_orbit_is_admissible(Word(w)), w
 
 
 def capped_closed_form(w: Word, i_cap) -> bool:
@@ -129,13 +157,18 @@ def periodic_by_repetition(shift, w):
 def assert_matches_subset_walk(shift, max_len):
     """Every word over the alphabet and one symbol past it, asked in a row
     of the same shift, so that later words meet the memo of earlier ones;
-    the symbol past the alphabet comes before and after the walk dies."""
+    the symbol past the alphabet comes before and after the walk dies.
+    The oracle's step walk must agree."""
     oracle = ShiftOracle.from_edge_shift(shift)
     outside = max(shift.alphabet.symbols) + 1
     for w in map(Word, all_words(shift.alphabet.symbols + (outside,), max_len)):
         expected = answer(set_walk_admissible, shift, w)
         assert answer(is_word_admissible, shift, w) == expected, w
         assert answer(oracle.is_admissible, w) == expected, w
+        # the step walk stops where the walk dies, before a later symbol
+        # outside the alphabet could raise
+        walked = answer(step_walk, oracle, w)
+        assert walked == expected or (walked is False and isinstance(expected, str)), w
         assert answer(oracle.periodic_admissible, w) == answer(periodic_by_repetition, shift, w), w
 
 
@@ -200,3 +233,54 @@ def test_edge_oracle_on_a_non_right_resolving_graph():
     )
     assert not shift.is_right_resolving()
     assert_matches_subset_walk(shift, 6)
+
+
+# -- the scan on the automata ----------------------------------------------------
+
+
+def old_style(alphabet, is_admissible, periodic_admissible):
+    """An oracle given by its two membership callables only, as the scan's
+    oracles were before they carried states; ``lyndon_scan`` asks it."""
+    return SimpleNamespace(alphabet=alphabet, is_admissible=is_admissible,
+                           periodic_admissible=periodic_admissible)
+
+
+def beta_oracles(spec, depth):
+    graph = build_beta_graph(BetaShift.create(spec), depth)
+    copies = len(graph.vertices)
+    return ShiftOracle.from_edge_shift(graph), old_style(
+        graph.alphabet, lambda w: set_walk_admissible(graph, w),
+        lambda w: len(w) > 0 and set_walk_admissible(graph, w * copies))
+
+
+def scan_cases():
+    balanced = old_style(Alphabet.of_size(4), lambda w: balanced_member_runs(w.symbols),
+                         balanced_periodic_runs)
+    for bound in range(1, 10):
+        for v in ("0", "2", "23", ""):
+            yield "coded", (balanced_oracle(), balanced), Word.parse(v), bound
+    two_orbit = old_style(Alphabet.of_size(2), two_orbit_is_admissible,
+                          two_orbit_periodic_by_repetition)
+    for bound in range(1, 13):
+        for v in ("1", "0", "01", ""):
+            yield "two-orbit", (two_orbit_oracle(), two_orbit), Word.parse(v), bound
+    # the beta shifts of the scan workload, each at its depth and bound
+    for spec, depth, bound in [(QuadraticReal(F(1, 2), F(1, 2), 5), 2, 12),
+                               (QuadraticReal(F(1), F(1), 2), 3, 8),
+                               (F(5, 2), 2, 10), (F(7, 3), 3, 9), (F(3, 2), 3, 12),
+                               (QuadraticReal(F(1), F(1), 3), 2, 9)]:
+        yield "beta %s" % (spec,), beta_oracles(spec, depth), Word.parse("0"), bound
+
+
+@pytest.mark.parametrize("name, oracles, v, bound", list(scan_cases()))
+def test_scan_on_automata_lists_the_old_callables_words(name, oracles, v, bound):
+    """The same words, and one step per node that the old scan asked about:
+    a step from a wrong state would prune other nodes."""
+    automaton, callables = oracles
+    steps, queries = [], []
+    step, member = automaton.step, callables.is_admissible
+    automaton = dataclasses.replace(automaton, step=lambda q, s: steps.append(s) or step(q, s))
+    callables = SimpleNamespace(**dict(vars(callables),
+                                       is_admissible=lambda w: queries.append(w) or member(w)))
+    assert periodic_words_in_cylinder(automaton, v, bound) == lyndon_scan(callables, v, bound)
+    assert steps == [w[-1] for w in queries]

@@ -170,3 +170,31 @@ def test_birkhoff_sum_reads_shifted_and_eventually_periodic_points(data, k, n):
         expected = window_sum(reference, roof.past, roof.future, p.__getitem__, n) if n else None
         got = birkhoff_sum(roof, p, n)
         assert got.coords == (expected or tuple(Fraction(0) for _ in range(len(roof.basis))))
+
+
+@SCAN
+@given(st.data(), st.integers(2, 3))
+def test_birkhoff_sums_on_one_roof_read_its_cached_rows(data, k):
+    """Many sums on one roof, which caches its integer rows on first use,
+    equal the plain window sums; a window missing from the table raises,
+    naming the first one read, and later sums on the roof still hold."""
+    symbols = tuple(range(k))
+    roof, reference = data.draw(roofs(lambda width: [w.symbols for w in _all_words(symbols, width)]))
+    if data.draw(st.booleans()) and len(reference) > 1:
+        dropped = data.draw(st.sampled_from(sorted(reference)))
+        del reference[dropped]
+        table = {w: value for w, value in roof.table.items() if w.symbols != dropped}
+        roof = LocallyConstantRoof(roof.past, roof.future, table)
+    words = st.lists(st.sampled_from(symbols), min_size=1, max_size=6).map(Word)
+    for period in data.draw(st.lists(words, min_size=1, max_size=6)):
+        p = EventuallyPeriodicPoint(period, Word(), period, data.draw(st.integers(-6, 6)))
+        n = data.draw(st.integers(1, 12))
+        try:
+            expected = window_sum(reference, roof.past, roof.future, p.__getitem__, n)
+        except KeyError as exc:
+            with pytest.raises(MissingWindowError) as got:
+                birkhoff_sum(roof, p, n)
+            assert str(got.value) == (
+                "window %s not in roof table (inadmissible context)" % Word(exc.args[0]))
+        else:
+            assert birkhoff_sum(roof, p, n).coords == expected
