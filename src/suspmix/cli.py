@@ -419,6 +419,8 @@ def cmd_cohomology(config: SystemConfig, args):
     if kind != "sft":
         raise ValueError("cohomology commands need a finite-type base")
     roof = config.table_roof()
+    # read in every mode, so that a malformed bound is always reported
+    bound = period_bound(config, args)
     if mode == "test":
         if roof is None:
             raise ValueError("cohomology --mode test needs a locally constant (table) roof")
@@ -432,7 +434,7 @@ def cmd_cohomology(config: SystemConfig, args):
             body["witness_orbit"] = str(result.witness_orbit.right_period)
             lines.append("witness orbit: %s" % body["witness_orbit"])
         return 0, body, lines
-    blocks, delta = grid_delta(config, base, roof, mode, args)
+    blocks, delta = grid_delta(config, base, roof, mode, bound)
     if mode == "normalize":
         norm = normalize_to_delta_grid(base, roof, delta, blocks)
         s_table, g_table = rendered(norm.roof), rendered(norm.transfer)
@@ -450,15 +452,13 @@ def cmd_cohomology(config: SystemConfig, args):
     return 0, body, lines
 
 
-def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, args):
+def grid_delta(config: SystemConfig, base: EdgeShift, roof, mode: str, bound: int):
     """The presentation that ``mode`` works on, and the delta of its cycle values.
 
     Returns (blocks, delta).  When there is no table roof, the base is not
     transitive, or no block length names every vertex (a sofic base),
     blocks is None and the decision gives delta or names why there is none.
     """
-    # read on every path, so that a malformed bound is always reported
-    bound = period_bound(config, args)
     blocks = None
     if roof is not None and is_transitive(base):
         build = normalizing_blocks if mode == "normalize" else section_blocks

@@ -189,14 +189,16 @@ class ShiftOracle:
 
     ``step(state, symbol)`` is the next state, or None once the word has
     left the language.  ``is_admissible`` answers finite-word membership,
-    by default a walk of ``step``; ``periodic_admissible`` answers whether
-    the bi-infinite repetition of a word lies in the shift.
+    by default a walk of ``step``; ``periodic_admissible(w, state=None)``
+    answers whether the bi-infinite repetition of w lies in the shift.
+    The scan asks it only of members and passes the state after w, so a
+    test may read the wrap-around from it; None means it walks ``step``.
     """
 
     alphabet: Alphabet
     start: Hashable
     step: Callable[[Hashable, int], Optional[Hashable]]
-    periodic_admissible: Callable[[Word], bool]
+    periodic_admissible: Callable[..., bool]
     is_admissible: Optional[Callable[[Word], bool]] = None
 
     def __post_init__(self):
@@ -224,7 +226,7 @@ class ShiftOracle:
         """
         copies = len(shift.vertices)
         return cls(shift.alphabet, *subset_walk(shift),
-                   lambda w: len(w) > 0 and is_word_admissible(shift, w * copies),
+                   lambda w, state=None: len(w) > 0 and is_word_admissible(shift, w * copies),
                    lambda w: is_word_admissible(shift, w))
 
 
@@ -239,7 +241,8 @@ def periodic_words_in_cylinder(
     there.  Every prefix of a Lyndon word is a factor of its repetition,
     so a prefix that ``oracle.step`` rejects is pruned.  Each stack entry
     carries its parent's oracle state, so each node costs one step; a Word
-    is built, and ``periodic_admissible`` asked, only at Lyndon nodes.
+    is built, and ``periodic_admissible`` asked with the node's state,
+    only at Lyndon nodes.
     The returned word is the Lyndon word when ``|v| <= 1``, else its first
     rotation whose repetition starts with v, so w-bar always lies in [v].
     The order is that of the DFS.  A bound below 1 raises ValueError.
@@ -273,7 +276,7 @@ def periodic_words_in_cylinder(
         if p == t:
             word = Word(prefix)
             w = _rotation_in_cylinder(word, v) if rotate else word
-            if w is not None and periodic_admissible(word):
+            if w is not None and periodic_admissible(word, state):
                 found.append(w)
         if t < period_bound:
             repeat = prefix[t - p]

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
-from suspmix.exact import QVector, RealBasis, common_rows, from_rows
+from suspmix.exact import QVector, RealBasis, _reduced, common_rows
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
@@ -200,11 +199,12 @@ def birkhoff_sum(roof, p, n: int):
     """Sum of the roof along the first n shifts of p.
 
     Exact (QVector) for locally constant roofs, float otherwise.  A table
-    roof reads p[-past .. n + future) once, counts its windows, and sums
-    count × row on the roof's cached integer ``rows``, with one lookup per
-    distinct window in order of first occurrence, so a missing window is
-    named by the first one in that order.  A purely periodic point is read
-    as a slice of its period repeated.
+    roof reads p[-past .. n + future) once, counts its windows in a dict,
+    and sums count × row on the roof's cached integer ``rows``, with one
+    lookup per distinct window in order of first occurrence, so a missing
+    window is named by the first one in that order; the one total row is
+    reduced to lowest terms once.  A purely periodic point is read as a
+    slice of its period repeated.
     """
     if n < 0:
         raise ValueError("birkhoff_sum needs n >= 0")
@@ -212,14 +212,16 @@ def birkhoff_sum(roof, p, n: int):
         if not n:
             return roof.basis.zero()
         symbols = _read(p, -roof.past, n + roof.future)
-        counts = window_counts(symbols, roof.past + roof.future + 1, n)
+        counts: dict = {}
+        for w in zip(*(symbols[k : k + n] for k in range(roof.past + roof.future + 1))):
+            counts[w] = counts.get(w, 0) + 1
         den, rows = roof.rows
         try:
             rows = [rows[w] for w in counts]
         except KeyError as exc:
             raise _missing(Word(exc.args[0])) from None
-        total = [sum(map(mul, counts.values(), column)) for column in zip(*rows)]
-        return from_rows(roof.basis, [total], den)[0]
+        total = tuple([sum(map(mul, counts.values(), column)) for column in zip(*rows)])
+        return _reduced(roof.basis, total, den)
     return sum(roof.value_at(p, j) for j in range(n))
 
 
@@ -230,12 +232,6 @@ def _read(p, lo: int, hi: int):
         start = (lo + p.origin_offset) % len(period)
         return (period * ((start + hi - lo) // len(period) + 1))[start : start + hi - lo]
     return [p[i] for i in range(lo, hi)]
-
-
-def window_counts(symbols, width: int, n: int) -> Counter:
-    """How often each window symbols[j : j + width], j < n, occurs, as tuples
-    in order of first occurrence."""
-    return Counter(zip(*(symbols[k : k + n] for k in range(width))))
 
 
 @dataclass

@@ -17,10 +17,11 @@ from suspmix.roofs import EvaluableRoof, LocallyConstantRoof
 from suspmix.shift import EventuallyPeriodicPoint, Word
 
 # Cells (members times symbols) in one batch of hitting_times.  At 2**13
-# the simulate workload's peak RSS is 39.2 MB.  At 2**17 it is 44.0 MB and
-# the workload's wall_s reads about a third lower (0.27 s against 0.41 s,
-# two runs each); the size stays, so that perfbench's roofs.table_symbols,
-# which adds up each batch's longest count, stays comparable across changes.
+# the simulate workload's peak RSS is 39.2 MB; at 2**17 it is 44.0 MB, and
+# its wall_s is no lower beyond noise (seed 1, --seconds 8, six alternating
+# pairs: medians 0.265 s at 2**13 against 0.257 s at 2**17).  The size also
+# keeps perfbench's roofs.table_symbols, which adds up each batch's longest
+# count, comparable across changes.
 _BATCH_CELLS = 1 << 13
 
 

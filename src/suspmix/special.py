@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from suspmix.decider import ShiftOracle, decide_mixing_synchronized, periodic_words_in_cylinder
 from suspmix.exact import floor_mod
@@ -269,12 +269,13 @@ def _balanced_step(state, s):
     A maximal 2-run whose right end is visible must be followed by a
     3-run of matching length (relaxed to an inequality when either run is
     cut off by the word boundary); a visible 3-run must be preceded by 2s.
-    The state is (symbol of the current run, its length, whether it is the
-    word's first run, the length of the 2-run before it, whether that is
-    the first run).  Each run is checked when the next begins, and the
-    open run as the word's last, so a state exists iff the word is a member.
+    The state is (symbol of the current run, its length, the number of
+    runs before it, the length of the run before it, the symbol and length
+    of the word's first run and the length of its second, each once it has
+    closed).  Each run is checked when the next begins, and the open run
+    as the word's last, so a state exists iff the word is a member.
     """
-    run, length, first, twos, twos_first = state
+    run, length, closed, twos, lead, lead_length, second = state
     if s == run:
         length += 1
     else:
@@ -283,45 +284,56 @@ def _balanced_step(state, s):
         if run is not None:
             if (run == 2) != (s == 3):
                 return None
-            if run == 3 and not first and (length < twos if twos_first else length != twos):
+            if not closed:
+                lead, lead_length = run, length
+            elif run == 3 and (length < twos if closed == 1 else length != twos):
                 return None
-            twos, twos_first, first = length, first, False
+            if closed == 1:
+                second = length
+            twos, closed = length, closed + 1
         run, length = s, 1
     # a last 3-run is cut by the word's end: it may be shorter than its 2-run
-    if run == 3 and not (first or twos_first) and length > twos:
+    if run == 3 and closed > 1 and length > twos:
         return None
-    return run, length, first, twos, twos_first
+    return run, length, closed, twos, lead, lead_length, second
 
 
-def _balanced_periodic(w: Word) -> bool:
+_BALANCED_START = (None, 0, 0, 0, None, 0, 0)
+
+
+def _balanced_periodic(w: Word, state=None) -> bool:
     """Whether the bi-infinite repetition of w is in the coded shift.
 
-    The rotation of w that starts at a run boundary and not at a 3-run has
-    the cyclic runs of w as its runs, each 3-run after its predecessor.
-    Every 2-run must be followed by a 3-run of equal length and every
-    3-run preceded by a 2-run, cyclically.  Symbols outside 0-3 are not
-    rejected here; the scan steps w through ``_balanced_step`` first.
+    ``state`` is the oracle's state after w, walked from the start when
+    not given.  Every run of w but the first and the last is whole in
+    w-bar, and the state holds w as a member, so only the wrap-around is
+    left: either the last run merges with the first, and a merged 2- or
+    3-run must match its neighbour, or the last run meets the first, where
+    a 2-run must be followed by a 3-run of equal length and the runs cut
+    by the word's ends must match exactly.
     """
-    symbols = w.symbols
-    for start, s in enumerate(symbols):
-        if s != symbols[start - 1] and s != 3:
-            break
-    else:
+    if state is None:
+        state = _BALANCED_START
+        for s in w:
+            state = _balanced_step(state, s)
+            if state is None:
+                return False
+    run, length, closed, twos, lead, lead_length, second = state
+    if not closed:
         return True  # constant: 0-bar, 1-bar, and the closure points 2-bar, 3-bar
-    run, length, twos = s, 0, 0
-    # the extra symbol closes the last run against the first
-    for s in symbols[start:] + symbols[: start + 1]:
-        if s == run:
-            length += 1
-            continue
-        if (run == 2) != (s == 3) or (run == 3 and length != twos):
-            return False
-        run, length, twos = s, 1, length
-    return True
+    if run == lead:
+        if run == 2:
+            return second == lead_length + length
+        return run != 3 or twos == lead_length + length
+    if run == 2 or lead == 3:
+        return run == 2 and lead == 3 and length == lead_length
+    # a first 2-run and its 3-run, and a last 3-run and its 2-run, are equal
+    return ((lead != 2 or closed == 1 or second == lead_length)
+            and (run != 3 or length == twos))
 
 
 def balanced_oracle() -> ShiftOracle:
-    return ShiftOracle(CodedGenerator.balanced_23().alphabet(), (None, 0, True, 0, False),
+    return ShiftOracle(CodedGenerator.balanced_23().alphabet(), _BALANCED_START,
                        _balanced_step, _balanced_periodic)
 
 
@@ -373,7 +385,7 @@ def _scaffold_factors(n: int) -> frozenset:
     return frozenset(tuple(a[i : i + n]) for i in range(len(a) - n + 1))
 
 
-def _factor_occurs(interior: list[int], lead: int, trail: int) -> bool:
+def _factor_occurs(interior: Sequence[int], lead: int, trail: int) -> bool:
     """Whether the separator-length pattern occurs in the scaffold sequence.
 
     ``interior`` must match consecutively, at a start i >= 1 that leaves a
@@ -474,7 +486,7 @@ def two_orbit_is_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
     return any(check(l, t) for l in lead_options for t in trail_options)
 
 
-def two_orbit_periodic_admissible(w: Word) -> bool:
+def two_orbit_periodic_admissible(w: Word, state=None) -> bool:
     """Whether the bi-infinite repetition of w lies in the two-orbit shift.
 
     In closed form: w-bar is in the shift iff w uses only 0 and 1 and
@@ -494,16 +506,56 @@ def two_orbit_periodic_admissible(w: Word) -> bool:
     return half > 0 and symbols in ((0, 1) * half, (1, 0) * half)
 
 
-def _two_orbit_step(prefix: tuple, s: int) -> Optional[tuple]:
-    """The two-orbit oracle's step, the one that is not incremental: its state
-    is the word read, which ``two_orbit_is_admissible`` parses at every step."""
-    prefix += (s,)
-    return prefix if two_orbit_is_admissible(prefix) else None
+# Shapes of a two-orbit word's last segment, read since its last separator
+# and before its trailing 0-run: the leading 0-run alone; one 1 that is
+# open on the left (the word starts with 1 or 01); one 1 after a
+# separator; 1^j, j >= 2; alternating with a 0 inside; closed by a
+# trailing run of two or more 0s, the next separator.
+_LEAD, _OPEN_ONE, _ONE, _ONES, _ALT, _SEP = range(6)
+
+
+def _two_orbit_step(state: tuple, s: int) -> Optional[tuple]:
+    """The two-orbit oracle's step: ``two_orbit_is_admissible`` of each
+    prefix, one symbol at a time.
+
+    The state is (shape of the last segment, length of the trailing 0-run,
+    the lead separator's length or 0, the interior separator lengths).  A
+    leading single 0 is a lead separator of length 1 or begins 1(01)^k,
+    open on the left; either way 01 then reads as 1 open on the left, and
+    a lead of length <= 3 constrains no scaffold term.  A trailing single 0
+    is a trail separator of length 1 or ends an alternating segment, and
+    one of the two always fits, so a segment is checked closed once its
+    trailing run reaches 2.  The separators are checked against the
+    scaffold when one closes, and a trailing run of 4 as a partial one.
+    """
+    shape, zeros, lead, interior = state
+    if s == 0:
+        zeros += 1
+        if zeros == 2 and shape != _LEAD:
+            # a closed segment is 1^j, j >= 2, or 1(01)^k, unless open on the left
+            if shape == _ONE:
+                return None
+            shape = _SEP
+        if zeros > 4 or (zeros == 4 and not _factor_occurs(interior, lead, 4)):
+            return None
+        return shape, zeros, lead, interior
+    if s != 1:
+        return None
+    if shape == _LEAD:
+        return (_OPEN_ONE, 0, 0, ()) if zeros < 2 else (_ONE, 0, zeros, ())
+    if shape == _SEP:
+        interior += (zeros,)
+        if zeros < 3 or not _factor_occurs(interior, lead, 0):
+            return None
+        return _ONE, 0, lead, interior
+    if zeros:  # a single 0 inside an alternating segment
+        return None if shape == _ONES else (_ALT, 0, lead, interior)
+    return None if shape == _ALT else (_ONES, 0, lead, interior)
 
 
 def two_orbit_oracle() -> ShiftOracle:
-    return ShiftOracle(Alphabet.of_size(2), (), _two_orbit_step, two_orbit_periodic_admissible,
-                       two_orbit_is_admissible)
+    return ShiftOracle(Alphabet.of_size(2), (_LEAD, 0, 0, ()), _two_orbit_step,
+                       two_orbit_periodic_admissible, two_orbit_is_admissible)
 
 
 def two_orbit_shift_words(i: Optional[int], max_len: int) -> Iterator[Word]:

@@ -356,6 +356,33 @@ def balanced_periodic_runs(w: Word) -> bool:
     return True
 
 
+def balanced_periodic_rotation(w: Word) -> bool:
+    """Periodic test for the balanced-2/3 coded shift on the cyclic runs
+    of w, as the library answered it before it read the oracle state.
+
+    The rotation of w that starts at a run boundary and not at a 3-run has
+    the cyclic runs of w as its runs, each 3-run after its predecessor.
+    Every 2-run must be followed by a 3-run of equal length and every
+    3-run preceded by a 2-run, cyclically.  Symbols outside 0-3 are not
+    rejected."""
+    symbols = w.symbols
+    for start, s in enumerate(symbols):
+        if s != symbols[start - 1] and s != 3:
+            break
+    else:
+        return True
+    run, length, twos = s, 0, 0
+    # the extra symbol closes the last run against the first
+    for s in symbols[start:] + symbols[: start + 1]:
+        if s == run:
+            length += 1
+            continue
+        if (run == 2) != (s == 3) or (run == 3 and length != twos):
+            return False
+        run, length, twos = s, 1, length
+    return True
+
+
 def two_orbit_periodic_by_repetition(w: Word, i_cap=None) -> bool:
     """Periodic test for the two-orbit shift: a repetition of w of at
     least six copies and 140 symbols is a word of the shift."""

@@ -217,6 +217,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     @pytest.mark.parametrize("argv", [["decide", "--preset", "example-4.3"],
+                                      ["cohomology", "--preset", "example-4.1", "--mode", "test"],
                                       ["cohomology", "--preset", "example-4.1", "--mode", "normalize"],
                                       ["cohomology", "--preset", "example-4.1", "--mode", "section"]])
     def test_a_period_bound_below_one(self, capsys, argv, bound):
@@ -224,7 +225,8 @@ class TestInputErrors:
         assert main(argv + ["--bound", bound]) == 2
         assert one_error_line(capsys) == "error: period bound must be at least 1, got %s" % bound
 
-    @pytest.mark.parametrize("command", ["decide", "cohomology --mode normalize"])
+    @pytest.mark.parametrize("command", ["decide", "cohomology --mode test",
+                                         "cohomology --mode normalize"])
     def test_a_config_period_bound_below_one(self, tmp_path, capsys, command):
         cfg = tmp_path / "bound.cfg"
         cfg.write_text(PRESETS["example-4.1"].replace("bound = 12", "bound = 0"))

@@ -2,13 +2,15 @@
 
 Each ``ShiftOracle`` is a start state and a step that the orbit scan
 carries, one step per DFS node.  The balanced-2/3 coded shift's step and
-cyclic periodic test, the two-orbit shift's prefix step and closed-form
-periodic test, and the edge-shift oracle's step, the memoized
-``subset_walk`` that ``is_word_admissible`` walks too, must give the
-answers of the run-list, repetition and plain set-walk versions kept in
-``reference.py``, including their errors.  The scan on the automata must
-list the words that ``reference.lyndon_scan`` lists when it asks those
-versions of every prefix, as the scan did before it carried states.
+its periodic test on the state after the word, the two-orbit shift's
+scaffold-parse step and closed-form periodic test, and the edge-shift
+oracle's step, the memoized ``subset_walk`` that ``is_word_admissible``
+walks too, must give the answers of the run-list, rotation, whole-word
+parse, repetition and plain set-walk versions, kept in ``reference.py``
+or in ``special.two_orbit_is_admissible``, including their errors.  The
+scan on the automata must list the words that ``reference.lyndon_scan``
+lists when it asks those versions of every prefix, as the scan did before
+it carried states.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ from suspmix.special import (
 
 from reference import (
     balanced_member_runs,
+    balanced_periodic_rotation,
     balanced_periodic_runs,
     lyndon_scan,
     set_walk_admissible,
@@ -69,14 +72,33 @@ def per_orbit(reference, words):
         yield w, answers[w]
 
 
-def step_walk(oracle, w):
-    """Whether ``oracle.step``, walked from ``oracle.start``, reads all of w."""
+def walk(oracle, w):
+    """The state of ``oracle.step`` walked from ``oracle.start`` over w, or None."""
     state = oracle.start
     for s in w:
         state = oracle.step(state, s)
         if state is None:
-            return False
-    return True
+            return None
+    return state
+
+
+def step_walk(oracle, w):
+    """Whether ``oracle.step``, walked from ``oracle.start``, reads all of w."""
+    return walk(oracle, w) is not None
+
+
+def walked(oracle, max_len, prune):
+    """Words of length <= max_len over the oracle's alphabet, each with the
+    state of the step walk after it or None, one step per word from its
+    parent's state; with ``prune``, only the members and the words one
+    symbol past one."""
+    stack = [((), oracle.start)]
+    while stack:
+        w, state = stack.pop()
+        yield w, state
+        if len(w) < max_len and (state is not None or not prune):
+            stack.extend((w + (s,), None if state is None else oracle.step(state, s))
+                         for s in oracle.alphabet.symbols)
 
 
 def test_balanced_member_on_every_short_word():
@@ -90,6 +112,19 @@ def test_balanced_periodic_on_every_short_word():
         assert _balanced_periodic(Word(w)) == expected, w
 
 
+def test_balanced_periodic_reads_the_state_on_every_short_word():
+    """Every member of length <= 10, with the state that the scan passes and
+    without, and every word one symbol past a member: the rotation test
+    agrees.  Any other word of that length has a rejected proper prefix,
+    which is then a factor of its repetition too."""
+    for w, state in walked(balanced_oracle(), 10, prune=True):
+        expected = balanced_periodic_rotation(Word(w))
+        if state is None:
+            assert not expected and not _balanced_periodic(Word(w)), w
+        else:
+            assert _balanced_periodic(Word(w), state) == expected == _balanced_periodic(Word(w)), w
+
+
 # runs of a few symbols, so that equal 2- and 3-runs are common, with
 # symbols outside the coded alphabet
 run_words = st.lists(st.tuples(st.integers(-1, 4), st.integers(1, 5)), max_size=8).map(
@@ -100,14 +135,22 @@ run_words = st.lists(st.tuples(st.integers(-1, 4), st.integers(1, 5)), max_size=
 @KERNELS
 @given(st.one_of(run_words, st.lists(st.integers(-1, 4), max_size=16).map(tuple)))
 def test_balanced_kernels_on_longer_words(w):
-    assert balanced_oracle().is_admissible(Word(w)) == balanced_member_runs(w)
-    assert _balanced_periodic(Word(w)) == balanced_periodic_runs(Word(w))
+    """The references do not reject symbols outside 0-3; the periodic test
+    answers only for members, as w is a factor of w-bar."""
+    oracle, member = balanced_oracle(), balanced_member_runs(w)
+    assert oracle.is_admissible(Word(w)) == member
+    expected = member and balanced_periodic_runs(Word(w))
+    assert balanced_periodic_rotation(Word(w)) == balanced_periodic_runs(Word(w))
+    assert _balanced_periodic(Word(w)) == expected
+    if member:
+        assert _balanced_periodic(Word(w), walk(oracle, w)) == expected
 
 
 def test_two_orbit_step_walk_on_every_short_word():
-    oracle = two_orbit_oracle()
-    for w in all_words((0, 1), 12):
-        assert step_walk(oracle, w) == two_orbit_is_admissible(Word(w)), w
+    """Every binary word of length <= 16; the scan reaches bound 15, and
+    ``ref.two_orbit_b16`` bound 16."""
+    for w, state in walked(two_orbit_oracle(), 16, prune=False):
+        assert (state is not None) == two_orbit_is_admissible(w), w
 
 
 def capped_closed_form(w: Word, i_cap) -> bool:
@@ -253,23 +296,30 @@ def beta_oracles(spec, depth):
         lambda w: len(w) > 0 and set_walk_admissible(graph, w * copies))
 
 
+def two_orbit_cases(bounds):
+    two_orbit = old_style(Alphabet.of_size(2), two_orbit_is_admissible,
+                          two_orbit_periodic_by_repetition)
+    for bound in bounds:
+        for v in ("1", "0", "01", ""):
+            yield "two-orbit", (two_orbit_oracle(), two_orbit), Word.parse(v), bound
+
+
 def scan_cases():
     balanced = old_style(Alphabet.of_size(4), lambda w: balanced_member_runs(w.symbols),
                          balanced_periodic_runs)
     for bound in range(1, 10):
         for v in ("0", "2", "23", ""):
             yield "coded", (balanced_oracle(), balanced), Word.parse(v), bound
-    two_orbit = old_style(Alphabet.of_size(2), two_orbit_is_admissible,
-                          two_orbit_periodic_by_repetition)
-    for bound in range(1, 13):
-        for v in ("1", "0", "01", ""):
-            yield "two-orbit", (two_orbit_oracle(), two_orbit), Word.parse(v), bound
+    yield from two_orbit_cases(range(1, 13))
     # the beta shifts of the scan workload, each at its depth and bound
     for spec, depth, bound in [(QuadraticReal(F(1, 2), F(1, 2), 5), 2, 12),
                                (QuadraticReal(F(1), F(1), 2), 3, 8),
                                (F(5, 2), 2, 10), (F(7, 3), 3, 9), (F(3, 2), 3, 12),
                                (QuadraticReal(F(1), F(1), 3), 2, 9)]:
         yield "beta %s" % (spec,), beta_oracles(spec, depth), Word.parse("0"), bound
+    # two-orbit up to bound 16, as ``ref.two_orbit_b16`` scans; these come
+    # last so that the cases above keep their numbered ids
+    yield from two_orbit_cases(range(13, 17))
 
 
 @pytest.mark.parametrize("name, oracles, v, bound", list(scan_cases()))
