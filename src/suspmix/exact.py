@@ -36,8 +36,9 @@ class RealBasis:
     """Ordered list of (name, float approximation) pairs.
 
     Element 0 is conventionally the constant ``1`` with approximation 1.0.
-    Names must be distinct and approximations strictly positive.  Rational
-    independence of the elements is an unchecked user assertion.
+    Names must be distinct and approximations finite and strictly
+    positive.  Rational independence of the elements is an unchecked user
+    assertion.
     """
 
     names: tuple[str, ...]
@@ -48,8 +49,11 @@ class RealBasis:
             raise ValueError("basis needs matching, nonempty names/approximations")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate basis names: %r" % (self.names,))
-        if any(a <= 0 for a in self.approx):
-            raise ValueError("basis approximations must be strictly positive")
+        for name, a in zip(self.names, self.approx):
+            # NaN fails every comparison, so it is rejected too
+            if not 0 < a < math.inf:
+                raise ValueError("basis approximation %s = %r must be finite and strictly positive"
+                                 % (name, a))
         # not a field: the hash the dataclass would compute, so set orders
         # hold; every QVector hash asks for it
         object.__setattr__(self, "_hash", hash((self.names, self.approx)))

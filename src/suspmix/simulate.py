@@ -8,13 +8,14 @@ empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from suspmix.roofs import EvaluableRoof, LocallyConstantRoof
-from suspmix.shift import EventuallyPeriodicPoint, Word
+from suspmix.shift import EventuallyPeriodicPoint, Word, is_word_admissible
 
 # Cells (members times symbols) in one batch of hitting_times.  At 2**13
 # the simulate workload's peak RSS is 39.2 MB; at 2**17 it is 44.0 MB, and
@@ -192,6 +193,8 @@ def hitting_times(
     member is evaluated only up to a cut that holds its first k hits and
     every roof window its full horizon would read, so the result, and a
     missing table window, are those of evaluating the whole horizon.
+    The horizon must be finite and above 0, and epsilon above 0 and below
+    the least roof value; otherwise ValueError.
     """
     if not start_family:
         raise ValueError("empty start family")
@@ -203,6 +206,10 @@ def hitting_times(
     floor = getattr(roof, "floor", None)
     if floor is None:
         floor = min(map(float, roof.values()))
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and above 0, got %g" % horizon)
+    if not epsilon > 0:
+        raise ValueError("epsilon must be above 0, got %g" % epsilon)
     if epsilon >= floor:
         raise ValueError("epsilon must be below the minimum roof value")
     if omega is None:
@@ -274,23 +281,15 @@ def witness_family(
 ) -> list[EventuallyPeriodicPoint]:
     """The witnesses ...u w v1^n v2^m zeta^inf, one per (n, m), origin at w.
 
-    Each core is kept as its three runs (w, 1), (v1, n), (v2, m).
-    ``shift`` supplies admissibility checking: an EdgeShift, an object
-    with an ``is_admissible`` callable, or None to skip the check.
+    Each core is kept as its three runs (w, 1), (v1, n), (v2, m).  When
+    ``shift``, an EdgeShift, is given, every witness must be admissible in
+    it; None skips the check.
     """
-    checker = None
-    if shift is not None:
-        if hasattr(shift, "is_admissible"):
-            checker = shift.is_admissible
-        else:
-            from suspmix.shift import is_word_admissible
-
-            checker = lambda word: is_word_admissible(shift, word)
     family = []
     for n in n_range:
         for m in m_range:
             x = EventuallyPeriodicPoint.from_runs(u, ((w, 1), (v1, n), (v2, m)), zeta)
-            if checker is not None and not checker(u + u + x.core + zeta + zeta):
+            if shift is not None and not is_word_admissible(shift, u + u + x.core + zeta + zeta):
                 raise ValueError("inadmissible concatenation at (n, m) = (%d, %d)" % (n, m))
             family.append(x)
     return family

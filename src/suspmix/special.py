@@ -10,7 +10,6 @@ scaffolded on an aperiodic {3,4}-valued separator sequence.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,10 +254,6 @@ class CodedGenerator:
         return Alphabet.of_size(4)
 
 
-def _runs(symbols: list[int]) -> list[tuple[int, int]]:
-    return [(s, len(list(g))) for s, g in itertools.groupby(symbols)]
-
-
 _BALANCED_SYMBOLS = frozenset((0, 1, 2, 3))
 
 
@@ -408,84 +403,6 @@ def _factor_occurs(interior: Sequence[int], lead: int, trail: int) -> bool:
     )
 
 
-def _segment_ok(seg: list[int], open_left: bool, open_right: bool, i_cap) -> bool:
-    """Whether a maximal 1/01-segment fits the generator inventory.
-
-    Closed segments must be a full generator: 1^j (j >= 2) or the
-    alternating word 1(01)^k; open sides relax to suffixes/prefixes.
-    """
-    if not seg:
-        return open_left or open_right
-    if all(s == 1 for s in seg):
-        return open_left or open_right or len(seg) >= 2
-    # an alternating word with a 1 at each closed end has odd length >= 3
-    return (all(a != b for a, b in zip(seg, seg[1:])) and (open_left or seg[0] == 1)
-            and (open_right or seg[-1] == 1) and (i_cap is None or len(seg) <= 2 * i_cap + 1))
-
-
-def two_orbit_is_admissible(w: Word, i_cap: Optional[int] = None) -> bool:
-    """Membership of w, a Word or a tuple of symbols, in the two-orbit shift.
-
-    Points interleave generator words (1-runs of length >= 2 and
-    alternating words 1(01)^k, with k <= i_cap when given) with zero
-    separators whose lengths follow consecutive terms of the aperiodic
-    {3,4} scaffold.  A word is admissible iff its visible separators are
-    a factor of the scaffold and the segments between them fit the
-    generator inventory, with relaxations at the word boundary.
-    """
-    symbols = list(w)
-    if any(s not in (0, 1) for s in symbols):
-        return False
-    if not symbols:
-        return True
-
-    # candidate parses: a leading/trailing 0-run of length 1 may be either
-    # a partial separator or part of an alternating generator word
-    runs = _runs(symbols)
-
-    def check(lead_sep: bool, trail_sep: bool) -> bool:
-        body = runs[:]
-        lead = trail = 0
-        if lead_sep:
-            if not body or body[0][0] != 0:
-                return False
-            lead = body[0][1]
-            body = body[1:]
-        if trail_sep:
-            if not body or body[-1][0] != 0:
-                return False
-            trail = body[-1][1]
-            body = body[:-1]
-        if lead > 4 or trail > 4:
-            return False
-        # split body into segments at 0-runs of length >= 2 (separators)
-        segments: list[list[int]] = [[]]
-        interior: list[int] = []
-        for s, length in body:
-            if s == 0 and length >= 2:
-                interior.append(length)
-                segments.append([])
-            else:
-                segments[-1].extend([s] * length)
-        if any(v not in (3, 4) for v in interior):
-            return False
-        if not _factor_occurs(interior, lead, trail):
-            return False
-        for idx, seg in enumerate(segments):
-            open_left = idx == 0 and not lead_sep
-            open_right = idx == len(segments) - 1 and not trail_sep
-            if not _segment_ok(seg, open_left, open_right, i_cap):
-                return False
-        return True
-
-    lead_options = trail_options = [False]
-    if runs[0][0] == 0:
-        lead_options = [True] if runs[0][1] >= 2 else [False, True]
-    if runs[-1][0] == 0 and len(runs) > 1:
-        trail_options = [True] if runs[-1][1] >= 2 else [False, True]
-    return any(check(l, t) for l in lead_options for t in trail_options)
-
-
 def two_orbit_periodic_admissible(w: Word, state=None) -> bool:
     """Whether the bi-infinite repetition of w lies in the two-orbit shift.
 
@@ -515,8 +432,16 @@ _LEAD, _OPEN_ONE, _ONE, _ONES, _ALT, _SEP = range(6)
 
 
 def _two_orbit_step(state: tuple, s: int) -> Optional[tuple]:
-    """The two-orbit oracle's step: ``two_orbit_is_admissible`` of each
-    prefix, one symbol at a time.
+    """The two-orbit oracle's step, the one definition of the shift's
+    language, read one symbol at a time.
+
+    Points interleave generator words, 1-runs of length >= 2 and
+    alternating words 1(01)^k with k >= 1, with zero separators whose
+    lengths follow consecutive terms of the aperiodic {3,4} scaffold.  A
+    word is a member iff its visible separators are a factor of the
+    scaffold and the segments between them fit the generator inventory;
+    a segment cut by the word's start or end need only be a suffix or a
+    prefix of a generator, and a cut separator need only fit a term.
 
     The state is (shape of the last segment, length of the trailing 0-run,
     the lead separator's length or 0, the interior separator lengths).  A
@@ -555,24 +480,33 @@ def _two_orbit_step(state: tuple, s: int) -> Optional[tuple]:
 
 def two_orbit_oracle() -> ShiftOracle:
     return ShiftOracle(Alphabet.of_size(2), (_LEAD, 0, 0, ()), _two_orbit_step,
-                       two_orbit_periodic_admissible, two_orbit_is_admissible)
+                       two_orbit_periodic_admissible)
 
 
-def two_orbit_shift_words(i: Optional[int], max_len: int) -> Iterator[Word]:
-    """All admissible words of length 1 .. max_len, by pruned DFS."""
+def two_orbit_is_admissible(w) -> bool:
+    """Membership of w, a Word or a tuple of symbols, in the two-orbit
+    shift: a walk of ``_two_orbit_step`` from the oracle's start."""
+    return two_orbit_oracle().is_admissible(w)
 
-    def dfs(prefix: list[int]) -> Iterator[Word]:
+
+def two_orbit_shift_words(max_len: int) -> Iterator[Word]:
+    """All admissible words of length 1 .. max_len, by a DFS that carries
+    the oracle state, one step per node."""
+    oracle = two_orbit_oracle()
+
+    def dfs(prefix: list[int], state) -> Iterator[Word]:
         if prefix:
             yield Word(prefix)
         if len(prefix) == max_len:
             return
         for s in (0, 1):
-            prefix.append(s)
-            if two_orbit_is_admissible(Word(prefix), i):
-                yield from dfs(prefix)
-            prefix.pop()
+            child = oracle.step(state, s)
+            if child is not None:
+                prefix.append(s)
+                yield from dfs(prefix, child)
+                prefix.pop()
 
-    yield from dfs([])
+    yield from dfs([], oracle.start)
 
 
 def two_orbit_periodic_words(period_bound: int) -> list[Word]:
@@ -590,7 +524,8 @@ def find_connector(u: Word, v: Word, n: int) -> Optional[Word]:
     """
     if n < 2:
         raise ValueError("the 1-run must have length >= 2")
-    if not two_orbit_is_admissible(u) or not two_orbit_is_admissible(v):
+    admissible = two_orbit_oracle().is_admissible
+    if not admissible(u) or not admissible(v):
         raise ValueError("endpoints must be admissible")
     core = Word([0] + [1] * n + [0])
 
@@ -599,14 +534,14 @@ def find_connector(u: Word, v: Word, n: int) -> Optional[Word]:
         if budget:
             for s in (0, 1):
                 cand = start + Word([s])
-                if two_orbit_is_admissible(u + cand):
+                if admissible(u + cand):
                     yield from extensions(cand, budget - 1)
 
     for pad in extensions(Word(), 12):
         base = pad + core
-        if not two_orbit_is_admissible(u + base):
+        if not admissible(u + base):
             continue
         for w in extensions(base, 12):
-            if two_orbit_is_admissible(u + w + v):
+            if admissible(u + w + v):
                 return w
     return None

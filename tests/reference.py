@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 from suspmix.decider import CycleData, HypothesisError, normalizing_blocks
 from suspmix.roofs import WeightedShift
 from suspmix.shift import EdgeShift, Word, is_transitive
-from suspmix.special import BetaShift, two_orbit_is_admissible
+from suspmix.special import BetaShift, _factor_occurs
 
 
 def cycles_up_to(shift: EdgeShift, length: int) -> list[list[int]]:
@@ -383,13 +384,93 @@ def balanced_periodic_rotation(w: Word) -> bool:
     return True
 
 
+def _segment_ok(seg: list[int], open_left: bool, open_right: bool, i_cap) -> bool:
+    """Whether a maximal 1/01-segment fits the generator inventory.
+
+    Closed segments must be a full generator: 1^j (j >= 2) or the
+    alternating word 1(01)^k; open sides relax to suffixes/prefixes.
+    """
+    if not seg:
+        return open_left or open_right
+    if all(s == 1 for s in seg):
+        return open_left or open_right or len(seg) >= 2
+    # an alternating word with a 1 at each closed end has odd length >= 3
+    return (all(a != b for a, b in zip(seg, seg[1:])) and (open_left or seg[0] == 1)
+            and (open_right or seg[-1] == 1) and (i_cap is None or len(seg) <= 2 * i_cap + 1))
+
+
+def two_orbit_parse(w: Word, i_cap: Optional[int] = None) -> bool:
+    """Membership of w, a Word or a tuple of symbols, in the two-orbit shift,
+    by a parse of the whole word, as the library answered it before its
+    step automaton became the one definition of the language.
+
+    Points interleave generator words (1-runs of length >= 2 and
+    alternating words 1(01)^k, with k <= i_cap when given) with zero
+    separators whose lengths follow consecutive terms of the aperiodic
+    {3,4} scaffold.  A word is admissible iff its visible separators are
+    a factor of the scaffold and the segments between them fit the
+    generator inventory, with relaxations at the word boundary.
+    """
+    symbols = list(w)
+    if any(s not in (0, 1) for s in symbols):
+        return False
+    if not symbols:
+        return True
+
+    # candidate parses: a leading/trailing 0-run of length 1 may be either
+    # a partial separator or part of an alternating generator word
+    runs = _runs(symbols)
+
+    def check(lead_sep: bool, trail_sep: bool) -> bool:
+        body = runs[:]
+        lead = trail = 0
+        if lead_sep:
+            if not body or body[0][0] != 0:
+                return False
+            lead = body[0][1]
+            body = body[1:]
+        if trail_sep:
+            if not body or body[-1][0] != 0:
+                return False
+            trail = body[-1][1]
+            body = body[:-1]
+        if lead > 4 or trail > 4:
+            return False
+        # split body into segments at 0-runs of length >= 2 (separators)
+        segments: list[list[int]] = [[]]
+        interior: list[int] = []
+        for s, length in body:
+            if s == 0 and length >= 2:
+                interior.append(length)
+                segments.append([])
+            else:
+                segments[-1].extend([s] * length)
+        if any(v not in (3, 4) for v in interior):
+            return False
+        if not _factor_occurs(interior, lead, trail):
+            return False
+        for idx, seg in enumerate(segments):
+            open_left = idx == 0 and not lead_sep
+            open_right = idx == len(segments) - 1 and not trail_sep
+            if not _segment_ok(seg, open_left, open_right, i_cap):
+                return False
+        return True
+
+    lead_options = trail_options = [False]
+    if runs[0][0] == 0:
+        lead_options = [True] if runs[0][1] >= 2 else [False, True]
+    if runs[-1][0] == 0 and len(runs) > 1:
+        trail_options = [True] if runs[-1][1] >= 2 else [False, True]
+    return any(check(l, t) for l in lead_options for t in trail_options)
+
+
 def two_orbit_periodic_by_repetition(w: Word, i_cap=None) -> bool:
     """Periodic test for the two-orbit shift: a repetition of w of at
     least six copies and 140 symbols is a word of the shift."""
     if len(w) == 0:
         return False
     reps = max(6, -(-140 // len(w)))
-    return two_orbit_is_admissible(w * reps, i_cap)
+    return two_orbit_parse(w * reps, i_cap)
 
 
 # -- the periodic-orbit scan ----------------------------------------------------

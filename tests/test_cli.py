@@ -251,6 +251,43 @@ class TestInputErrors:
         assert one_error_line(capsys) == "error: " + message
 
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+    def test_a_constant_that_is_not_finite(self, tmp_path, capsys, value, shown):
+        # a NaN approximation would answer every mixed-sign test False
+        cfg = tmp_path / "constant.cfg"
+        cfg.write_text("[shift]\nkind = full\nalphabet = 2\n\n[basis]\nconstants = a %s\n\n"
+                       "[roof]\npast = 0\nfuture = 0\n0 = a\n1 = 1\n" % value)
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == (
+            "error: basis approximation a = %s must be finite and strictly positive" % shown)
+
+    @pytest.mark.parametrize("horizon, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0"),
+                                                ("-1", "-1")])
+    def test_a_horizon_that_is_not_finite_and_positive(self, capsys, horizon, shown):
+        # an explicit --horizon 0 is not read as absent
+        assert main(["simulate", "--preset", "example-4.1", "--horizon", horizon]) == 2
+        assert one_error_line(capsys) == "error: horizon must be finite and above 0, got " + shown
+
+    def test_a_config_horizon_that_is_not_finite(self, tmp_path, capsys):
+        cfg = tmp_path / "horizon.cfg"
+        cfg.write_text(PRESETS["example-4.1"].replace("horizon = 40", "horizon = inf"))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: horizon must be finite and above 0, got inf"
+
+    @pytest.mark.parametrize("epsilon, message", [
+        ("0", "epsilon must be above 0, got 0"),
+        ("-1", "epsilon must be above 0, got -1"),
+        ("nan", "epsilon must be above 0, got nan"),
+        # 2 is example-4.1's least roof value
+        ("2", "epsilon must be below the minimum roof value"),
+    ])
+    def test_an_epsilon_outside_the_roof_floor(self, tmp_path, capsys, epsilon, message):
+        cfg = tmp_path / "epsilon.cfg"
+        cfg.write_text(PRESETS["example-4.1"].replace("epsilon = 0.25", "epsilon = " + epsilon))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: " + message
+
+
 class TestDecide:
     def test_exit_codes_by_preset(self):
         assert main(["decide", "--preset", "example-4.1"]) == 10

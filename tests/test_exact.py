@@ -36,6 +36,13 @@ def brute_force_rational_gcd(values, limit=100):
     return best
 
 
+class TestRealBasis:
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_an_approximation_not_finite_and_positive(self, a):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            RealBasis.with_constants(("a", a))
+
+
 class TestRationalGcd:
     def test_integers(self):
         assert rational_gcd([Fraction(2), Fraction(3)]) == 1

@@ -6,11 +6,10 @@ its periodic test on the state after the word, the two-orbit shift's
 scaffold-parse step and closed-form periodic test, and the edge-shift
 oracle's step, the memoized ``subset_walk`` that ``is_word_admissible``
 walks too, must give the answers of the run-list, rotation, whole-word
-parse, repetition and plain set-walk versions, kept in ``reference.py``
-or in ``special.two_orbit_is_admissible``, including their errors.  The
-scan on the automata must list the words that ``reference.lyndon_scan``
-lists when it asks those versions of every prefix, as the scan did before
-it carried states.
+parse, repetition and plain set-walk versions kept in ``reference.py``,
+including their errors.  The scan on the automata must list the words
+that ``reference.lyndon_scan`` lists when it asks those versions of every
+prefix, as the scan did before it carried states.
 """
 
 import dataclasses
@@ -32,6 +31,7 @@ from suspmix.shift import (
     sft_from_forbidden_words,
 )
 from suspmix.special import (
+    AperiodicSequence,
     BetaShift,
     QuadraticReal,
     _balanced_periodic,
@@ -48,6 +48,7 @@ from reference import (
     balanced_periodic_runs,
     lyndon_scan,
     set_walk_admissible,
+    two_orbit_parse,
     two_orbit_periodic_by_repetition,
 )
 
@@ -150,7 +151,46 @@ def test_two_orbit_step_walk_on_every_short_word():
     """Every binary word of length <= 16; the scan reaches bound 15, and
     ``ref.two_orbit_b16`` bound 16."""
     for w, state in walked(two_orbit_oracle(), 16, prune=False):
-        assert (state is not None) == two_orbit_is_admissible(w), w
+        assert (state is not None) == two_orbit_parse(w), w
+
+
+# generators 1^j (j >= 2) and 1(01)^k
+two_orbit_generators = st.one_of(st.integers(2, 12).map(lambda j: (1,) * j),
+                                 st.integers(1, 8).map(lambda k: (1,) + (0, 1) * k))
+
+
+@st.composite
+def scaffold_windows(draw):
+    """A window of up to 100 symbols cut from generators joined by
+    consecutive scaffold separators, and whether one symbol of it was then
+    flipped or inserted."""
+    generators = draw(st.lists(two_orbit_generators, min_size=6, max_size=14))
+    first, scaffold = draw(st.integers(1, 2000)), AperiodicSequence()
+    symbols = list(generators[0])
+    for i, g in enumerate(generators[1:]):
+        symbols += [0] * scaffold.term(first + i) + list(g)
+    length = draw(st.integers(0, 100))
+    start = draw(st.integers(0, max(0, len(symbols) - length)))
+    w = symbols[start : start + length]
+    edited = draw(st.booleans())
+    if edited:
+        i = draw(st.integers(0, len(w)))
+        if i < len(w) and draw(st.booleans()):
+            w[i] = 1 - w[i]
+        else:
+            w.insert(i, draw(st.sampled_from((0, 1, 2))))
+    return tuple(w), edited
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaffold_windows())
+def test_two_orbit_walk_against_the_parse_on_long_words(case):
+    """Words as long as those ``find_connector`` asks about (about 60
+    symbols), past the exhaustive test's 16: the step walk agrees with the
+    whole-word parse, and a window of a point is a member."""
+    w, edited = case
+    assert two_orbit_is_admissible(Word(w)) == two_orbit_parse(w), w
+    assert edited or two_orbit_parse(w), w
 
 
 def capped_closed_form(w: Word, i_cap) -> bool:
@@ -176,7 +216,7 @@ def test_two_orbit_closed_form_rejects_other_symbols(i_cap):
 
 def test_capped_two_orbit_oracle_keeps_only_the_fixed_point():
     assert not two_orbit_periodic_by_repetition(Word.parse("01"), 2)
-    assert not two_orbit_is_admissible(Word.parse("01") * 4, 2)
+    assert not two_orbit_parse(Word.parse("01") * 4, 2)
     assert two_orbit_periodic_by_repetition(Word.parse("1"), 2)
     oracle = two_orbit_oracle()
     assert oracle.periodic_admissible(Word.parse("01"))
@@ -297,7 +337,7 @@ def beta_oracles(spec, depth):
 
 
 def two_orbit_cases(bounds):
-    two_orbit = old_style(Alphabet.of_size(2), two_orbit_is_admissible,
+    two_orbit = old_style(Alphabet.of_size(2), two_orbit_parse,
                           two_orbit_periodic_by_repetition)
     for bound in bounds:
         for v in ("1", "0", "01", ""):

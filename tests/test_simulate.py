@@ -73,6 +73,21 @@ class TestHittingTimes:
                 [SuspensionPoint(point("0"))], Word.parse("0"), 2.5, roof_two_three(), 5.0
             )
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_epsilon_must_be_above_zero(self, epsilon):
+        # the target (0, epsilon) would be empty
+        with pytest.raises(ValueError, match="epsilon must be above 0"):
+            hitting_times(
+                [SuspensionPoint(point("0"))], Word.parse("0"), epsilon, roof_two_three(), 5.0
+            )
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and above 0"):
+            hitting_times(
+                [SuspensionPoint(point("0"))], Word.parse("0"), 0.1, roof_two_three(), horizon
+            )
+
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             hitting_times([], Word.parse("0"), 0.1, roof_two_three(), 5.0)
