@@ -507,7 +507,7 @@ def cmd_simulate(config: SystemConfig, args):
     )
 
     roof = config.roof()
-    target = Word.parse(args.target or config.option("target", "0"))
+    target = Word.parse(args.target if args.target is not None else config.option("target", "0"))
     horizon = args.horizon if args.horizon is not None else float(config.option("horizon", "100"))
     epsilon = float(config.option("epsilon", "0.1"))
     family, period_word, tail_only = build_family(config)

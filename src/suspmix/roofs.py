@@ -176,10 +176,14 @@ class EvaluableRoof:
     discrepancies for points agreeing on ``[-k, n+k]`` and is
     non-increasing with limit 0.  ``floor`` is a certified positive lower
     bound for the roof.  ``vectorized``, when given, reads the last axis:
-    it maps a numpy array whose last axis holds the symbols x[0..N) of a
-    point to the float64 array of the same shape holding r(σ^j x), j < N,
-    each read from its own row alone.  The simulator passes a 2-D batch of
-    members, one per row, uses the result in place of ``evaluator`` and
+    ``vectorized(symbols, out=None)`` maps a numpy array whose last axis
+    holds the symbols x[0..N) of a point to the float64 array of the same
+    shape holding r(σ^j x), j < N, each read from its own row alone.  Given
+    ``out``, a float64 array of that shape, it writes every pass into
+    ``out`` and returns it, and the result must equal the one without
+    ``out`` bit for bit, whatever ``out`` held before.  The simulator
+    passes a 2-D batch of members, one per row, with an ``out`` that it
+    reuses across batches, uses the result in place of ``evaluator`` and
     keeps only a prefix of each row, passing enough symbols beyond it, so
     on that prefix the two must agree bit for bit.  Table roofs need no
     such hook: the simulator evaluates a ``LocallyConstantRoof`` with one
@@ -320,19 +324,29 @@ def example_roof_harmonic() -> EvaluableRoof:
             raise not_binary(point[rho])
         return 1.0 + 1.0 / (1.0 + rho)
 
-    def vectorized(symbols: "np.ndarray") -> "np.ndarray":
+    def vectorized(symbols: "np.ndarray", out: "np.ndarray | None" = None) -> "np.ndarray":
         # rho at each 0 is the distance to the next 1 at or after it along the
         # last axis, read off a reversed running minimum of the positions of
-        # the 1s; a 0 with no later 1 in its row gets a distance near 2**62,
-        # which rounds 1 + 1/(1 + rho) to exactly 1.0, the value on an
-        # infinite run of zeros
+        # the 1s (fmin: no position is NaN, and fmin's loop is the faster).
+        # Every pass writes into out: the positions are exact integers in
+        # float64, so each value has the bits of 1 + 1/(1 + rho); a 0 with no
+        # later 1 in its row gets the distance inf, and with it exactly 1.0,
+        # the value on an infinite run of zeros
         ones, zeros = symbols == 1, symbols == 0
         if not (ones | zeros).all():
             raise not_binary(symbols[~(ones | zeros)][0])
-        pos = np.arange(symbols.shape[-1], dtype=np.int64)
-        ones_at = np.where(ones, pos, np.iinfo(np.int64).max // 2)
-        nxt = np.minimum.accumulate(ones_at[..., ::-1], axis=-1)[..., ::-1]
-        return np.where(zeros, 1.0 + 1.0 / (1.0 + (nxt - pos)), 1.0)
+        if out is None:
+            out = np.empty(symbols.shape, dtype=np.float64)
+        pos = np.arange(symbols.shape[-1], dtype=np.float64)
+        np.copyto(out, pos)
+        np.copyto(out, np.inf, where=zeros)
+        reverse = out[..., ::-1]
+        np.fmin.accumulate(reverse, axis=-1, out=reverse)
+        out -= pos
+        out += 1.0
+        np.divide(zeros, out, out=out)
+        out += 1.0
+        return out
 
     return EvaluableRoof(
         evaluator=evaluator,

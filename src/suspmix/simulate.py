@@ -18,11 +18,12 @@ from suspmix.roofs import EvaluableRoof, LocallyConstantRoof
 from suspmix.shift import EventuallyPeriodicPoint, Word, is_word_admissible
 
 # Cells (members times symbols) in one batch of hitting_times.  At 2**13
-# the simulate workload's peak RSS is 39.2 MB; at 2**17 it is 44.0 MB, and
-# its wall_s is no lower beyond noise (seed 1, --seconds 8, six alternating
-# pairs: medians 0.265 s at 2**13 against 0.257 s at 2**17).  The size also
-# keeps perfbench's roofs.table_symbols, which adds up each batch's longest
-# count, comparable across changes.
+# the simulate workload's peak RSS is 39.3 MB; at 2**17 it is 42.8 MB, and
+# its wall_s is higher (seed 1, --seconds 8, six alternating pairs on a
+# shared 2-CPU Xeon, Python 3.11, numpy 2.4: medians 0.157 s at 2**13
+# against 0.175 s at 2**17).  The size also keeps perfbench's
+# roofs.table_symbols, which adds up each batch's longest count,
+# comparable across changes.
 _BATCH_CELLS = 1 << 13
 
 
@@ -77,35 +78,67 @@ class MixingDiagnostic:
     note: str = ""
 
 
-def _nonnegative_symbols(points: Sequence[EventuallyPeriodicPoint], n: int) -> np.ndarray:
+class _Work:
+    """What one hitting_times call keeps from batch to batch.
+
+    Each block (a run's block or a tail period) that a batch reads has an
+    int64 tile, keyed by the block's symbol tuple: the block repeated,
+    made when a row first reads it and tiled again, to at least twice its
+    length, only when a row reads past its end.  A batch keeps the tiles
+    that the batch before it read and drops the rest, so blocks that the
+    members share are tiled a few times per call, and the tiles held never
+    exceed those of two batches.  ``take`` lends the first cells of a
+    named work array, made at its first use with room for ``cells`` cells;
+    each batch writes over what the one before it left there.
+    """
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.arrays: dict = {}
+        self.tiles: dict = {}  # the tiles that this batch has read
+        self.last: dict = {}  # the tiles that the batch before it read
+
+    def next_batch(self) -> None:
+        self.last, self.tiles = self.tiles, {}
+
+    def read(self, block: Word, start: int, count: int) -> np.ndarray:
+        """``count`` symbols of the block repeated, from position ``start``."""
+        symbols, stop = block.symbols, start + count
+        tile = self.tiles.get(symbols)
+        if tile is None:
+            tile = self.last.get(symbols)
+        if tile is None or len(tile) < stop:
+            reps = -(-max(stop, 0 if tile is None else 2 * len(tile)) // len(symbols))
+            tile = np.tile(np.array(symbols, dtype=np.int64), reps)
+        self.tiles[symbols] = tile
+        return tile[start:stop]
+
+    def take(self, name: str, dtype, shape: tuple) -> np.ndarray:
+        array = self.arrays.get(name)
+        if array is None:
+            array = self.arrays[name] = np.empty(self.cells, dtype=dtype)
+        return array[: math.prod(shape)].reshape(shape)
+
+
+def _nonnegative_symbols(
+    points: Sequence[EventuallyPeriodicPoint], n: int, work: Optional[_Work] = None
+) -> np.ndarray:
     """The symbols x[0..n) of each point, one row per point.
 
-    Each distinct block (a run's block or a tail period) becomes an int64
-    array once, tiled to the most of it that a row reads: n symbols from
-    any phase, or all of its longest run.  A row is the slices of those
-    tiles that its left tail, its runs and its right tail put in columns
-    [0, n), and the rows are laid end to end in one array.
+    The points are one batch of ``work``.  A row is the slices of its
+    tiles that the row's left tail, runs and right tail put in columns
+    [0, n), and the rows are laid end to end in its "symbols" array.
+    Without ``work``, a fresh one holds just these rows.
     """
-    reps: dict = {}  # block -> the most repetitions of it that a row reads
-    for x in points:
-        blocks = [*x.runs, (x.right_period, n)]
-        if x.origin_offset < 0:
-            blocks.append((x.left_period, n))
-        for block, count in blocks:
-            if block.symbols:
-                reps[block] = max(count, reps.get(block, 0))
-    tiles = {}
-    for block, count in reps.items():
-        # a slice starts at a phase below the block's length and holds at most n symbols
-        size = len(block.symbols)
-        count = min(count, -(-(n + size - 1) // size))
-        tiles[block] = np.tile(np.array(block.symbols, dtype=np.int64), count)
+    if work is None:
+        work = _Work(len(points) * n)
+    work.next_batch()
     parts = [np.empty(0, dtype=np.int64)]
     for x in points:
         k, col = x.origin_offset, 0  # column col reads position k of the core
         if k < 0:
             col, phase = min(-k, n), k % len(x.left_period.symbols)
-            parts.append(tiles[x.left_period][phase : phase + col])
+            parts.append(work.read(x.left_period, phase, col))
             k = 0
         for block, count in x.runs:
             if col == n:
@@ -115,19 +148,24 @@ def _nonnegative_symbols(points: Sequence[EventuallyPeriodicPoint], n: int) -> n
                 k -= size * count
                 continue
             take, phase = min(size * count - k, n - col), k % size
-            parts.append(tiles[block][phase : phase + take])
+            parts.append(work.read(block, phase, take))
             col, k = col + take, 0
         if col < n:
             phase = k % len(x.right_period.symbols)
-            parts.append(tiles[x.right_period][phase : phase + n - col])
-    return np.concatenate(parts).reshape(len(points), n)
+            parts.append(work.read(x.right_period, phase, n - col))
+    out = work.take("symbols", np.int64, (len(points) * n,))
+    return np.concatenate(parts, out=out).reshape(len(points), n)
 
 
-def _roof_values(roof, points: Sequence, symbols: np.ndarray, n: int) -> np.ndarray:
+def _roof_values(
+    roof, points: Sequence, symbols: np.ndarray, n: int, work: Optional[_Work] = None
+) -> np.ndarray:
     """The floats r(σ^j x) for j < n, one row per point; row i of ``symbols``
-    holds x[0..] of points[i], reaching at least ``roof.future`` past n."""
+    holds x[0..] of points[i], reaching at least ``roof.future`` past n.
+    A roof's ``vectorized`` hook writes into the "values" array of ``work``."""
     if isinstance(roof, EvaluableRoof) and roof.vectorized is not None:
-        return np.asarray(roof.vectorized(symbols), dtype=np.float64)[:, :n]
+        out = None if work is None else work.take("values", np.float64, symbols.shape)
+        return np.asarray(roof.vectorized(symbols, out=out), dtype=np.float64)[:, :n]
     if isinstance(roof, LocallyConstantRoof):
         return _table_values(roof, points, symbols, n)
     return np.array([[float(roof.value_at(x, j)) for j in range(n)] for x in points], dtype=np.float64)
@@ -139,8 +177,9 @@ def _table_values(
     """Table-roof values along the points, one table lookup per distinct window.
 
     The window x[j-past .. j+future] needs a point's past, which this
-    reads from the point itself.  Windows get dense ids one column at a
-    time, so an id stays below the cell count however wide the window is.
+    reads from the point itself.  A window's id packs its symbols in base
+    (symbol range); the ids get dense ranks whenever the next symbol could
+    take them past 2**62, so they fit in int64 however wide the window is.
     Distinct windows are looked up in order of first occurrence, row by
     row, which raises the same ``KeyError`` as evaluating the points one
     after the other, index by index.
@@ -151,15 +190,20 @@ def _table_values(
     full = np.concatenate([left, symbols[:, : n + future]], axis=1)
     lo = int(full.min(initial=0))
     base = int(full.max(initial=0)) - lo + 1
-    ids = np.zeros(len(points) * n, dtype=np.int64)
-    for c in range(width):
-        _, first, ids = np.unique(
-            ids * base + (full[:, c : c + n] - lo).ravel(), return_index=True, return_inverse=True
-        )
+    full -= lo
+    ids, bound = full[:, :n].copy(), base  # every id is below bound
+    for c in range(1, width):
+        if bound * base > 1 << 62:
+            ranks, inverse = np.unique(ids.ravel(), return_inverse=True)
+            ids, bound = inverse.reshape(ids.shape), len(ranks)
+        ids *= base
+        ids += full[:, c : c + n]
+        bound *= base
+    _, first, ids = np.unique(ids.ravel(), return_index=True, return_inverse=True)
     values = np.empty(len(first), dtype=np.float64)
     for k in np.argsort(first):
         row, j = divmod(int(first[k]), n)
-        values[k] = float(roof.value_on_window(Word(full[row, j : j + width].tolist())))
+        values[k] = float(roof.value_on_window(Word((full[row, j : j + width] + lo).tolist())))
     return values[ids].reshape(len(points), n)
 
 
@@ -198,6 +242,8 @@ def hitting_times(
     """
     if not start_family:
         raise ValueError("empty start family")
+    if not len(target):
+        raise ValueError("empty target word")
     if max_hits_per_member is not None and max_hits_per_member < 0:
         raise ValueError("max_hits_per_member must be non-negative")
     members = [
@@ -231,42 +277,49 @@ def hitting_times(
         # the harmonic roof reads ahead to the next 1, which may lie past the
         # end of a long core, and a table window reads future symbols ahead
         widths.append(max(n, core_end) + len(target) + 3 * period + 8 + future)
-    hits: list[float] = []
+    batches = []
     lo = 0
     while lo < len(members):
         hi, width = lo + 1, widths[lo]
         while hi < len(members) and (hi + 1 - lo) * max(width, widths[hi]) <= _BATCH_CELLS:
             width = max(width, widths[hi])
             hi += 1
-        hits += _batch_hits(
-            members[lo:hi], max(counts[lo:hi]), starts[lo:hi], width,
-            target, roof, horizon, max_hits_per_member,
-        )
+        batches.append((lo, hi, width))
         lo = hi
-    unique = sorted(set(hits))
-    return ReturnTimeSeries(target, epsilon, tuple(unique), omega)
+    work = _Work(max((hi - lo) * width for lo, hi, width in batches))
+    unique: set = set()
+    for lo, hi, width in batches:
+        unique.update(_batch_hits(
+            members[lo:hi], max(counts[lo:hi]), starts[lo:hi], width,
+            target, roof, horizon, max_hits_per_member, work,
+        ).tolist())
+    return ReturnTimeSeries(target, epsilon, tuple(sorted(unique)), omega)
 
 
-def _batch_hits(points, n, starts, width, target, roof, horizon, max_hits) -> list[float]:
+def _batch_hits(points, n, starts, width, target, roof, horizon, max_hits, work) -> np.ndarray:
     """The counted hit times of a batch of members, one row each.
 
     Row i's hits are the indices j in [starts[i], n] where the target word
     starts and the partial sum is at most the horizon, the first
     ``max_hits`` of them.  ``n`` is the longest count of the batch; past
     its own count a row has its max_hits hits already or partial sums
-    above the horizon, so those indices add no hit.
+    above the horizon, so those indices add no hit.  Only the columns
+    from the least start on are searched.
     """
-    symbols = _nonnegative_symbols(points, width)
-    values = _roof_values(roof, points, symbols, n)
-    sums = np.zeros((len(points), n + 1), dtype=np.float64)
+    symbols = _nonnegative_symbols(points, width, work=work)
+    values = _roof_values(roof, points, symbols, n, work=work)
+    sums = work.take("sums", np.float64, (len(points), n + 1))
+    sums[:, 0] = 0.0
     np.cumsum(values, axis=1, out=sums[:, 1:])
+    first = min(starts)
+    sums = sums[:, first:]
     keep = sums <= horizon
     for j, g in enumerate(target):
-        keep &= symbols[:, j : j + n + 1] == g
-    keep &= np.arange(n + 1) >= np.array(starts)[:, None]
+        keep &= symbols[:, first + j : j + n + 1] == g
+    keep &= np.arange(first, n + 1) >= np.array(starts)[:, None]
     if max_hits is not None:
         keep &= np.cumsum(keep, axis=1) <= max_hits
-    return sums[keep].tolist()
+    return sums[keep]
 
 
 def witness_family(
@@ -303,7 +356,10 @@ def density_diagnostic(
     their counts in 10 equal bins of [0, omega), and (when a candidate
     delta is supplied) the fraction lying within 2*epsilon of the
     delta-grid.  The verdict is non-mixing-consistent when that fraction
-    is at least 0.99."""
+    is at least 0.99.  A candidate delta must be finite and above 0;
+    otherwise ValueError."""
+    if candidate_delta is not None and not 0 < candidate_delta < math.inf:
+        raise ValueError("candidate delta must be finite and above 0, got %g" % candidate_delta)
     if len(series.times) < 10:
         raise ValueError("need at least 10 hitting times")
     omega = series.omega

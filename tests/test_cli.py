@@ -287,6 +287,24 @@ class TestInputErrors:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert one_error_line(capsys) == "error: " + message
 
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan", "inf"])
+    def test_a_candidate_delta_that_is_not_finite_and_positive(self, tmp_path, capsys, delta):
+        # every residue mod a negative delta is <= 0 and so "on the grid"
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text(PRESETS["example-4.1"].replace("delta = 1", "delta = " + delta))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == (
+            "error: candidate delta must be finite and above 0, got " + delta)
+
+    def test_an_empty_target(self, tmp_path, capsys):
+        # an explicit --target '' is not read as absent
+        assert main(["simulate", "--preset", "example-4.1", "--target", ""]) == 2
+        assert one_error_line(capsys) == "error: empty target word"
+        cfg = tmp_path / "target.cfg"
+        cfg.write_text(PRESETS["example-4.1"].replace("target = 0", "target ="))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: empty target word"
+
 
 class TestDecide:
     def test_exit_codes_by_preset(self):

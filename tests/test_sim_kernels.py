@@ -105,6 +105,48 @@ def test_inadmissible_window_raises_the_per_index_error():
     assert "122" in str(got.value)
 
 
+def ten_symbol_family():
+    """Points over {0..9} whose rows show every digit, with origins at,
+    inside and before their cores."""
+    rng = random.Random(5)
+
+    def digits(k):
+        return Word(rng.randrange(10) for _ in range(k))
+
+    return [EventuallyPeriodicPoint.from_parts(digits(5), Word(range(10)) + digits(30), digits(7), offset)
+            for offset in (0, 3, -4)]
+
+
+def test_table_values_on_windows_too_wide_to_pack_in_int64():
+    # base 10 and 20 symbols per window: 10**20 > 2**62, so the packed ids
+    # are ranked down on the way.  The windows 0^20 and the digits of 2**64
+    # would pack to the same int64 if the ids wrapped around.
+    wrap = EventuallyPeriodicPoint.from_parts(Word.parse("0"), Word.parse("0" * 20 + str(2 ** 64)),
+                                              Word.parse("0"), -9)
+    family = ten_symbol_family() + [wrap]
+    n = 50
+    roof = table_roof(family, 9, 10, range(n), 13)
+    symbols = simulate._nonnegative_symbols(family, n + 10)
+    got = simulate._roof_values(roof, family, symbols, n)
+    assert same_bits(got, [per_index(roof, x, n) for x in family])
+
+
+def test_a_missing_wide_window_is_named_in_row_major_order():
+    # row 0 meets its missing window at index 40, row 1 at index 2: the
+    # points evaluated one after the other, index by index, meet row 0's first
+    family = ten_symbol_family()[:2]
+    n = 50
+    roof = table_roof(family, 9, 10, range(n), 13)
+    late, early = window(family[0], 31, 50), window(family[1], -7, 12)
+    del roof.table[late], roof.table[early]
+    with pytest.raises(KeyError) as expected:
+        per_index(roof, family[0], n)
+    with pytest.raises(KeyError) as got:
+        simulate._roof_values(roof, family, simulate._nonnegative_symbols(family, n + 10), n)
+    assert str(got.value) == str(expected.value)
+    assert str(late) in str(got.value)
+
+
 def reverse_loop_harmonic(symbols):
     """The harmonic roof's former per-position loop (the reference)."""
     n = len(symbols)
@@ -144,6 +186,22 @@ def test_harmonic_vectorized_on_long_runs():
         got = example_roof_harmonic().vectorized(symbols)
         assert same_bits(got, reverse_loop_harmonic(symbols))
     assert same_bits(example_roof_harmonic().vectorized(np.zeros(4, dtype=np.int64)), [1.0] * 4)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (90,), (1, 0), (7, 90)])
+def test_harmonic_vectorized_into_out_matches_a_fresh_array(shape):
+    rng = np.random.default_rng(7)
+    symbols = (rng.random(shape) < 0.2).astype(np.int64)
+    symbols[..., -30:] = 0  # no later 1 at the end of each row
+    if len(symbols) > 2 and symbols.ndim == 2:
+        symbols[2] = 0  # nor anywhere in this row
+    roof = example_roof_harmonic()
+    want = roof.vectorized(symbols)
+    assert same_bits(np.atleast_2d(want), [reverse_loop_harmonic(r) for r in np.atleast_2d(symbols)])
+    for fill in (np.nan, -np.inf, 0.0):  # whatever the buffer held before
+        out = np.full(shape, fill)
+        assert roof.vectorized(symbols, out=out) is out
+        assert same_bits(out, want)
 
 
 @given(st.lists(points, min_size=1, max_size=3), st.integers(0, 2), st.integers(0, 2),
@@ -209,6 +267,24 @@ def test_witness_family_over_many_batches_matches_the_reference(max_hits):
                         max_hits_per_member=max_hits, tail_only=True)
     want = reference.hitting_times(family, target, roof, 300.0, max_hits, tail_only=True)
     assert same_bits(got.times, want)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "table"])
+@pytest.mark.parametrize("max_hits, tail_only", [(None, False), (1, True), (3, False)])
+@pytest.mark.parametrize("cells", [300, 1 << 13])
+def test_narrow_batches_after_wide_ones_match_the_reference(kind, max_hits, tail_only, cells):
+    # the cores shrink along the family, so every batch after the first is
+    # narrower and reuses work arrays that a wider one filled
+    family = harmonic_witnesses(40)[::-1]
+    horizon, target = 100.0, Word.parse("10")
+    if kind == "harmonic":
+        roof = example_roof_harmonic()
+    else:
+        roof = table_roof(family, 1, 2, range(110), 17)
+    got = batched(cells, family, target, 0.05, roof, horizon, omega=2.5,
+                  max_hits_per_member=max_hits, tail_only=tail_only)
+    want = reference.hitting_times(family, target, roof, horizon, max_hits, tail_only)
+    assert len(want) >= 10 and same_bits(got.times, want)
 
 
 def test_symbols_reach_past_a_long_core():

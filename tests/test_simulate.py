@@ -92,6 +92,11 @@ class TestHittingTimes:
         with pytest.raises(ValueError):
             hitting_times([], Word.parse("0"), 0.1, roof_two_three(), 5.0)
 
+    def test_empty_target_rejected(self):
+        # an empty word starts at every index, so every index would be a hit
+        with pytest.raises(ValueError, match="empty target word"):
+            hitting_times([SuspensionPoint(point("0"))], Word(), 0.1, roof_two_three(), 5.0)
+
 
 class TestWitnessFamily:
     def test_example_structure(self):
@@ -150,6 +155,12 @@ class TestDensityDiagnostic:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             density_diagnostic(self._series([1.0, 2.0, 3.0], 1.0))
+
+    @pytest.mark.parametrize("delta", [0.0, -0.7, float("nan"), float("inf"), float("-inf")])
+    def test_candidate_delta_must_be_finite_and_positive(self, delta):
+        series = self._series([float(i) for i in range(1, 15)], 1.0)
+        with pytest.raises(ValueError, match="candidate delta must be finite and above 0"):
+            density_diagnostic(series, candidate_delta=delta)
 
 
 class TestExport:
