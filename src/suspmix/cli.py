@@ -91,8 +91,6 @@ class SystemConfig:
     options: tuple[tuple[str, str], ...] = ()
     # exact roof values by their rendered text, filled by ``normalized``
     _values: dict[str, QVector] = field(default_factory=dict, init=False, compare=False, repr=False)
-    # roof windows by their text, parsed once for [roof] and [roof2]
-    _words: dict[str, Word] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def parse(cls, text: str) -> "SystemConfig":
@@ -145,18 +143,13 @@ class SystemConfig:
         roofs parses nothing again, and each distinct text is parsed once.
         """
         basis = self.basis()
-        keys: dict[str, str] = {}
-
-        def render(text: str) -> str:
-            key = keys.get(text)
-            if key is None:
-                value = parse_qvector(text, basis)
-                key = keys[text] = value.render()
-                self._values[key] = value
-            return key
-
-        self.roof_table = tuple((w, render(v)) for w, v in self.roof_table)
-        self.roof2_table = tuple((w, render(v)) for w, v in self.roof2_table)
+        keys = dict.fromkeys(v for table in (self.roof_table, self.roof2_table) for _, v in table)
+        for text in keys:
+            value = parse_qvector(text, basis)
+            key = keys[text] = value.render()
+            self._values[key] = value
+        self.roof_table = tuple([(w, keys[v]) for w, v in self.roof_table])
+        self.roof2_table = tuple([(w, keys[v]) for w, v in self.roof2_table])
         return self
 
     @classmethod
@@ -223,19 +216,18 @@ class SystemConfig:
             return None
         if self.roof_name:
             raise ValueError("unknown named roof %r" % self.roof_name)
-        return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof_table))
+        return self._roof(self.roof_table)
 
     def roof2(self) -> Optional[LocallyConstantRoof]:
         if not self.roof2_table:
             return None
-        return LocallyConstantRoof(self.roof_past, self.roof_future, self._table(self.roof2_table))
+        return self._roof(self.roof2_table)
 
-    def _table(self, rows: tuple[tuple[str, str], ...]) -> dict[Word, QVector]:
-        words = self._words
-        for w, _ in rows:
-            if w not in words:
-                words[w] = Word.parse(w)
-        return {words[w]: self._values[v] for w, v in rows}
+    def _roof(self, rows: tuple[tuple[str, str], ...]) -> LocallyConstantRoof:
+        """The roof on a table's windows, each read as a code from its text."""
+        values = self._values
+        return LocallyConstantRoof.from_texts(self.roof_past, self.roof_future,
+                                              {w: values[v] for w, v in rows})
 
     def option(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return dict(self.options).get(key, default)
@@ -362,12 +354,6 @@ def emit(report: dict, args, human_lines: list[str]) -> None:
         (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def rendered(function) -> dict[str, str]:
-    """A table roof or transfer function as window text -> value text."""
-    by_text = {str(w): v for w, v in function.table.items()}
-    return {w: by_text[w].render() for w in sorted(by_text)}
-
-
 # -- commands ---------------------------------------------------------------
 #
 # Each ``cmd_*`` takes the loaded config and the parsed arguments and
@@ -428,7 +414,7 @@ def cmd_cohomology(config: SystemConfig, args):
         body = {"mode": mode, "cohomologous": result.cohomologous}
         lines = ["cohomologous: %s" % result.cohomologous]
         if result.transfer is not None:
-            body["transfer"] = rendered(result.transfer)
+            body["transfer"] = result.transfer.rendered()
             lines += ["g[%s] = %s" % kv for kv in body["transfer"].items()]
         if result.witness_orbit is not None:
             body["witness_orbit"] = str(result.witness_orbit.right_period)
@@ -437,7 +423,7 @@ def cmd_cohomology(config: SystemConfig, args):
     blocks, delta = grid_delta(config, base, roof, mode, bound)
     if mode == "normalize":
         norm = normalize_to_delta_grid(base, roof, delta, blocks)
-        s_table, g_table = rendered(norm.roof), rendered(norm.transfer)
+        s_table, g_table = norm.roof.rendered(), norm.transfer.rendered()
         lines = ["delta: %s" % delta.render()]
         lines += ["s[%s] = %s" % kv for kv in s_table.items()]
         lines += ["g[%s] = %s" % kv for kv in g_table.items()]

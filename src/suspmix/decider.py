@@ -18,14 +18,17 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Hashable, Optional
 
-from suspmix.exact import (QVector, RealBasis, common_rows, floor_mod, from_rows,
-                           setwise_commensurate)
-from suspmix.roofs import LocallyConstantRoof, WeightedShift, birkhoff_sum
+from suspmix.exact import (QVector, RealBasis, _row_floor_mod, _row_multiple, floor_mod,
+                           from_rows, setwise_commensurate)
+from suspmix.roofs import (LocallyConstantRoof, WeightedShift, WindowFunction, _missing,
+                           birkhoff_sum)
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
     EventuallyPeriodicPoint,
+    Windows,
     Word,
+    _code_symbols,
     higher_block_recode,
     is_transitive,
     is_word_admissible,
@@ -83,7 +86,6 @@ class MixingVerdict:
         return rec
 
 
-@dataclass
 class CycleData:
     """Spanning-tree potentials and edge cycle-values of a weighted graph.
 
@@ -96,19 +98,30 @@ class CycleData:
     generated by closed-walk weight sums equals the subgroup generated by
     the cycle values: each cycle value is a difference of two closed-walk
     sums through the root, and every closed-walk sum telescopes to a sum
-    of cycle values.  ``cycle_data`` sums on integer rows over one common
-    denominator of the weights, and builds one QVector per potential and
-    one per cycle value.
+    of cycle values.  Both are kept as integer rows over the common
+    denominator ``den`` of the weights (``potential_rows``,
+    ``value_rows``); ``potentials`` and ``cycle_values`` are their
+    QVectors, made on first use, and ``nonzero_cycle_values`` makes one
+    QVector per distinct nonzero value.
     """
 
-    weighted: WeightedShift
-    root: int
-    potentials: list[QVector]
-    cycle_values: tuple[QVector, ...]
-    tree: list[Optional[int]]
+    def __init__(self, weighted: WeightedShift, root: int, den: int,
+                 potential_rows: list[tuple[int, ...]], value_rows: list[tuple[int, ...]],
+                 tree: list[Optional[int]]):
+        self.weighted, self.root, self.den = weighted, root, den
+        self.potential_rows, self.value_rows, self.tree = potential_rows, value_rows, tree
+
+    @functools.cached_property
+    def potentials(self) -> list[QVector]:
+        return from_rows(self.weighted.basis, self.potential_rows, self.den)
+
+    @functools.cached_property
+    def cycle_values(self) -> tuple[QVector, ...]:
+        return tuple(from_rows(self.weighted.basis, self.value_rows, self.den))
 
     def nonzero_cycle_values(self) -> list[QVector]:
-        return [c for c in self.cycle_values if not c.is_zero()]
+        """The nonzero cycle values in edge order; equal values are one QVector."""
+        return from_rows(self.weighted.basis, [r for r in self.value_rows if any(r)], self.den)
 
 
 def cycle_data(weighted: WeightedShift) -> CycleData:
@@ -116,14 +129,13 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
     shift = weighted.shift
     if not is_transitive(shift):
         raise HypothesisError("weighted presentation is not strongly connected")
-    basis = weighted.weights[0].basis
-    den, rows = common_rows(weighted.weights)
+    den, rows = weighted.rows
     sources, targets = shift.sources, shift.targets
     root = min(shift.vertices, key=shift.texts.__getitem__)
     # in-tree toward the root: the tree edge v -> u found from u has cycle
     # value zero, so p(v) + w = p(u)
     potentials: list = [None] * len(shift.vertices)
-    potentials[root] = (0,) * len(basis)
+    potentials[root] = (0,) * len(rows[0])
     tree: list = [None] * len(shift.vertices)
     frontier = [root]
     while frontier:
@@ -136,27 +148,32 @@ def cycle_data(weighted: WeightedShift) -> CycleData:
                 tree[v] = i
                 frontier.append(v)
     values = [
-        [a + w - b for a, w, b in zip(potentials[s], row, potentials[t])]
+        tuple([a + w - b for a, w, b in zip(potentials[s], row, potentials[t])])
         for s, row, t in zip(sources, rows, targets)
     ]
-    return CycleData(
-        weighted, root, from_rows(basis, potentials, den), tuple(from_rows(basis, values, den)), tree
-    )
+    return CycleData(weighted, root, den, potentials, values, tree)
 
 
 def weigh_windows(
-    recoded: EdgeShift, windows: dict[int, Word], width: int, lookup: Callable[[Word], QVector]
+    recoded: EdgeShift, windows: Windows, width: int, function: WindowFunction
 ) -> WeightedShift:
-    """A block presentation weighted by a table lookup.
+    """A block presentation weighted by a table.
 
-    ``windows`` maps each edge to the block it reads, as from
-    ``higher_block_recode``; the edge weighs ``lookup`` of the block's last
-    ``width`` symbols, asked once per distinct such window.  Closed walks
-    then sum the table over the periodic orbits they spell.
+    ``windows`` holds the block each edge reads, as from
+    ``higher_block_recode``; the edge weighs the row of ``function`` (a
+    roof, say) on the block's last ``width`` symbols, looked up by window
+    code.  A window missing from the table raises MissingWindowError for
+    the first edge that reads one.  Closed walks then sum the table over
+    the periodic orbits they spell.
     """
-    keys = [windows[i].symbols[-width:] for i in range(len(recoded.labels))]
-    by_window = {key: lookup(Word(key)) for key in dict.fromkeys(keys)}
-    return WeightedShift(recoded, tuple(map(by_window.__getitem__, keys)), windows)
+    base = windows.base
+    den, rows = function.code_rows(base)
+    mod = base**width
+    try:
+        weights = [rows[code % mod] for code in windows.codes]
+    except KeyError as exc:
+        raise _missing(Word(_code_symbols(exc.args[0], width, base))) from None
+    return WeightedShift.from_rows(recoded, function.basis, den, weights, windows)
 
 
 def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerdict:
@@ -164,11 +181,12 @@ def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerd
     if not is_transitive(shift):
         return MixingVerdict("Unknown", reason="base shift is not transitive")
     depth = roof.past + roof.future
-    weighted = weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof.value_on_window)
+    weighted = weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof)
     data = cycle_data(weighted)
     generators = data.nonzero_cycle_values()
-    # positive roofs force a nonzero cycle value on every cycle
-    delta = setwise_commensurate(generators)
+    # positive roofs force a nonzero cycle value on every cycle; distinct
+    # values give the same rank and generator
+    delta = setwise_commensurate(list(dict.fromkeys(generators)))
     reason = ""
     if len(weighted.shift.labels) == len(weighted.shift.vertices):
         reason = "base is a single periodic orbit; the dichotomy is vacuous there"
@@ -366,24 +384,17 @@ def decide_mixing_synchronized(
 # -- cohomology -------------------------------------------------------------
 
 
-@dataclass
-class TransferFunction:
+class TransferFunction(WindowFunction):
     """A locally constant function g with window x[-past .. future].
 
     Unlike a roof, values may be zero or negative, and ``future`` may be
-    -1 (the window then ends left of the origin).
+    -1 (the window then ends left of the origin).  Made from integer rows
+    keyed by window code, as ``WindowFunction``; ``table`` is made on first
+    use.
     """
 
-    past: int
-    future: int
-    table: dict[Word, QVector]
-
-    def value_at(self, point, j: int = 0) -> QVector:
-        w = Word(point[j + i] for i in range(-self.past, self.future + 1))
-        return self.table[w]
-
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.table.values())
+        return not any(map(any, self._codes[2].values()))
 
 
 @dataclass
@@ -393,21 +404,18 @@ class CohomologyResult:
     witness_orbit: Optional[EventuallyPeriodicPoint] = None
 
 
-def _weighted_blocks(
-    shift: EdgeShift, k: int, width: int, lookup: Callable[[Word], QVector]
-) -> tuple[WeightedShift, int]:
-    """``weigh_windows`` on the symbol-named block presentation.
+def _symbol_named(shift: EdgeShift, k: int) -> tuple[EdgeShift, Windows, int]:
+    """``symbol_named_presentation`` at block length k, which must exist.
 
-    The blocks have the least length kk >= k that names every vertex by
-    its block, and kk + 1 >= ``width``.  Returns (weighted, kk).
+    Raises HypothesisError when no block length up to k + |V| + 1 names
+    every vertex.
     """
     found = symbol_named_presentation(shift, k)
     if found is None:
         raise HypothesisError(
             "no block length up to %d makes vertices symbol-determined" % (k + len(shift.vertices) + 1)
         )
-    recoded, windows, kk = found
-    return weigh_windows(recoded, windows, width, lookup), kk
+    return found
 
 
 def are_cohomologous(
@@ -418,31 +426,64 @@ def are_cohomologous(
     Exact: cohomologous iff every cycle of the weighted difference has
     value zero; g is then read off the spanning-tree potentials.  When
     false, a periodic witness orbit with a nonzero obstruction is
-    attached.
+    attached.  The difference is taken on the rows of r and s, once per
+    distinct window of the presentation.
     """
     if not is_transitive(shift):
         raise HypothesisError("cohomology test requires a transitive SFT base")
     past = max(r.past, s.past)
     future = max(r.future, s.future)
-
-    def difference(w: Word) -> QVector:
-        # each roof reads its own window inside the common one
-        return (r.value_on_window(w[past - r.past : past + r.future + 1])
-                - s.value_on_window(w[past - s.past : past + s.future + 1]))
-
-    weighted, k = _weighted_blocks(shift, past + future + 1, past + future + 1, difference)
-    recoded, diffs = weighted.shift, weighted.weights
+    width = past + future + 1
+    recoded, windows, k = _symbol_named(shift, width)
+    difference = _difference(r, s, past, future, windows)
+    weighted = weigh_windows(recoded, windows, width, difference)
     data = cycle_data(weighted)
-    if any(not c.is_zero() for c in data.cycle_values):
+    if any(map(any, data.value_rows)):
         return CohomologyResult(False, None, _nonzero_cycle_witness(data))
     # d(e) = p(target) - p(source) on every edge: g is the potential read
     # on source blocks, which cover positions [j - (k - future), j + future - 1]
-    potentials = data.potentials
-    g = TransferFunction(past=k - future, future=future - 1, table=dict(zip(recoded.names, potentials)))
-    for i, (s, t) in enumerate(zip(recoded.sources, recoded.targets)):
-        if diffs[i] != potentials[t] - potentials[s]:
+    potentials, diffs = data.potential_rows, weighted.rows[1]
+    for i, (u, t) in enumerate(zip(recoded.sources, recoded.targets)):
+        if diffs[i] != tuple(map(sub, potentials[t], potentials[u])):
             raise ArithmeticError("transfer does not reproduce the difference on edge %d" % i)
+    blocks = recoded.blocks
+    g = TransferFunction(k - future, future - 1, weighted.basis, blocks.base, data.den,
+                         dict(zip(blocks.codes, potentials)))
     return CohomologyResult(True, g)
+
+
+def _difference(r: LocallyConstantRoof, s: LocallyConstantRoof, past: int, future: int,
+                windows: Windows) -> WindowFunction:
+    """r - s on the windows x[-past .. future] that end the blocks of
+    ``windows``, each roof reading its own window inside that one.
+
+    The rows are taken once per distinct window, in order of first
+    occurrence; a window that r, then s, lacks raises MissingWindowError.
+    """
+    base = windows.base
+    (den_r, rows_r), (den_s, rows_s) = r.code_rows(base), s.code_rows(base)
+    den = math.lcm(den_r, den_s)
+    scale_r, scale_s = den // den_r, den // den_s
+    width = past + future + 1
+    mismatch = r.basis is not s.basis and r.basis != s.basis
+    # a roof's window is the code's digits past - roof.past .. past + roof.future
+    reads = []
+    for roof, table in ((r, rows_r), (s, rows_s)):
+        own = roof.past + roof.future + 1
+        reads.append((table, base ** (future - roof.future), base**own, own))
+    rows = {}
+    mod = base**width
+    for code in dict.fromkeys(c % mod for c in windows.codes):
+        got = []
+        for table, drop, keep, own in reads:
+            window = code // drop % keep
+            if window not in table:
+                raise _missing(Word(_code_symbols(window, own, base)))
+            got.append(table[window])
+        if mismatch:
+            raise ValueError("operands live over different bases")
+        rows[code] = tuple([a * scale_r - b * scale_s for a, b in zip(*got)])
+    return WindowFunction(past, future, r.basis, base, den, rows)
 
 
 def _nonzero_cycle_witness(data: CycleData) -> EventuallyPeriodicPoint:
@@ -456,9 +497,9 @@ def _nonzero_cycle_witness(data: CycleData) -> EventuallyPeriodicPoint:
     in the size of the graph.
     """
     shift = data.weighted.shift
-    weights = data.weighted.weights
+    rows = data.weighted.rows[1]
     sources, targets, tree = shift.sources, shift.targets, data.tree
-    e = next(i for i, c in enumerate(data.cycle_values) if not c.is_zero())
+    e = next(i for i, c in enumerate(data.value_rows) if any(c))
     # breadth-first out-tree for the root -> src(e) leg, -1 at the root
     parent: list = [None] * len(shift.vertices)
     parent[data.root] = -1
@@ -485,10 +526,7 @@ def _nonzero_cycle_witness(data: CycleData) -> EventuallyPeriodicPoint:
 
     for walk in (from_root + to_root(sources[e]), from_root + [e] + to_root(targets[e])):
         for cyc in _simple_cycles(shift, walk):
-            total = weights[cyc[0]].basis.zero()
-            for i in cyc:
-                total = total + weights[i]
-            if not total.is_zero():
+            if any(map(sum, zip(*(rows[i] for i in cyc)))):
                 return EventuallyPeriodicPoint.periodic(Word(shift.labels[i] for i in cyc))
     raise ArithmeticError("nonzero cycle value but no nonzero simple cycle")
 
@@ -572,8 +610,8 @@ def normalizing_blocks(shift: EdgeShift, roof: LocallyConstantRoof) -> GridBlock
 
     Raises HypothesisError when no block length names every vertex.
     """
-    return GridBlocks(*_weighted_blocks(
-        shift, max(roof.past + roof.future, 1), roof.past + roof.future + 1, roof.value_on_window))
+    recoded, windows, k = _symbol_named(shift, max(roof.past + roof.future, 1))
+    return GridBlocks(weigh_windows(recoded, windows, roof.past + roof.future + 1, roof), k)
 
 
 def section_blocks(shift: EdgeShift, roof: LocallyConstantRoof) -> GridBlocks:
@@ -584,7 +622,8 @@ def section_blocks(shift: EdgeShift, roof: LocallyConstantRoof) -> GridBlocks:
     Raises HypothesisError when no block length names every vertex.
     """
     width = roof.past + roof.future + 1
-    return GridBlocks(*_weighted_blocks(shift, width, width, roof.value_on_window))
+    recoded, windows, k = _symbol_named(shift, width)
+    return GridBlocks(weigh_windows(recoded, windows, width, roof), k)
 
 
 def normalize_to_delta_grid(
@@ -599,34 +638,59 @@ def normalize_to_delta_grid(
     divisor of its ``delta()`` does.  ``blocks`` is that presentation, from
     ``normalizing_blocks``; it is built here when not given.  If delta is
     not below the minimum roof value it is first shrunk to delta/k, which
-    satisfies the same containment.
+    satisfies the same containment.  A delta that is not positive raises
+    ValueError; every value of s is then a positive multiple of delta.
     """
+    if delta.sign() <= 0:
+        raise ValueError("delta must be positive, got %s" % delta)
     if blocks is None:
         blocks = normalizing_blocks(shift, roof)
     data, k = blocks.data, blocks.k
-    recoded, windows = data.weighted.shift, data.weighted.windows
+    weighted = data.weighted
+    recoded, windows, basis = weighted.shift, weighted.windows, weighted.basis
+    # the cycle values and delta as rows over one denominator
+    values, unit, den = _on_one_denominator(data.value_rows, data.den, delta, basis)
+    pivot = next((i for i, x in enumerate(unit) if x), None)
     multiples = []
-    for c in data.cycle_values:
-        q = c.ratio_to(delta)
-        if q is None or q.denominator != 1:
-            raise HypothesisError("delta %s does not divide cycle value %s" % (delta, c))
-        multiples.append(q.numerator)
+    for i, c in enumerate(values):
+        m = _row_multiple(c, unit, pivot)
+        if m is None:
+            raise HypothesisError("delta %s does not divide cycle value %s" % (delta, data.cycle_values[i]))
+        multiples.append(m)
     shrink = floor_mod(delta, roof.min_value())[0] + 1
     if shrink > 1:
         delta = delta.scale(Fraction(1, shrink))
     # -p(v) = n_v*delta + g(v) with g(v) in [0, delta)
-    n, g_values = zip(*(floor_mod(-p, delta) for p in data.potentials))
-    g = TransferFunction(past=k - roof.future, future=roof.future - 1,
-                         table=dict(zip(recoded.names, g_values)))
-    # s = w - g + g∘σ is the cycle value plus (n_src - n_tgt)*delta on each edge
-    s_table = {}
-    for i, (source, target) in enumerate(zip(recoded.sources, recoded.targets)):
-        m = shrink * multiples[i] + n[source] - n[target]
+    potentials, unit, den = _on_one_denominator(data.potential_rows, data.den, delta, basis)
+    n, g_rows = zip(*(_row_floor_mod(basis, [-x for x in p], unit, den) for p in potentials))
+    vertices = recoded.blocks
+    g = TransferFunction(k - roof.future, roof.future - 1, basis, vertices.base, den,
+                         dict(zip(vertices.codes, g_rows)))
+    # s = w - g + g∘σ is the cycle value plus (n_src - n_tgt)*delta on each
+    # edge: delta's row times m, over delta's denominator
+    s_rows = {}
+    for code, m, source, target in zip(windows.codes, multiples, recoded.sources, recoded.targets):
+        m = shrink * m + n[source] - n[target]
         if m < 1:
             raise ArithmeticError("normalized value %d*(%s) is not in %s*N" % (m, delta, delta))
-        s_table[windows[i]] = delta.scale(m)
-    s = LocallyConstantRoof(past=k - roof.future, future=roof.future, table=s_table)
+        s_rows[code] = m
+    by_multiple = {m: tuple(m * x for x in delta.num) for m in set(s_rows.values())}
+    s = LocallyConstantRoof._on_rows(k - roof.future, roof.future, basis, windows.base, delta.den,
+                                     {code: by_multiple[m] for code, m in s_rows.items()})
     return GridNormalization(g, s, delta)
+
+
+def _on_one_denominator(rows: list, den: int, delta: QVector, basis: RealBasis):
+    """(rows, delta's row, common denominator): integer rows over ``den``
+    and delta, brought to the least common denominator of the two."""
+    if delta.basis is not basis and delta.basis != basis:
+        raise ValueError("operands live over different bases")
+    common = math.lcm(den, delta.den)
+    scale = common // den
+    if scale > 1:
+        rows = [tuple([x * scale for x in row]) for row in rows]
+    unit_scale = common // delta.den
+    return rows, tuple([x * unit_scale for x in delta.num]), common
 
 
 def unit_cross_section(
@@ -651,15 +715,18 @@ def unit_cross_section(
         blocks = section_blocks(shift, roof)
     weighted = blocks.weighted
     recoded = weighted.shift
+    den, rows = weighted.rows
+    rows, unit, _ = _on_one_denominator(rows, den, delta, weighted.basis)
+    pivot = next((i for i, x in enumerate(unit) if x), None)
     # the levels of v are numbered bottom[v] .. bottom[v + 1] - 1
     bottom, names = [], []
     for v in recoded.vertices:
-        q = weighted.weights[recoded.in_edges(v)[0]].ratio_to(delta)
-        if q is None or q.denominator != 1 or q < 1:
+        m = _row_multiple(rows[recoded.in_edges(v)[0]], unit, pivot)
+        if m is None or m < 1:
             raise HypothesisError("roof value at %s is not a positive integer multiple of %s"
                                   % (recoded.texts[v], delta))
         bottom.append(len(names))
-        names += ["%s@%d" % (recoded.texts[v], l) for l in range(int(q))]
+        names += ["%s@%d" % (recoded.texts[v], l) for l in range(m)]
     bottom.append(len(names))
     edges = [(u, u + 1, 0) for v in recoded.vertices for u in range(bottom[v], bottom[v + 1] - 1)]
     edges += [(bottom[s + 1] - 1, bottom[t], 0) for s, t in zip(recoded.sources, recoded.targets)]

@@ -370,6 +370,61 @@ def from_rows(basis: RealBasis, rows: Iterable[Sequence[int]], den: int) -> list
     return [made[row] for row in rows]
 
 
+def _row_sign(basis: RealBasis, row: Sequence[int], den: int) -> int:
+    """-1, 0 or 1: the sign of ``row / den``, as ``QVector.sign`` gives it.
+
+    A row whose entries have one sign is decided on the spot.  A row of
+    mixed signs becomes a QVector that ``is_positive`` decides: its float
+    equals that of the row, since each ``n / den`` is correctly rounded,
+    and within the guard band it raises AmbiguousSignError.
+    """
+    if min(row) >= 0:
+        return 1 if max(row) > 0 else 0
+    if max(row) <= 0:
+        return -1
+    return 1 if _reduced(basis, tuple(row), den).is_positive() else -1
+
+
+def _row_float(basis: RealBasis, row: Sequence[int], den: int) -> float:
+    """``float`` of the QVector ``row / den``, without making it."""
+    return math.fsum(n / den * a for n, a in zip(row, basis.approx))
+
+
+def _row_floor_mod(basis: RealBasis, x: Sequence[int], unit: Sequence[int],
+                   den: int) -> tuple[int, tuple[int, ...]]:
+    """``floor_mod`` on integer rows over one denominator: (n, r) with
+    x == n*unit + r and 0 <= r < unit, r as a row over ``den``.
+
+    The float guess of n and the signs tested are those of ``floor_mod`` on
+    the QVectors ``x / den`` and ``unit / den``, in the same order, so a
+    float-decided sign decides alike and an ambiguous one raises alike.
+    """
+    n = math.floor(_row_float(basis, x, den) / _row_float(basis, unit, den))
+    r = [a - n * u for a, u in zip(x, unit)]
+    while _row_sign(basis, r, den) < 0:
+        n, r = n - 1, list(map(add, r, unit))
+    above = list(map(sub, r, unit))
+    while _row_sign(basis, above, den) >= 0:
+        n, r, above = n + 1, above, list(map(sub, above, unit))
+    return n, tuple(r)
+
+
+def _row_multiple(row: Sequence[int], unit: Sequence[int], pivot: int) -> int | None:
+    """The integer m with row == m * unit, if there is one.
+
+    Both rows are over one denominator, and ``pivot`` indexes a nonzero
+    entry of ``unit`` (None when unit is zero, of which only 0 is a
+    multiple); so m is ``ratio_to`` of the two QVectors when that is an
+    integer.
+    """
+    if pivot is None:
+        return None if any(row) else 0
+    a0, b0 = row[pivot], unit[pivot]
+    if a0 % b0 or any(a * b0 != a0 * b for a, b in zip(row, unit)):
+        return None
+    return a0 // b0
+
+
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
     """Largest positive rational g with value/g an integer for every value.
 

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
-from suspmix.exact import QVector, RealBasis, _reduced, common_rows
+from suspmix.exact import QVector, RealBasis, _reduced, common_rows, from_rows
 from suspmix.shift import (
     Alphabet,
     EdgeShift,
     EventuallyPeriodicPoint,
     Word,
+    _code_symbols,
+    _code_text,
+    _window_code,
     admissible_words,
 )
 
@@ -61,7 +65,81 @@ def _zero_tail_start(point) -> int | None:
     return None
 
 
-class LocallyConstantRoof:
+class WindowFunction:
+    """Exact values on the windows x[-past .. future] of one width.
+
+    The values are kept as integer rows over one common denominator,
+    keyed by window code (see ``shift.Windows``): ``code_rows`` reads
+    them.  ``table``, the same values keyed by Word, is made on first use;
+    a subclass that is given a table makes the rows from it instead.
+    """
+
+    def __init__(self, past: int, future: int, basis: RealBasis, base: int, den: int,
+                 rows: dict[int, tuple[int, ...]]):
+        self.past = past
+        self.future = future
+        self.basis = basis
+        self._codes = (base, den, rows)
+
+    @functools.cached_property
+    def _codes(self) -> tuple[int, int, dict[int, tuple[int, ...]]]:
+        """(base, den, {code: row}) from ``table``, in its order; base is
+        max(symbol) + 1, and windows with a negative symbol, which no
+        Alphabet has, are left out."""
+        items = [(w.symbols, v) for w, v in self.table.items() if min(w.symbols, default=0) >= 0]
+        if not items:
+            return 1, 1, {}
+        base = max(max(w, default=0) for w, _ in items) + 1
+        den, rows = common_rows([v for _, v in items])
+        return base, den, {_window_code(w, base): row for (w, _), row in zip(items, rows)}
+
+    @functools.cached_property
+    def table(self) -> dict[Word, QVector]:
+        """The values keyed by Word; equal values are one QVector."""
+        base, den, rows = self._codes
+        width = self.past + self.future + 1
+        values = from_rows(self.basis, rows.values(), den)
+        return {Word(_code_symbols(code, width, base)): v for code, v in zip(rows, values)}
+
+    def code_rows(self, base: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+        """(den, {code: row}) with the codes in ``base``; windows with a
+        symbol outside [0, base) are left out."""
+        own, den, rows = self._codes
+        if base == own:
+            return den, rows
+        width = self.past + self.future + 1
+        windows = ((_code_symbols(code, width, own), row) for code, row in rows.items())
+        return den, {_window_code(w, base): row for w, row in windows if max(w, default=0) < base}
+
+    def value_on_window(self, w: Word) -> QVector:
+        try:
+            return self.table[w]
+        except KeyError:
+            raise _missing(w) from None
+
+    def value_at(self, point, j: int = 0) -> QVector:
+        """The value at the point shifted j times."""
+        w = Word(point[j + i] for i in range(-self.past, self.future + 1))
+        return self.value_on_window(w)
+
+    def values(self) -> list[QVector]:
+        """The values in table order; equal values are one QVector."""
+        _, den, rows = self._codes
+        return from_rows(self.basis, rows.values(), den)
+
+    def rendered(self) -> dict[str, str]:
+        """Window text -> value text, in the order of the window texts.
+
+        Each distinct value is reduced and rendered once; no Word is made.
+        """
+        base, den, rows = self._codes
+        width = self.past + self.future + 1
+        texts = {row: _reduced(self.basis, row, den).render() for row in dict.fromkeys(rows.values())}
+        by_text = {_code_text(code, width, base): texts[row] for code, row in rows.items()}
+        return {w: by_text[w] for w in sorted(by_text)}
+
+
+class LocallyConstantRoof(WindowFunction):
     """A positive roof depending only on coordinates ``x[-past .. future]``.
 
     Parameters
@@ -70,28 +148,57 @@ class LocallyConstantRoof:
         Window extents; the roof value at x is ``table[x[-past..future]]``.
     table : dict[Word, QVector]
         One entry per admissible window; every value strictly positive.
+
+    A roof made by ``from_texts`` keeps its values as integer rows keyed
+    by window code instead, and makes its ``table`` on first use.
     """
 
     def __init__(self, past: int, future: int, table: dict[Word, QVector]):
-        if past < 0 or future < 0:
-            raise ValueError("window extents must be non-negative")
-        if not table:
-            raise ValueError("roof table is empty")
-        width = past + future + 1
-        positive = set()  # values already tested: a table repeats few distinct ones
-        for w, v in table.items():
-            if len(w) != width:
-                raise ValueError("window %s has length %d, expected %d" % (w, len(w), width))
-            if v not in positive:
-                if not v.is_positive():
-                    raise ValueError("roof value %s at window %s is not positive" % (v, w))
-                positive.add(v)
+        _check_table(past, future, table)
         self.past = past
         self.future = future
         self.table = dict(table)
         self.basis: RealBasis = next(iter(table.values())).basis
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_texts(cls, past: int, future: int, table: dict[str, QVector]) -> "LocallyConstantRoof":
+        """The roof whose windows are spelled one digit per symbol, as in a
+        config file.
+
+        The table is checked as the Word-keyed constructor checks its own,
+        with the same errors in the same order.  Each text is then read as
+        a window code (``int`` in the base above its digits), and each
+        distinct value is scaled to the common denominator once.  A text
+        that is not ASCII digits goes through ``Word.parse`` and that
+        constructor.
+        """
+        digits = "".join(table)
+        if not (digits.isascii() and digits.isdigit()):
+            return cls(past, future, {Word.parse(w): v for w, v in table.items()})
+        _check_table(past, future, table)
+        base = max(int(max(digits)) + 1, 2)
+        basis = next(iter(table.values())).basis
+        den = math.lcm(*{v.den for v in table.values()})
+        scaled: dict = {}  # by value object: a config holds one per distinct value text
+        rows = {}
+        for w, v in table.items():
+            row = scaled.get(id(v))
+            if row is None:
+                if v.basis is not basis and v.basis != basis:
+                    raise ValueError("operands live over different bases")
+                row = scaled[id(v)] = tuple(n * (den // v.den) for n in v.num)
+            rows[int(w, base)] = row
+        return cls._on_rows(past, future, basis, base, den, rows)
+
+    @classmethod
+    def _on_rows(cls, past, future, basis, base, den, rows) -> "LocallyConstantRoof":
+        """The roof with value ``row / den`` on the window whose code in
+        ``base`` is each key, for rows already known to be positive."""
+        roof = cls.__new__(cls)
+        WindowFunction.__init__(roof, past, future, basis, base, den, rows)
+        return roof
 
     @classmethod
     def from_symbols(cls, values: dict[int, QVector]) -> "LocallyConstantRoof":
@@ -116,32 +223,19 @@ class LocallyConstantRoof:
 
     # -- evaluation ---------------------------------------------------------
 
-    def value_on_window(self, w: Word) -> QVector:
-        try:
-            return self.table[w]
-        except KeyError:
-            raise _missing(w) from None
-
     @functools.cached_property
     def rows(self) -> tuple[int, dict[tuple, tuple[int, ...]]]:
-        """(den, {window symbols: integer row}): the table as ``common_rows``
-        over one common denominator, made on first use."""
-        den, rows = common_rows(list(self.table.values()))
-        return den, dict(zip((w.symbols for w in self.table), rows))
-
-    def value_at(self, point, j: int = 0) -> QVector:
-        """Roof value at the point shifted j times."""
-        w = Word(point[j + i] for i in range(-self.past, self.future + 1))
-        return self.value_on_window(w)
-
-    def values(self) -> list[QVector]:
-        return list(self.table.values())
+        """(den, {window symbols: integer row}): the rows of ``code_rows``
+        keyed by the windows' symbols, made on first use."""
+        base, den, rows = self._codes
+        width = self.past + self.future + 1
+        return den, {_code_symbols(code, width, base): row for code, row in rows.items()}
 
     def min_value(self) -> QVector:
-        return min(dict.fromkeys(self.table.values()))
+        return min(dict.fromkeys(self.values()))
 
     def max_value(self) -> QVector:
-        return max(dict.fromkeys(self.table.values()))
+        return max(dict.fromkeys(self.values()))
 
     def admissible_words_from_table(self, length: int) -> list[Word]:
         """Words all of whose windows occur in the table.
@@ -165,6 +259,27 @@ class LocallyConstantRoof:
                 if w[len(w) - width + 1 :] == k[: width - 1]
             ]
         return sorted(set(words))
+
+
+def _check_table(past: int, future: int, table: dict) -> None:
+    """ValueError for negative extents, an empty table, or the first window
+    in table order whose length is not past + future + 1 or whose value is
+    not positive; each value object is sign-tested once."""
+    if past < 0 or future < 0:
+        raise ValueError("window extents must be non-negative")
+    if not table:
+        raise ValueError("roof table is empty")
+    width = past + future + 1
+    # ids of the values already tested: a config shares one object per
+    # distinct value text, and an id hashes faster than a value
+    tested = set()
+    for w, v in table.items():
+        if len(w) != width:
+            raise ValueError("window %s has length %d, expected %d" % (w, len(w), width))
+        if id(v) not in tested:
+            if not v.is_positive():
+                raise ValueError("roof value %s at window %s is not positive" % (v, w))
+            tested.add(id(v))
 
 
 @dataclass
@@ -238,19 +353,43 @@ def _read(p, lo: int, hi: int):
     return [p[i] for i in range(lo, hi)]
 
 
-@dataclass
 class WeightedShift:
     """An edge shift with one exact weight per edge.
 
     ``windows`` maps edge indices to the block each edge reads, which ends
-    with its roof window (``decider.weigh_windows`` builds it); the sum of
-    edge weights over any closed path equals the Birkhoff sum of the
-    originating roof over the spelled periodic word.
+    with its roof window (``decider.weigh_windows`` takes it, as a
+    ``shift.Windows``, from the block presentation); the sum of edge
+    weights over any closed path equals the Birkhoff sum of the
+    originating roof over the spelled periodic word.  ``rows`` holds the
+    weights as integer rows over one common denominator, the form that
+    ``decider.cycle_data`` sums; given rows, the QVector ``weights`` are
+    made on first use, and given weights, the rows are.
     """
 
-    shift: EdgeShift
-    weights: tuple[QVector, ...]
-    windows: dict[int, Word]
+    def __init__(self, shift: EdgeShift, weights: tuple[QVector, ...], windows):
+        self.shift = shift
+        self.weights = weights
+        self.windows = windows
+
+    @classmethod
+    def from_rows(cls, shift: EdgeShift, basis: RealBasis, den: int, rows: list, windows):
+        weighted = cls.__new__(cls)
+        weighted.shift, weighted.basis, weighted.rows, weighted.windows = shift, basis, (den, rows), windows
+        return weighted
+
+    @functools.cached_property
+    def weights(self) -> tuple[QVector, ...]:
+        den, rows = self.rows
+        return tuple(from_rows(self.basis, rows, den))
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, list[tuple[int, ...]]]:
+        """(den, one row per edge), as ``common_rows`` of the weights."""
+        return common_rows(self.weights)
+
+    @functools.cached_property
+    def basis(self) -> RealBasis:
+        return self.weights[0].basis
 
 
 def walters_norm(roof: LocallyConstantRoof) -> QVector:

@@ -13,8 +13,9 @@ import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class EmptyShiftError(ValueError):
@@ -106,6 +107,65 @@ class Word:
         return cls(map(int, text.strip()))
 
 
+# -- window codes -------------------------------------------------------------
+#
+# The block presentations and the exact tables on them key a window (a
+# tuple of non-negative symbols) by its code: the symbols read as the
+# digits of a number in a base above every symbol, first symbol most
+# significant.  Windows of one length then sort by code as they sort as
+# Words, and the last j symbols of a window are its code mod base**j.
+
+
+def _window_code(symbols: Iterable[int], base: int) -> int:
+    """The code of a window of symbols, each in [0, base)."""
+    code = 0
+    for s in symbols:
+        code = code * base + s
+    return code
+
+
+def _code_symbols(code: int, width: int, base: int) -> tuple[int, ...]:
+    """The ``width`` symbols of the window whose code is ``code``."""
+    symbols = [0] * width
+    for i in range(width - 1, -1, -1):
+        code, symbols[i] = divmod(code, base)
+    return tuple(symbols)
+
+
+def _code_text(code: int, width: int, base: int) -> str:
+    """``str`` of the Word whose code is ``code``, made without it."""
+    if not width:
+        return "ε"
+    if base == 2:
+        return format(code, "0%db" % width)
+    return "".join(map(str, _code_symbols(code, width, base)))
+
+
+class Windows(Mapping):
+    """Blocks of one length, one per index, held as window codes.
+
+    ``windows[i]`` is the Word whose code is ``codes[i]`` in ``base``, made
+    on each access; the presentations' own work reads ``codes``.  Equal to
+    the dict from each index to its Word.
+    """
+
+    def __init__(self, codes: Sequence[int], width: int, base: int):
+        self.codes = codes
+        self.width = width
+        self.base = base
+
+    def __getitem__(self, i: int) -> Word:
+        if i.__class__ is not int or not 0 <= i < len(self.codes):
+            raise KeyError(i)
+        return Word(_code_symbols(self.codes[i], self.width, self.base))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.codes)))
+
+
 class Edge(NamedTuple):
     """One labeled edge of an EdgeShift, between vertex numbers."""
 
@@ -161,7 +221,7 @@ class EdgeShift:
             number = {v: i for i, v in enumerate(kept)}
             names = [names[v] for v in kept]
             edges = [(number[s], number[t], c) for s, t, c in edges]
-        self.names: tuple = tuple(names)
+        self._names = names
         self.vertices = range(len(names))
         self.sources, self.targets, self.labels = (tuple(x) for x in zip(*edges))
         self.alphabet = alphabet
@@ -174,6 +234,11 @@ class EdgeShift:
         self._walk = None
 
     # -- basic queries ------------------------------------------------------
+
+    @functools.cached_property
+    def names(self) -> tuple:
+        """The name each vertex was declared with."""
+        return tuple(self._names)
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -297,29 +362,66 @@ def _block_sweep(shift: EdgeShift):
         ends = longer
 
 
-def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple[EdgeShift, dict[int, Word]]:
+def _block_graph(base: EdgeShift, ends: dict[tuple, set]) -> tuple["_BlockShift", Windows]:
     """The presentation on the (end, block) pairs of one map of the sweep.
 
     The pairs are numbered by block, and the ends of one block by their
-    names' text.  A vertex is named by its plain block when that block has
-    one end, else by (end's name, block).  The edge out of (v, block) along
-    base edge e is labeled e's symbol and reads the window block + symbol.
+    names' text.  The edge out of (v, block) along base edge e is labeled
+    e's symbol and reads the window block + symbol.  Blocks and windows
+    are window codes in the base max(symbol) + 1.
     """
-    pairs = [(v, blk) for blk in sorted(ends) for v in sorted(ends[blk], key=base.texts.__getitem__)]
-    number = {pair: i for i, pair in enumerate(pairs)}
-    names = [Word(blk) if len(ends[blk]) == 1 else (base.names[v], Word(blk)) for v, blk in pairs]
+    b = max(base.alphabet.symbols) + 1
+    blocks = sorted((_window_code(blk, b), blk) for blk in ends)
+    texts = base.texts
+    pairs, codes, number = [], [], {}
+    for code, blk in blocks:
+        for v in sorted(ends[blk], key=texts.__getitem__):
+            number[v, code] = len(pairs)
+            pairs.append((v, blk))
+            codes.append(code)
+    k = len(blocks[0][1])
+    mod = b**k
     out, targets, labels = base._out, base.targets, base.labels
-    edges = []
-    windows = {}
-    for (v, blk), source in number.items():
+    edges, windows = [], []
+    for (v, code), source in number.items():
+        code *= b
         for i in out[v]:
-            window = blk + (labels[i],)
-            windows[len(edges)] = Word(window)
-            edges.append((source, number[targets[i], window[1:]], labels[i]))
-    return EdgeShift(names, edges, base.alphabet, numbered=True), windows
+            window = code + labels[i]
+            windows.append(window)
+            edges.append((source, number[targets[i], window % mod], labels[i]))
+    return _BlockShift(base, ends, pairs, edges, Windows(codes, k, b)), Windows(windows, k + 1, b)
 
 
-def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, Word]]:
+class _BlockShift(EdgeShift):
+    """The presentation on the (end, block) pairs of one map of the sweep;
+    ``blocks`` holds each vertex's block.
+
+    A vertex is named by its plain block (a Word) when that block has one
+    end, else by (end's name, block).  The names and their texts are made
+    on first use, the texts of plain blocks without Words.
+    """
+
+    def __init__(self, base: EdgeShift, ends: dict, pairs: list, edges: list, blocks: Windows):
+        super().__init__(pairs, edges, base.alphabet, numbered=True)
+        self.blocks = blocks
+        self._base_names = base.names
+        self._ends = ends
+
+    def _name(self, v: int, blk: tuple):
+        return Word(blk) if len(self._ends[blk]) == 1 else (self._base_names[v], Word(blk))
+
+    @functools.cached_property
+    def names(self) -> tuple:
+        return tuple(self._name(v, blk) for v, blk in self._names)
+
+    @functools.cached_property
+    def texts(self) -> tuple[str, ...]:
+        ends = self._ends
+        return tuple("".join(map(str, blk)) or "ε" if len(ends[blk]) == 1 else str(self._name(v, blk))
+                     for v, blk in self._names)
+
+
+def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, Windows]:
     """Conjugate presentation whose vertices are admissible k-blocks.
 
     The blocks are read on ``resolving_base(shift)``.  Vertices are
@@ -330,7 +432,7 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
 
     Returns
     -------
-    (EdgeShift, dict)
+    (EdgeShift, Windows)
         The recoded shift and a map from its edge indices to the
         (k+1)-block window each edge reads.
     """
@@ -338,13 +440,13 @@ def higher_block_recode(shift: EdgeShift, k: int) -> tuple[EdgeShift, dict[int, 
         raise ValueError("block length must be >= 0")
     base = resolving_base(shift)
     if k == 0:
-        return base, {i: Word([c]) for i, c in enumerate(base.labels)}
+        return base, Windows(base.labels, 1, max(base.alphabet.symbols) + 1)
     return _block_graph(base, next(itertools.islice(_block_sweep(base), k, None)))
 
 
 def symbol_named_presentation(
     shift: EdgeShift, k: int
-) -> tuple[EdgeShift, dict[int, Word], int] | None:
+) -> tuple[EdgeShift, Windows, int] | None:
     """Higher-block presentation whose vertices are all plain blocks.
 
     Uses the least block length kk >= k at which every admissible
@@ -353,9 +455,10 @@ def symbol_named_presentation(
 
     Returns
     -------
-    (EdgeShift, dict, int) or None
-        The recoded shift, its window map (as in ``higher_block_recode``)
-        and kk; None if no kk up to k + |V| + 1 qualifies.
+    (EdgeShift, Windows, int) or None
+        The recoded shift, whose ``blocks`` hold its vertices' blocks, its
+        window map (as in ``higher_block_recode``) and kk; None if no kk up
+        to k + |V| + 1 qualifies.
     """
     base = resolving_base(shift)
     for kk, ends in enumerate(_block_sweep(base)):

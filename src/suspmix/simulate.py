@@ -354,10 +354,16 @@ def density_diagnostic(
 ) -> MixingDiagnostic:
     """Residues of the hitting times mod omega, their largest circular gap,
     their counts in 10 equal bins of [0, omega), and (when a candidate
-    delta is supplied) the fraction lying within 2*epsilon of the
-    delta-grid.  The verdict is non-mixing-consistent when that fraction
-    is at least 0.99.  A candidate delta must be finite and above 0;
-    otherwise ValueError."""
+    delta is supplied) the fraction lying within min(2*epsilon, delta/8)
+    of the delta-grid.  The verdict is non-mixing-consistent when that
+    fraction is at least 0.99.  A candidate delta must be finite and above
+    0; otherwise ValueError.
+
+    Every residue lies within delta/2 of the grid, so a tolerance of 2*epsilon
+    alone would pass every residue once delta <= 4*epsilon, and the test
+    would say nothing.  Capped at delta/8, the tolerance covers a quarter
+    of each grid cell: residues spread over [0, omega) pass at a rate near
+    1/4, far below 0.99."""
     if candidate_delta is not None and not 0 < candidate_delta < math.inf:
         raise ValueError("candidate delta must be finite and above 0, got %g" % candidate_delta)
     if len(series.times) < 10:
@@ -372,7 +378,7 @@ def density_diagnostic(
     if candidate_delta is not None:
         rem = np.mod(residues, candidate_delta)
         dist = np.minimum(rem, candidate_delta - rem)
-        grid_fraction = float(np.mean(dist <= 2 * series.epsilon))
+        grid_fraction = float(np.mean(dist <= min(2 * series.epsilon, candidate_delta / 8)))
     if grid_fraction is not None and grid_fraction >= 0.99:
         verdict = "non-mixing-consistent"
         note = "residues concentrate on the candidate grid"

@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from suspmix.decider import CycleData, HypothesisError, normalizing_blocks
+from suspmix.decider import HypothesisError, normalizing_blocks
 from suspmix.roofs import WeightedShift
 from suspmix.shift import EdgeShift, Word, is_transitive
 from suspmix.special import BetaShift, _factor_occurs
@@ -101,6 +101,16 @@ def beta_graph_core(shift: BetaShift, depth: int) -> tuple[list[str], list[tuple
 
     core = sweep(True) & sweep(False)
     return sorted(core), [e for e in edges if e[0] in core and e[1] in core]
+
+
+class CycleData(NamedTuple):
+    """What ``decider.cycle_data`` finds, as QVectors keyed by vertex."""
+
+    weighted: WeightedShift
+    root: int
+    potentials: dict
+    cycle_values: tuple
+    tree: dict
 
 
 def cycle_data(weighted: WeightedShift) -> CycleData:

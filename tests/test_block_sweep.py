@@ -23,6 +23,7 @@ from suspmix.decider import (
     HypothesisError,
     are_cohomologous,
     decide_mixing_sft,
+    weigh_windows,
     normalize_to_delta_grid,
     normalizing_blocks,
     section_blocks,
@@ -158,6 +159,48 @@ def test_symbol_named_presentation_is_found_at_its_bound():
     assert found is not None and found[2] == 5
     assert same_presentation(found, reference_presentation(shift, 1))
     assert symbol_named_presentation(shift, 2)[2] == 5
+
+
+SPREAD = Alphabet((0, 2, 5))
+
+
+def spread_graph(n, edges):
+    try:
+        return EdgeShift(range(n), edges, SPREAD)
+    except EmptyShiftError:
+        return None
+
+
+spread_graphs = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(SPREAD.symbols)),
+        min_size=1, max_size=9,
+    ).map(lambda edges: spread_graph(n, edges))
+).filter(lambda s: s is not None)
+
+
+@SWEEP
+@given(spread_graphs, st.integers(1, 3), st.data())
+def test_windows_on_an_alphabet_with_gaps(shift, k, data):
+    # codes are in base max(symbol) + 1 = 6, not len(alphabet) = 3, so the
+    # windows 05 and 50 and the blocks 2 and 02 stay apart
+    recoded, windows = higher_block_recode(shift, k)
+    want, want_windows = reference_recode(shift, k)
+    assert (recoded.names, recoded.edges, windows) == (want.names, want.edges, want_windows)
+    assert windows.base == 6
+    found = symbol_named_presentation(shift, k)
+    assume(found is not None)
+    recoded, windows, kk = found
+    want, want_windows = reference_recode(shift, kk)
+    assert (recoded.names, recoded.edges, windows) == (want.names, want.edges, want_windows)
+    assert recoded.texts == tuple(map(str, want.names))
+    width = data.draw(st.integers(1, kk + 1))
+    values = {w: RATIONAL.from_rational(Fraction(1 + sum(w) * (i + 1), 1 + i % 3))
+              for i, w in enumerate(admissible_words(shift, width))}
+    assume(values)
+    roof = LocallyConstantRoof(0, width - 1, values)
+    weights = weigh_windows(recoded, windows, width, roof).weights
+    assert weights == tuple(roof.value_on_window(w[kk + 1 - width:]) for w in want_windows.values())
 
 
 @SWEEP

@@ -488,6 +488,29 @@ class TestGridModes:
         assert main(["cohomology", "--preset", "example-4.1", "--mode", mode]) == 0
 
 
+VACUOUS_GRID = """\
+[shift]
+kind = full
+alphabet = 2
+
+[basis]
+constants = phi 1.618033988749895
+
+[roof]
+past = 0
+future = 0
+0 = 1
+1 = phi
+
+[options]
+delta = 0.5
+epsilon = 0.2
+family = 10
+horizon = 400
+target = 0
+"""
+
+
 class TestSimulate:
     def test_harmonic_roof_refuses_other_symbols(self, tmp_path, capsys):
         # the roof lives on the full 2-shift; its two evaluators disagree elsewhere
@@ -497,6 +520,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--json"]) == 2
         assert one_error_line(capsys) == (
             "error: the harmonic roof is defined on the full 2-shift; family 201 has other symbols")
+
+    def test_a_grid_finer_than_four_epsilon_is_not_read_as_non_mixing(self, tmp_path, capsys):
+        # decide says TopMixing; every residue lies within delta/2 = 0.25 of
+        # the 0.5-grid, inside 2*epsilon = 0.4, so only a tolerance capped
+        # at delta/8 sees that the residues are off the grid
+        cfg = tmp_path / "sys.cfg"
+        cfg.write_text(VACUOUS_GRID)
+        assert main(["decide", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("verdict: TopMixing")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        text = capsys.readouterr().out
+        assert "grid fraction: 0\n" in text
+        assert "non-mixing-consistent" not in text
 
     def test_writes_csv_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"

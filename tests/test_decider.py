@@ -61,7 +61,7 @@ def mixing_roof():
 def roof_weights(roof, shift):
     """The weighted presentation that decide_mixing_sft reads."""
     depth = roof.past + roof.future
-    return weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof.value_on_window)
+    return weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof)
 
 
 def closed_walk_gcd(weighted, max_len):
@@ -376,6 +376,12 @@ class TestNormalize:
             normalize_to_delta_grid(
                 shift, roof_two_three(), RATIONAL.from_rational(Fraction(2, 3))
             )
+
+    @pytest.mark.parametrize("delta", [-1, 0])
+    def test_rejects_a_delta_that_is_not_positive(self, delta):
+        # -1 divides every cycle value; reducing mod it would never end
+        with pytest.raises(ValueError, match="^delta must be positive, got %d$" % delta):
+            normalize_to_delta_grid(full_shift(BINARY), roof_two_three(), RATIONAL.from_rational(delta))
 
     def test_coboundary_identity(self):
         shift = full_shift(BINARY)

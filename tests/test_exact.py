@@ -9,6 +9,10 @@ from suspmix.exact import (
     AmbiguousSignError,
     QVector,
     RealBasis,
+    _reduced,
+    _row_floor_mod,
+    _row_multiple,
+    _row_sign,
     floor_mod,
     parse_qvector,
     rational_gcd,
@@ -304,3 +308,69 @@ class TestFloorMod:
         x, unit = RATIONAL.from_rational(Fraction(3 * 10**17 - 1, 10**17)), RATIONAL.from_rational(1)
         assert math.floor(float(x) / float(unit)) == 3
         assert floor_mod(x, unit) == (2, RATIONAL.from_rational(Fraction(10**17 - 1, 10**17)))
+
+
+# -- the row forms of sign, ratio and floor_mod ---------------------------------
+
+SQRT2 = RealBasis.with_constants(("a", 1.4142135623730951))
+row_bases = st.sampled_from([RATIONAL, SQRT2, AB])
+
+
+@st.composite
+def row_cases(draw):
+    """A basis, a denominator, a nonzero unit row and a row that is often an
+    integer multiple of it, entries of both signs included."""
+    basis = draw(row_bases)
+    entries = st.lists(st.integers(-40, 40), min_size=len(basis), max_size=len(basis))
+    unit = draw(entries.filter(any))
+    m = draw(st.integers(-6, 6))
+    bump = draw(st.one_of(st.just([0] * len(basis)), entries))
+    row = [m * u + b for u, b in zip(unit, bump)]
+    return basis, draw(st.integers(1, 60)), row, unit
+
+
+class TestRowForms:
+    @given(row_cases())
+    def test_row_multiple_is_an_integer_ratio_to(self, case):
+        basis, den, row, unit = case
+        q = _reduced(basis, tuple(row), den).ratio_to(_reduced(basis, tuple(unit), den))
+        pivot = next(i for i, u in enumerate(unit) if u)
+        want = q.numerator if q is not None and q.denominator == 1 else None
+        assert _row_multiple(row, unit, pivot) == want
+
+    def test_only_zero_is_a_multiple_of_zero(self):
+        assert _row_multiple((0, 0), (0, 0), None) == 0
+        assert _row_multiple((0, 1), (0, 0), None) is None
+
+    @given(row_cases())
+    def test_row_sign_is_the_qvector_sign(self, case):
+        basis, den, row, _ = case
+        value = _reduced(basis, tuple(row), den)
+        try:
+            want = value.sign()
+        except AmbiguousSignError:
+            with pytest.raises(AmbiguousSignError):
+                _row_sign(basis, row, den)
+        else:
+            assert _row_sign(basis, row, den) == want
+
+    @given(row_cases())
+    def test_row_floor_mod_is_floor_mod(self, case):
+        basis, den, row, unit = case
+        x, u = _reduced(basis, tuple(row), den), _reduced(basis, tuple(unit), den)
+        if u.sign() < 0:
+            unit, u = [-c for c in unit], -u
+        n, r = _row_floor_mod(basis, row, unit, den)
+        assert (n, _reduced(basis, tuple(r), den)) == floor_mod(x, u)
+
+    def test_an_ambiguous_sign_still_raises(self):
+        # 10**16 * a - 14142135623730951: mixed signs, float 0 within the guard
+        row, one = (-14142135623730951, 10**16), (1, 0)
+        with pytest.raises(AmbiguousSignError):
+            _reduced(SQRT2, row, 1).sign()
+        with pytest.raises(AmbiguousSignError):
+            _row_sign(SQRT2, row, 1)
+        with pytest.raises(AmbiguousSignError):
+            floor_mod(_reduced(SQRT2, row, 1), SQRT2.unit(0))
+        with pytest.raises(AmbiguousSignError):
+            _row_floor_mod(SQRT2, row, one, 1)

@@ -1,10 +1,11 @@
 """Every byte of the exact commands' reports, pinned.
 
 ``decide --json`` and ``cohomology --mode test|normalize|section --json``
-run on five presets and on four literal configs: a 24-vertex ring with one
+run on five presets and on five literal configs: a 24-vertex ring with one
 chord, a non-right-resolving edge list, a forbidden-word SFT whose roof
-reads one symbol of past, and a roof whose ``[roof2]`` is not cohomologous
-to it, which pins the witness orbit.  Exit code, stdout and stderr must
+reads one symbol of past, a roof whose ``[roof2]`` is not cohomologous to
+it, which pins the witness orbit, and a grid constant a - 1 whose exact
+values have coefficients of both signs.  Exit code, stdout and stderr must
 equal the text in ``report_bytes.json``.
 
 A change that means to alter a report rewrites that file with
@@ -143,6 +144,31 @@ future = 0
 01 = 4
 10 = 3
 11 = 4
+""",
+    # delta = a - 1: the potentials, their residues mod delta and delta
+    # itself have coefficients of both signs, whose signs the float decides;
+    # [roof] is the grid roof [roof2] plus a coboundary
+    "mixed-sign": """\
+[shift]
+kind = full
+alphabet = 2
+
+[basis]
+constants = a 1.4142135623730951
+
+[roof]
+past = 0
+future = 1
+00 = -1 + a
+01 = -7/4 + 2*a
+10 = -5/4 + a
+11 = -3 + 3*a
+
+[roof2]
+00 = -1 + a
+01 = -2 + 2*a
+10 = -1 + a
+11 = -3 + 3*a
 """,
 }
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,27 @@ class TestLocallyConstantRoof:
                  Word.parse("11"): zero}
         with pytest.raises(ValueError, match="^roof value 0 at window 01 is not positive$"):
             LocallyConstantRoof(0, 1, table)
+
+    @pytest.mark.parametrize("rows", [
+        [("0", 1), ("1", 0), ("01", 2)],
+        [("0", 1), ("01", 2), ("1", 0)],
+        [("0", 1), ("1", 1), ("2", -1)],
+        [("0", 1), ("x", 2)],
+    ])
+    def test_texts_fail_as_words_fail(self, rows):
+        # the first bad window in table order is named, as by the Word table
+        table = {w: RATIONAL.from_rational(v) for w, v in rows}
+        with pytest.raises(ValueError) as want:
+            LocallyConstantRoof(0, 0, {Word.parse(w): v for w, v in table.items()})
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(want.value))):
+            LocallyConstantRoof.from_texts(0, 0, table)
+
+    @given(st.dictionaries(st.text("0123", min_size=2, max_size=2), st.integers(1, 9), min_size=1))
+    def test_texts_give_the_word_table(self, rows):
+        table = {w: RATIONAL.from_rational(Fraction(v, 3)) for w, v in rows.items()}
+        roof = LocallyConstantRoof.from_texts(1, 0, table)
+        assert roof.table == {Word.parse(w): v for w, v in table.items()}
+        assert roof.rendered() == {w: table[w].render() for w in sorted(table)}
 
     def test_value_at(self):
         r = rational_roof_two_three()
@@ -157,7 +179,7 @@ class TestBirkhoffSum:
 def roof_weights(roof, shift):
     """The roof's weights on the block presentation of depth past + future."""
     depth = roof.past + roof.future
-    return weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof.value_on_window)
+    return weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof)
 
 
 class TestEdgeWeights:

@@ -1,11 +1,15 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from suspmix.decider import decide_mixing_sft
 from suspmix.exact import RealBasis
 from suspmix.roofs import LocallyConstantRoof, birkhoff_sum, example_roof_harmonic
-from suspmix.shift import EventuallyPeriodicPoint, Word
+from suspmix.shift import Alphabet, EventuallyPeriodicPoint, Word, full_shift
 from suspmix.simulate import (
     MixingDiagnostic,
     ReturnTimeSeries,
@@ -155,6 +159,38 @@ class TestDensityDiagnostic:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             density_diagnostic(self._series([1.0, 2.0, 3.0], 1.0))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(1, 2), st.data())
+    def test_a_non_mixing_roof_is_on_its_grid_and_half_a_cell_off_is_not(self, width, data):
+        # rational roofs on the full 2-shift are NotTopMixing; epsilon may
+        # reach delta/4 and beyond, where every residue lies within 2*epsilon
+        # of the grid, so only a tolerance below delta/2 tells the grid apart
+        windows = [Word(w) for w in itertools.product((0, 1), repeat=width)]
+        table = {w: RATIONAL.from_rational(Fraction(data.draw(st.integers(1, 12)), 4))
+                 for w in windows}
+        roof = LocallyConstantRoof(0, width - 1, table)
+        delta = decide_mixing_sft(full_shift(Alphabet.of_size(2)), roof).delta
+        word = Word(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=5)))
+        epsilon = float(roof.min_value()) * data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        periodic = EventuallyPeriodicPoint.periodic(word)
+        omega = orbit_period(roof, word)
+        series = hitting_times([SuspensionPoint(periodic)], Word([word[0]]), epsilon, roof,
+                               12 * omega + 1)
+        diag = density_diagnostic(series, candidate_delta=float(delta))
+        assert diag.grid_fraction == 1.0
+        assert diag.verdict == "non-mixing-consistent"
+        off = ReturnTimeSeries(series.target, epsilon,
+                               tuple(t + float(delta) / 2 for t in series.times), series.omega)
+        assert density_diagnostic(off, candidate_delta=float(delta)).grid_fraction == 0.0
+
+    def test_a_candidate_delta_below_four_epsilon_is_not_passed_vacuously(self):
+        # residues 0.118 from the 0.5-grid: within 2*epsilon = 0.4, not
+        # within delta/8
+        times = [1.618 + 2.618 * i for i in range(12)]
+        diag = density_diagnostic(self._series(times, 2.618, epsilon=0.2), candidate_delta=0.5)
+        assert diag.grid_fraction == 0.0
+        assert diag.verdict != "non-mixing-consistent"
 
     @pytest.mark.parametrize("delta", [0.0, -0.7, float("nan"), float("inf"), float("-inf")])
     def test_candidate_delta_must_be_finite_and_positive(self, delta):
