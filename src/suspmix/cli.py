@@ -109,15 +109,19 @@ class SystemConfig:
             cfg.generators = sec.get("generators", "")
             edges = []
             for item in filter(None, (s.strip() for s in sec.get("edges", "").split(","))):
-                src, tgt, label = item.split()
-                edges.append((src, tgt, int(label)))
+                fields = item.split()
+                if len(fields) != 3:
+                    raise ValueError('malformed edge %r: use "source target label"' % item)
+                edges.append((fields[0], fields[1], int(fields[2])))
             cfg.edges = tuple(edges)
         if "basis" in sections:
             consts = []
             raw = sections["basis"].get("constants", "")
             for item in filter(None, (s.strip() for s in raw.split(","))):
-                name, value = item.split()
-                consts.append((name, value))
+                fields = item.split()
+                if len(fields) != 2:
+                    raise ValueError('malformed constant %r: use "name value"' % item)
+                consts.append((fields[0], fields[1]))
             cfg.constants = tuple(consts)
         for section, attr in (("roof", "roof_table"), ("roof2", "roof2_table")):
             if section in sections:

@@ -182,19 +182,27 @@ def decide_mixing_sft(shift: EdgeShift, roof: LocallyConstantRoof) -> MixingVerd
         return MixingVerdict("Unknown", reason="base shift is not transitive")
     depth = roof.past + roof.future
     weighted = weigh_windows(*higher_block_recode(shift, depth), depth + 1, roof)
-    data = cycle_data(weighted)
-    generators = data.nonzero_cycle_values()
-    # positive roofs force a nonzero cycle value on every cycle; distinct
-    # values give the same rank and generator
-    delta = setwise_commensurate(list(dict.fromkeys(generators)))
     reason = ""
     if len(weighted.shift.labels) == len(weighted.shift.vertices):
         reason = "base is a single periodic orbit; the dichotomy is vacuous there"
+    # positive roofs force a nonzero cycle value on every cycle
+    return grid_verdict(cycle_data(weighted).nonzero_cycle_values(), "NotTopMixing", reason=reason)
+
+
+def grid_verdict(generators: list[QVector], kind: str, bound: Optional[int] = None,
+                 reason: str = "", witnesses: tuple = ()) -> MixingVerdict:
+    """The grid rule on nonzero sums that generate the group of orbit sums.
+
+    The flow mixes unless every sum lies on one grid δℤ: rank >= 2 over Q
+    gives TopMixing, otherwise ``kind`` with δ the positive generator.
+    Both are taken over the distinct sums in order of first occurrence,
+    told apart by id: the callers give equal sums as one object.
+    """
+    delta = setwise_commensurate(list({id(g): g for g in generators}.values()))
     if delta is None:
-        return MixingVerdict("TopMixing", generators=tuple(generators))
-    return MixingVerdict(
-        "NotTopMixing", delta=delta, reason=reason, generators=tuple(generators)
-    )
+        return MixingVerdict("TopMixing", generators=tuple(generators), witnesses=witnesses)
+    return MixingVerdict(kind, delta=delta, bound=bound, reason=reason,
+                         generators=tuple(generators), witnesses=witnesses)
 
 
 # -- synchronized / oracle-presented shifts ---------------------------------
@@ -315,11 +323,9 @@ def _rotation_in_cylinder(lyndon: Word, v: Word) -> Optional[Word]:
     return None
 
 
-def _orbit_sums(
-    roof: LocallyConstantRoof, words: list[Word]
-) -> tuple[list[QVector], list[QVector]]:
-    """Exact Birkhoff sum over one period of each w-bar, and the distinct
-    sums in order of first occurrence; equal sums are one object.
+def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
+    """Exact Birkhoff sum over one period of each w-bar; equal sums are one
+    object.
 
     The sum depends only on the multiset of roof windows that occur
     cyclically in w, so one exact sum is computed per distinct multiset,
@@ -344,7 +350,7 @@ def _orbit_sums(
             total = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), len(w))
             total = by_windows[key] = distinct.setdefault(total, total)
         sums.append(total)
-    return sums, list(distinct)
+    return sums
 
 
 def decide_mixing_synchronized(
@@ -356,9 +362,9 @@ def decide_mixing_synchronized(
     """Semidecision from periodic orbits through a synchronizing word.
 
     Orbit-length rank >= 2 certifies mixing; a common grid among the
-    orbits found is only evidence and is reported as NotMixingUpToBound.
-    Rank and grid are computed over the distinct orbit sums; every orbit
-    is listed, with its sum, in ``witnesses`` and ``generators``.
+    orbits found is only evidence and is reported as NotMixingUpToBound
+    (``grid_verdict``).  Every orbit is listed, with its sum, in
+    ``witnesses`` and ``generators``.
     """
     words = periodic_words_in_cylinder(oracle, v, period_bound)
     if not words:
@@ -367,18 +373,9 @@ def decide_mixing_synchronized(
             bound=period_bound,
             reason="no periodic point found in the cylinder within the period bound",
         )
-    sums, distinct = _orbit_sums(roof, words)
-    # positive roofs give nonzero sums, so None means rank >= 2
-    delta = setwise_commensurate(distinct)
-    if delta is None:
-        return MixingVerdict("TopMixing", generators=tuple(sums), witnesses=tuple(words))
-    return MixingVerdict(
-        "NotMixingUpToBound",
-        delta=delta,
-        bound=period_bound,
-        generators=tuple(sums),
-        witnesses=tuple(words),
-    )
+    # positive roofs give nonzero sums
+    return grid_verdict(_orbit_sums(roof, words), "NotMixingUpToBound", bound=period_bound,
+                        witnesses=tuple(words))
 
 
 # -- cohomology -------------------------------------------------------------
@@ -388,9 +385,9 @@ class TransferFunction(WindowFunction):
     """A locally constant function g with window x[-past .. future].
 
     Unlike a roof, values may be zero or negative, and ``future`` may be
-    -1 (the window then ends left of the origin).  Made from integer rows
-    keyed by window code, as ``WindowFunction``; ``table`` is made on first
-    use.
+    -1 (the window then ends left of the origin).  Stored as integer rows
+    keyed by window code, as every ``WindowFunction``; ``table`` is a
+    read-only view of them.
     """
 
     def is_zero(self) -> bool:
@@ -600,8 +597,7 @@ class GridBlocks:
 
     def delta(self) -> Optional[QVector]:
         """The positive generator of the cycle values, None at rank >= 2."""
-        # distinct values give the same rank and generator, as in the orbit scan
-        return setwise_commensurate(list(dict.fromkeys(self.data.nonzero_cycle_values())))
+        return grid_verdict(self.data.nonzero_cycle_values(), "NotTopMixing").delta
 
 
 def normalizing_blocks(shift: EdgeShift, roof: LocallyConstantRoof) -> GridBlocks:

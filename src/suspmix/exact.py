@@ -187,9 +187,7 @@ class QVector:
     __rmul__ = scale
 
     def __float__(self) -> float:
-        # int / int is correctly rounded, so each term is float(Fraction(n, den))
-        den = self.den
-        return math.fsum(n / den * a for n, a in zip(self.num, self.basis.approx))
+        return _row_float(self.basis, self.num, self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -346,7 +344,8 @@ def common_rows(values: Sequence[QVector]) -> tuple[int, list[tuple[int, ...]]]:
 
     Returns (den, rows) with ``values[i] == rows[i] / den``.  Sums and
     differences of the rows are then sums and differences of the values,
-    with no gcd to take until ``from_rows`` turns them back.
+    with no gcd to take until ``from_rows`` turns them back.  Each value
+    object is checked and scaled once: a config holds one per value text.
 
     Raises
     ------
@@ -354,12 +353,14 @@ def common_rows(values: Sequence[QVector]) -> tuple[int, list[tuple[int, ...]]]:
         If the values live over different bases.
     """
     basis = values[0].basis
-    for v in values:
-        if v.basis is not basis and v.basis != basis:
-            raise ValueError("operands live over different bases")
     den = math.lcm(*{v.den for v in values})
-    return den, [v.num if v.den == den else tuple(n * (den // v.den) for n in v.num)
-                 for v in values]
+    scaled: dict = {}  # by id, which hashes faster than a value
+    for v in values:
+        if id(v) not in scaled:
+            if v.basis is not basis and v.basis != basis:
+                raise ValueError("operands live over different bases")
+            scaled[id(v)] = v.num if v.den == den else tuple(n * (den // v.den) for n in v.num)
+    return den, [scaled[id(v)] for v in values]
 
 
 def from_rows(basis: RealBasis, rows: Iterable[Sequence[int]], den: int) -> list[QVector]:
@@ -387,6 +388,7 @@ def _row_sign(basis: RealBasis, row: Sequence[int], den: int) -> int:
 
 def _row_float(basis: RealBasis, row: Sequence[int], den: int) -> float:
     """``float`` of the QVector ``row / den``, without making it."""
+    # int / int is correctly rounded, so each term is float(Fraction(n, den))
     return math.fsum(n / den * a for n, a in zip(row, basis.approx))
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from suspmix.exact import QVector, RealBasis, _reduced, common_rows, from_rows
 from suspmix.shift import (
@@ -68,10 +68,10 @@ def _zero_tail_start(point) -> int | None:
 class WindowFunction:
     """Exact values on the windows x[-past .. future] of one width.
 
-    The values are kept as integer rows over one common denominator,
-    keyed by window code (see ``shift.Windows``): ``code_rows`` reads
-    them.  ``table``, the same values keyed by Word, is made on first use;
-    a subclass that is given a table makes the rows from it instead.
+    The values are stored in one form only: integer rows over one common
+    denominator, keyed by window code (see ``shift.Windows``), which
+    ``code_rows`` reads.  ``table`` (the values keyed by Word) and
+    ``values()`` are read-only views made from the rows.
     """
 
     def __init__(self, past: int, future: int, basis: RealBasis, base: int, den: int,
@@ -82,24 +82,14 @@ class WindowFunction:
         self._codes = (base, den, rows)
 
     @functools.cached_property
-    def _codes(self) -> tuple[int, int, dict[int, tuple[int, ...]]]:
-        """(base, den, {code: row}) from ``table``, in its order; base is
-        max(symbol) + 1, and windows with a negative symbol, which no
-        Alphabet has, are left out."""
-        items = [(w.symbols, v) for w, v in self.table.items() if min(w.symbols, default=0) >= 0]
-        if not items:
-            return 1, 1, {}
-        base = max(max(w, default=0) for w, _ in items) + 1
-        den, rows = common_rows([v for _, v in items])
-        return base, den, {_window_code(w, base): row for (w, _), row in zip(items, rows)}
-
-    @functools.cached_property
-    def table(self) -> dict[Word, QVector]:
-        """The values keyed by Word; equal values are one QVector."""
+    def table(self) -> Mapping[Word, QVector]:
+        """The values keyed by Word, in the rows' order, as a read-only
+        mapping; equal values are one QVector."""
         base, den, rows = self._codes
         width = self.past + self.future + 1
         values = from_rows(self.basis, rows.values(), den)
-        return {Word(_code_symbols(code, width, base)): v for code, v in zip(rows, values)}
+        return MappingProxyType({Word(_code_symbols(code, width, base)): v
+                                 for code, v in zip(rows, values)})
 
     def code_rows(self, base: int) -> tuple[int, dict[int, tuple[int, ...]]]:
         """(den, {code: row}) with the codes in ``base``; windows with a
@@ -147,18 +137,19 @@ class LocallyConstantRoof(WindowFunction):
     past, future : int
         Window extents; the roof value at x is ``table[x[-past..future]]``.
     table : dict[Word, QVector]
-        One entry per admissible window; every value strictly positive.
+        One entry per admissible window, over non-negative symbols; every
+        value strictly positive.
 
-    A roof made by ``from_texts`` keeps its values as integer rows keyed
-    by window code instead, and makes its ``table`` on first use.
+    Every constructor stores the values once, as the integer rows of
+    ``WindowFunction`` (``_tabled`` builds them from a table); ``table``
+    is a read-only view of them.
     """
 
     def __init__(self, past: int, future: int, table: dict[Word, QVector]):
         _check_table(past, future, table)
-        self.past = past
-        self.future = future
-        self.table = dict(table)
-        self.basis: RealBasis = next(iter(table.values())).basis
+        base = max(max(max(w.symbols) for w in table) + 1, 2)  # as from_texts reads it
+        super().__init__(past, future, *_tabled(base, [_window_code(w.symbols, base) for w in table],
+                                                list(table.values())))
 
     # -- constructors -------------------------------------------------------
 
@@ -169,9 +160,8 @@ class LocallyConstantRoof(WindowFunction):
 
         The table is checked as the Word-keyed constructor checks its own,
         with the same errors in the same order.  Each text is then read as
-        a window code (``int`` in the base above its digits), and each
-        distinct value is scaled to the common denominator once.  A text
-        that is not ASCII digits goes through ``Word.parse`` and that
+        a window code (``int`` in the base above its digits).  A text that
+        is not ASCII digits goes through ``Word.parse`` and that
         constructor.
         """
         digits = "".join(table)
@@ -179,18 +169,8 @@ class LocallyConstantRoof(WindowFunction):
             return cls(past, future, {Word.parse(w): v for w, v in table.items()})
         _check_table(past, future, table)
         base = max(int(max(digits)) + 1, 2)
-        basis = next(iter(table.values())).basis
-        den = math.lcm(*{v.den for v in table.values()})
-        scaled: dict = {}  # by value object: a config holds one per distinct value text
-        rows = {}
-        for w, v in table.items():
-            row = scaled.get(id(v))
-            if row is None:
-                if v.basis is not basis and v.basis != basis:
-                    raise ValueError("operands live over different bases")
-                row = scaled[id(v)] = tuple(n * (den // v.den) for n in v.num)
-            rows[int(w, base)] = row
-        return cls._on_rows(past, future, basis, base, den, rows)
+        return cls._on_rows(past, future, *_tabled(base, [int(w, base) for w in table],
+                                                   list(table.values())))
 
     @classmethod
     def _on_rows(cls, past, future, basis, base, den, rows) -> "LocallyConstantRoof":
@@ -261,10 +241,18 @@ class LocallyConstantRoof(WindowFunction):
         return sorted(set(words))
 
 
+def _tabled(base: int, codes: list[int], values: list[QVector]):
+    """(basis, base, den, {code: row}): the stored form of a table whose
+    windows have these codes in ``base``, for ``WindowFunction``."""
+    den, rows = common_rows(values)
+    return values[0].basis, base, den, dict(zip(codes, rows))
+
+
 def _check_table(past: int, future: int, table: dict) -> None:
     """ValueError for negative extents, an empty table, or the first window
-    in table order whose length is not past + future + 1 or whose value is
-    not positive; each value object is sign-tested once."""
+    in table order whose length is not past + future + 1, that has a
+    negative symbol (a window code has none), or whose value is not
+    positive; each value object is sign-tested once."""
     if past < 0 or future < 0:
         raise ValueError("window extents must be non-negative")
     if not table:
@@ -276,6 +264,8 @@ def _check_table(past: int, future: int, table: dict) -> None:
     for w, v in table.items():
         if len(w) != width:
             raise ValueError("window %s has length %d, expected %d" % (w, len(w), width))
+        if isinstance(w, Word) and min(w.symbols) < 0:
+            raise ValueError("window %s has a negative symbol" % (w,))
         if id(v) not in tested:
             if not v.is_positive():
                 raise ValueError("roof value %s at window %s is not positive" % (v, w))
@@ -360,16 +350,15 @@ class WeightedShift:
     with its roof window (``decider.weigh_windows`` takes it, as a
     ``shift.Windows``, from the block presentation); the sum of edge
     weights over any closed path equals the Birkhoff sum of the
-    originating roof over the spelled periodic word.  ``rows`` holds the
-    weights as integer rows over one common denominator, the form that
-    ``decider.cycle_data`` sums; given rows, the QVector ``weights`` are
-    made on first use, and given weights, the rows are.
+    originating roof over the spelled periodic word.  The weights are
+    stored once, as ``rows``: (den, one integer row per edge over that
+    common denominator), the form that ``decider.cycle_data`` sums.  The
+    constructor converts its QVector weights, which must share one basis,
+    and ``weights`` is a read-only view made from the rows.
     """
 
-    def __init__(self, shift: EdgeShift, weights: tuple[QVector, ...], windows):
-        self.shift = shift
-        self.weights = weights
-        self.windows = windows
+    def __init__(self, shift: EdgeShift, weights: Sequence[QVector], windows):
+        self.shift, self.basis, self.rows, self.windows = shift, weights[0].basis, common_rows(weights), windows
 
     @classmethod
     def from_rows(cls, shift: EdgeShift, basis: RealBasis, den: int, rows: list, windows):
@@ -381,15 +370,6 @@ class WeightedShift:
     def weights(self) -> tuple[QVector, ...]:
         den, rows = self.rows
         return tuple(from_rows(self.basis, rows, den))
-
-    @functools.cached_property
-    def rows(self) -> tuple[int, list[tuple[int, ...]]]:
-        """(den, one row per edge), as ``common_rows`` of the weights."""
-        return common_rows(self.weights)
-
-    @functools.cached_property
-    def basis(self) -> RealBasis:
-        return self.weights[0].basis
 
 
 def walters_norm(roof: LocallyConstantRoof) -> QVector:

@@ -33,6 +33,9 @@ class Alphabet:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols in alphabet")
+        if min(self.symbols) < 0:
+            # a window code reads symbols as digits, so -1 would pass for base - 1
+            raise ValueError("alphabet symbols must be non-negative, got %d" % min(self.symbols))
 
     @classmethod
     def of_size(cls, n: int) -> "Alphabet":

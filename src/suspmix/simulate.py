@@ -25,6 +25,8 @@ from suspmix.shift import EventuallyPeriodicPoint, Word, is_word_admissible
 # roofs.table_symbols, which adds up each batch's longest count,
 # comparable across changes.
 _BATCH_CELLS = 1 << 13
+# the longest member row that hitting_times allocates
+_ROW_CELLS = 1 << 31
 
 
 @dataclass
@@ -238,7 +240,8 @@ def hitting_times(
     every roof window its full horizon would read, so the result, and a
     missing table window, are those of evaluating the whole horizon.
     The horizon must be finite and above 0, and epsilon above 0 and below
-    the least roof value; otherwise ValueError.
+    the least roof value; otherwise ValueError.  So must a member row
+    longer than ``_ROW_CELLS``, before anything is allocated.
     """
     if not start_family:
         raise ValueError("empty start family")
@@ -261,7 +264,7 @@ def hitting_times(
     if omega is None:
         omega = orbit_period(roof, members[0].right_period)
     past, future = getattr(roof, "past", 0), getattr(roof, "future", 0)
-    n_max = int(horizon / floor) + 2
+    n_max = int(min(horizon / floor, _ROW_CELLS)) + 2
     counts, starts, widths = [], [], []
     for x in members:
         period = len(x.right_period)
@@ -277,6 +280,9 @@ def hitting_times(
         # the harmonic roof reads ahead to the next 1, which may lie past the
         # end of a long core, and a table window reads future symbols ahead
         widths.append(max(n, core_end) + len(target) + 3 * period + 8 + future)
+    if max(widths) > _ROW_CELLS:
+        raise ValueError("horizon %g over the least roof value %g needs member rows of about %.3g "
+                         "cells, above 2**31" % (horizon, floor, horizon / floor))
     batches = []
     lo = 0
     while lo < len(members):

@@ -149,7 +149,8 @@ class BetaShift:
     def alphabet(self) -> Alphabet:
         return Alphabet.of_size(self.max_digit() + 1)
 
-    def comparison_sequence(self) -> tuple[list[int], Optional[int]]:
+    @functools.cached_property
+    def _governing(self) -> tuple[list[int], Optional[int]]:
         """The sequence governing admissibility, as (prefix, period start).
 
         For a finite (simple Parry) expansion nu_1..nu_k the quasi-greedy
@@ -157,10 +158,6 @@ class BetaShift:
         governs the closed shift; otherwise the known prefix of nu with no
         period.
         """
-        return self._governing
-
-    @functools.cached_property
-    def _governing(self) -> tuple[list[int], Optional[int]]:
         digits = list(self.nu)
         if self.exact_tail:
             last = max(i for i, d in enumerate(digits) if d != 0)

@@ -305,6 +305,27 @@ class TestInputErrors:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert one_error_line(capsys) == "error: empty target word"
 
+    @pytest.mark.parametrize("horizon, cells", [("1e12", "5e+11"), ("1e300", "5e+299")])
+    def test_a_horizon_whose_rows_are_too_long_to_allocate(self, capsys, horizon, cells):
+        # 2 is example-4.1's least roof value; no row is allocated, so
+        # neither numpy's memory error nor np.tile's overflow is reached
+        assert main(["simulate", "--preset", "example-4.1", "--horizon", horizon]) == 2
+        assert one_error_line(capsys) == (
+            "error: horizon %s over the least roof value 2 needs member rows of about %s cells, "
+            "above 2**31" % (horizon.replace("e", "e+"), cells))
+
+    @pytest.mark.parametrize("section, message", [
+        ("[shift]\nkind = edges\nalphabet = 2\nedges = a a 0, a b\n",
+         "malformed edge 'a b': use \"source target label\""),
+        ("[shift]\nkind = full\nalphabet = 2\n\n[basis]\nconstants = a\n",
+         "malformed constant 'a': use \"name value\""),
+    ])
+    def test_a_malformed_item_is_named_with_its_form(self, tmp_path, capsys, section, message):
+        cfg = tmp_path / "item.cfg"
+        cfg.write_text(section + "\n[roof]\npast = 0\nfuture = 0\n0 = 1\n1 = 2\n")
+        assert main(["decide", "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: " + message
+
 
 class TestDecide:
     def test_exit_codes_by_preset(self):

@@ -11,6 +11,7 @@ the delta that ``decide_mixing_sft`` finds on its exact-depth recode.
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -82,12 +83,15 @@ def test_cycle_data_matches_the_qvector_reference(weighted):
 
 
 def test_cycle_data_refuses_weights_over_different_bases():
+    # the weights become rows over one basis when the presentation is
+    # weighted, so the mix is refused there; the QVector reference, given
+    # the weights as they are, refuses it when it sums them
     shift = EdgeShift([0], [(0, 0, 0), (0, 0, 0)], Alphabet.of_size(1))
-    weighted = WeightedShift(shift, (BASES[0].unit(0), BASES[1].unit(0)), {})
+    weights = (BASES[0].unit(0), BASES[1].unit(0))
     with pytest.raises(ValueError, match="different bases"):
-        cycle_data(weighted)
+        WeightedShift(shift, weights, {})
     with pytest.raises(ValueError, match="different bases"):
-        reference.cycle_data(weighted)
+        reference.cycle_data(SimpleNamespace(shift=shift, weights=weights))
 
 
 # -- the grid constant of normalize and section --------------------------------

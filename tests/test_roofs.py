@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -111,6 +112,75 @@ class TestLocallyConstantRoof:
         p = EventuallyPeriodicPoint.periodic(Word.parse("01"))
         assert r.value_at(p, 0) == RATIONAL.from_rational(3)  # window 01
         assert r.value_at(p, 1) == RATIONAL.from_rational(2)  # window 10
+
+
+SURD = RealBasis.with_constants(("a", math.sqrt(2)))
+
+
+@st.composite
+def tables_and_points(draw):
+    """A table over an alphabet with gaps, of width 1 to 3, whose values are
+    rational or irrational (some with coefficients of both signs), and
+    periodic points over that alphabet, some reading a window it lacks."""
+    alphabet = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    past = draw(st.integers(0, 2))
+    future = draw(st.integers(0, 2 - past))
+    windows = list(itertools.product(sorted(alphabet), repeat=past + future + 1))
+    keep = draw(st.lists(st.booleans(), min_size=len(windows), max_size=len(windows)))
+    assume(any(keep))
+    value = st.tuples(st.integers(-3, 6), st.integers(0, 3), st.integers(1, 4)).map(
+        lambda c: QVector(SURD, (Fraction(c[0], c[2]), Fraction(c[1], c[2]))))
+    table = {}
+    for w in draw(st.permutations([w for w, k in zip(windows, keep) if k])):
+        table[w] = draw(value.filter(lambda v: float(v) > 0.1))
+    words = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)
+    points = draw(st.lists(st.tuples(words, st.integers(0, 12)), min_size=1, max_size=4))
+    return past, future, table, [(EventuallyPeriodicPoint.periodic(Word(w)), n) for w, n in points]
+
+
+def sum_or_missing(roof, p, n):
+    try:
+        return birkhoff_sum(roof, p, n)
+    except MissingWindowError as exc:
+        return "missing: %s" % exc
+
+
+class TestOneStoredForm:
+    """A roof from a Word table, from window texts or from code rows is one
+    stored form, and the Word table is a read-only view of it."""
+
+    @given(tables_and_points())
+    def test_every_constructor_gives_one_roof(self, drawn):
+        past, future, table, points = drawn
+        base = max(2, 1 + max(map(max, table)))
+        den = math.lcm(*(v.den for v in table.values()))
+        rows = {sum(s * base ** i for i, s in enumerate(reversed(w))):
+                tuple(n * (den // v.den) for n in v.num) for w, v in table.items()}
+        roofs = [
+            LocallyConstantRoof(past, future, {Word(w): v for w, v in table.items()}),
+            LocallyConstantRoof.from_texts(past, future,
+                                           {"".join(map(str, w)): v for w, v in table.items()}),
+            LocallyConstantRoof._on_rows(past, future, SURD, base, den, rows),
+        ]
+        want = list(table.values())
+        for roof in roofs:
+            assert list(roof._codes[2].items()) == list(rows.items())
+            assert roof._codes[:2] == (base, den)
+            assert list(roof.table.items()) == [(Word(w), v) for w, v in table.items()]
+            assert roof.values() == want
+            assert roof.min_value() == min(want, key=float)
+            assert roof.rendered() == {"".join(map(str, w)): table[w].render() for w in sorted(table)}
+            assert [sum_or_missing(roof, p, n) for p, n in points] == [
+                sum_or_missing(roofs[0], p, n) for p, n in points]
+            with pytest.raises(TypeError):
+                roof.table[Word(next(iter(table)))] = want[0]
+
+    def test_a_negative_symbol_is_refused(self):
+        # a window code reads -1 as base - 1: the roof read 3 as its least
+        # value and no Birkhoff sum could find the window -1
+        table = {Word([-1]): RATIONAL.from_rational(2), Word([0]): RATIONAL.from_rational(3)}
+        with pytest.raises(ValueError, match="^window -1 has a negative symbol$"):
+            LocallyConstantRoof(0, 0, table)
 
 
 class TestBirkhoffSum:

@@ -53,6 +53,12 @@ class TestConstructors:
         s = full_shift(Alphabet.of_size(4))
         assert len(s.edges) == 4
 
+    def test_a_negative_symbol_is_refused(self):
+        # window codes read symbols as digits: on {-1, 1} the code of -1 is
+        # that of 1, and the roof -1 -> 1, 1 -> 2 was decided with delta 2, not 1
+        with pytest.raises(ValueError, match="^alphabet symbols must be non-negative, got -1$"):
+            Alphabet((-1, 1))
+
     def test_golden_mean_language(self):
         s = golden_mean()
         assert len(s.vertices) == 2

@@ -89,13 +89,14 @@ def test_inadmissible_window_raises_the_per_index_error():
     point = EventuallyPeriodicPoint.from_parts(Word.parse("0"), Word.parse("0012"),
                                                Word.parse("21"), 0)
     clean = EventuallyPeriodicPoint.periodic(Word.parse("0"))
-    roof = table_roof([point], 1, 1, range(30), 3)
-    roof.table.update(table_roof([clean], 1, 1, range(3), 3).table)
+    table = dict(table_roof([point], 1, 1, range(30), 3).table)
+    table.update(table_roof([clean], 1, 1, range(3), 3).table)
     # drop 122 (met at index 3) and 121 (met at index 6, but sorting first):
     # the one met first along the point names the error, also when the
     # point is the second row of a batch
     for w in (window(point, 2, 4), window(point, 5, 7)):
-        del roof.table[w]
+        del table[w]
+    roof = LocallyConstantRoof(1, 1, table)
     with pytest.raises(KeyError) as expected:
         per_index(roof, point, 30)
     family = [clean, point]
@@ -136,9 +137,10 @@ def test_a_missing_wide_window_is_named_in_row_major_order():
     # points evaluated one after the other, index by index, meet row 0's first
     family = ten_symbol_family()[:2]
     n = 50
-    roof = table_roof(family, 9, 10, range(n), 13)
+    table = dict(table_roof(family, 9, 10, range(n), 13).table)
     late, early = window(family[0], 31, 50), window(family[1], -7, 12)
-    del roof.table[late], roof.table[early]
+    del table[late], table[early]
+    roof = LocallyConstantRoof(9, 10, table)
     with pytest.raises(KeyError) as expected:
         per_index(roof, family[0], n)
     with pytest.raises(KeyError) as got:
@@ -310,8 +312,9 @@ def test_window_met_only_after_the_last_counted_hit_still_raises(
     # horizon index by index raises on it
     point = EventuallyPeriodicPoint.from_parts(Word.parse("1"), Word.parse(core),
                                                Word.parse(tail), 0)
-    roof = table_roof([point], past, 1, range(40), 11)
-    del roof.table[window(point, missing_at - past, missing_at + 1)]
+    table = dict(table_roof([point], past, 1, range(40), 11).table)
+    del table[window(point, missing_at - past, missing_at + 1)]
+    roof = LocallyConstantRoof(past, 1, table)
     with pytest.raises(KeyError) as expected:
         per_index(roof, point, int(30.0 / float(roof.min_value())) + 2)
     with pytest.raises(MissingWindowError) as got:
