@@ -106,6 +106,8 @@ class SystemConfig:
             cfg.forbidden = tuple(sec.get("forbidden", "").split())
             cfg.beta_spec = sec.get("beta", "")
             cfg.depth = int(sec.get("depth", 0))
+            if cfg.shift_kind == "beta" and "depth" in sec and cfg.depth < 1:
+                raise ValueError("beta depth must be at least 1, got %d" % cfg.depth)
             cfg.generators = sec.get("generators", "")
             edges = []
             for item in filter(None, (s.strip() for s in sec.get("edges", "").split(","))):

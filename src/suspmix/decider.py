@@ -75,13 +75,9 @@ class MixingVerdict:
             rec["bound"] = self.bound
         if self.reason:
             rec["reason"] = self.reason
-        # a scan lists a few distinct sums over many orbits, each sum one
-        # object; equal values that are not one object render alike anyway
-        texts: dict = {}
-        for g in self.generators:
-            if id(g) not in texts:
-                texts[id(g)] = g.render()
-        rec["generators"] = [texts[id(g)] for g in self.generators]
+        # a scan lists a few distinct sums over many orbits
+        texts = {g: g.render() for g in set(self.generators)}
+        rec["generators"] = [texts[g] for g in self.generators]
         rec["witness_orbits"] = list(map(str, self.witnesses))
         return rec
 
@@ -120,7 +116,7 @@ class CycleData:
         return tuple(from_rows(self.weighted.basis, self.value_rows, self.den))
 
     def nonzero_cycle_values(self) -> list[QVector]:
-        """The nonzero cycle values in edge order; equal values are one QVector."""
+        """The nonzero cycle values in edge order."""
         return from_rows(self.weighted.basis, [r for r in self.value_rows if any(r)], self.den)
 
 
@@ -195,10 +191,9 @@ def grid_verdict(generators: list[QVector], kind: str, bound: Optional[int] = No
 
     The flow mixes unless every sum lies on one grid δℤ: rank >= 2 over Q
     gives TopMixing, otherwise ``kind`` with δ the positive generator.
-    Both are taken over the distinct sums in order of first occurrence,
-    told apart by id: the callers give equal sums as one object.
+    Both are taken over the distinct sums in order of first occurrence.
     """
-    delta = setwise_commensurate(list({id(g): g for g in generators}.values()))
+    delta = setwise_commensurate(list(dict.fromkeys(generators)))
     if delta is None:
         return MixingVerdict("TopMixing", generators=tuple(generators), witnesses=witnesses)
     return MixingVerdict(kind, delta=delta, bound=bound, reason=reason,
@@ -324,8 +319,7 @@ def _rotation_in_cylinder(lyndon: Word, v: Word) -> Optional[Word]:
 
 
 def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
-    """Exact Birkhoff sum over one period of each w-bar; equal sums are one
-    object.
+    """Exact Birkhoff sum over one period of each w-bar.
 
     The sum depends only on the multiset of roof windows that occur
     cyclically in w, so one exact sum is computed per distinct multiset,
@@ -336,7 +330,6 @@ def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
     """
     width = roof.past + roof.future + 1
     by_windows: dict = {}
-    distinct: dict = {}
     sums = []
     for w in words:
         if width == 1:
@@ -347,8 +340,7 @@ def _orbit_sums(roof: LocallyConstantRoof, words: list[Word]) -> list[QVector]:
             key = tuple(sorted(zip(*[cyclic[k : k + n] for k in range(width)])))
         total = by_windows.get(key)
         if total is None:
-            total = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), len(w))
-            total = by_windows[key] = distinct.setdefault(total, total)
+            total = by_windows[key] = birkhoff_sum(roof, EventuallyPeriodicPoint.periodic(w), len(w))
         sums.append(total)
     return sums
 

@@ -6,12 +6,12 @@ constant 1, and the user asserts (but the library never verifies) that the
 basis elements are linearly independent over the rationals.  Float
 approximations ride along for the simulator, for first guesses, and for
 the one sign decision exact arithmetic cannot make alone: that of a
-combination with coefficients of both signs (``QVector.is_positive``).
+combination with coefficients of both signs (``_row_sign``).
 
 A :class:`QVector` stores its coefficients as one row of integer
 numerators over a single positive common denominator, in lowest terms, so
 every exact operation is integer arithmetic and equal values have equal
-fields.
+fields; a value's hash is taken from those fields once, when it is made.
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ class RealBasis:
             if not 0 < a < math.inf:
                 raise ValueError("basis approximation %s = %r must be finite and strictly positive"
                                  % (name, a))
-        # not a field: the hash the dataclass would compute, so set orders
-        # hold; every QVector hash asks for it
-        object.__setattr__(self, "_hash", hash((self.names, self.approx)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not copied: a string hash differs between processes
-        return RealBasis, (self.names, self.approx)
 
     @classmethod
     def rational(cls) -> "RealBasis":
@@ -103,21 +93,20 @@ class QVector:
 
     The coefficients are ``num[i] / den``: integer numerators over one
     positive common denominator with ``gcd(den, *num) == 1`` (zero is all
-    zeros over 1).  The representation is canonical, so equality and
-    hashing compare fields.  Instances are immutable.
+    zeros over 1).  The representation is canonical, so equality compares
+    fields and the hash, that of (num, den), is stored when ``_new`` makes
+    the value.  Instances are immutable.
     """
 
-    __slots__ = ("basis", "num", "den")
+    __slots__ = ("basis", "num", "den", "_hash")
 
-    def __init__(self, basis: RealBasis, coords: Sequence):
+    def __new__(cls, basis: RealBasis, coords: Sequence):
         if len(coords) != len(basis):
             raise ValueError("coordinate count does not match basis size")
         coords = [Fraction(c) for c in coords]
         den = math.lcm(*(c.denominator for c in coords))
         # each c is in lowest terms, so these numerators share no factor with den
-        _set_basis(self, basis)
-        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coords))
-        _set_den(self, den)
+        return _new(basis, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -137,7 +126,7 @@ class QVector:
                 and (self.basis is other.basis or self.basis == other.basis))
 
     def __hash__(self) -> int:
-        return hash((self.basis, self.num, self.den))
+        return self._hash
 
     def __repr__(self) -> str:
         return "QVector(basis=%r, coords=%r)" % (self.basis, self.coords)
@@ -193,29 +182,12 @@ class QVector:
         return not any(self.num)
 
     def is_positive(self) -> bool:
-        """Whether the value is positive; every exact sign decision asks this.
-
-        Exact zero is not positive.  The basis elements are positive, so
-        when no two coefficients have opposite signs their common sign is
-        the answer.  Otherwise the float approximation decides, and a value
-        within the guard band ``SIGN_GUARD`` raises AmbiguousSignError
-        rather than guessing.
-        """
-        num = self.num
-        if min(num) >= 0:
-            return max(num) > 0
-        if max(num) <= 0:
-            return False
-        f = float(self)
-        if abs(f) <= SIGN_GUARD:
-            raise AmbiguousSignError(
-                "cannot certify sign of %s (float %.3e within guard %g)" % (self, f, SIGN_GUARD)
-            )
-        return f > 0
+        """Whether the value is positive, as ``_row_sign`` decides it."""
+        return _row_sign(self.basis, self.num, self.den) > 0
 
     def sign(self) -> int:
-        """-1, 0 or 1; ``is_positive`` decides every nonzero sign."""
-        return 0 if self.is_zero() else 1 if self.is_positive() else -1
+        """-1, 0 or 1, as ``_row_sign`` decides it."""
+        return _row_sign(self.basis, self.num, self.den)
 
     def __lt__(self, other: "QVector") -> bool:
         return (other - self).is_positive()
@@ -270,6 +242,7 @@ class QVector:
 _set_basis = QVector.basis.__set__
 _set_num = QVector.num.__set__
 _set_den = QVector.den.__set__
+_set_hash = QVector._hash.__set__
 
 
 def _new(basis: RealBasis, num: tuple, den: int) -> QVector:
@@ -278,6 +251,7 @@ def _new(basis: RealBasis, num: tuple, den: int) -> QVector:
     _set_basis(v, basis)
     _set_num(v, num)
     _set_den(v, den)
+    _set_hash(v, hash((num, den)))
     return v
 
 
@@ -344,8 +318,8 @@ def common_rows(values: Sequence[QVector]) -> tuple[int, list[tuple[int, ...]]]:
 
     Returns (den, rows) with ``values[i] == rows[i] / den``.  Sums and
     differences of the rows are then sums and differences of the values,
-    with no gcd to take until ``from_rows`` turns them back.  Each value
-    object is checked and scaled once: a config holds one per value text.
+    with no gcd to take until ``from_rows`` turns them back.  Each
+    distinct value is checked and scaled once.
 
     Raises
     ------
@@ -354,13 +328,12 @@ def common_rows(values: Sequence[QVector]) -> tuple[int, list[tuple[int, ...]]]:
     """
     basis = values[0].basis
     den = math.lcm(*{v.den for v in values})
-    scaled: dict = {}  # by id, which hashes faster than a value
-    for v in values:
-        if id(v) not in scaled:
-            if v.basis is not basis and v.basis != basis:
-                raise ValueError("operands live over different bases")
-            scaled[id(v)] = v.num if v.den == den else tuple(n * (den // v.den) for n in v.num)
-    return den, [scaled[id(v)] for v in values]
+    scaled = dict.fromkeys(values)
+    for v in scaled:
+        if v.basis is not basis and v.basis != basis:
+            raise ValueError("operands live over different bases")
+        scaled[v] = v.num if v.den == den else tuple(n * (den // v.den) for n in v.num)
+    return den, [scaled[v] for v in values]
 
 
 def from_rows(basis: RealBasis, rows: Iterable[Sequence[int]], den: int) -> list[QVector]:
@@ -372,18 +345,24 @@ def from_rows(basis: RealBasis, rows: Iterable[Sequence[int]], den: int) -> list
 
 
 def _row_sign(basis: RealBasis, row: Sequence[int], den: int) -> int:
-    """-1, 0 or 1: the sign of ``row / den``, as ``QVector.sign`` gives it.
+    """-1, 0 or 1: the sign of ``row / den``; every exact sign decision asks this.
 
-    A row whose entries have one sign is decided on the spot.  A row of
-    mixed signs becomes a QVector that ``is_positive`` decides: its float
-    equals that of the row, since each ``n / den`` is correctly rounded,
-    and within the guard band it raises AmbiguousSignError.
+    The basis elements are positive, so a row whose entries have one sign
+    is decided on the spot.  Otherwise the float approximation decides,
+    and a value within the guard band ``SIGN_GUARD`` raises
+    AmbiguousSignError rather than guessing.  That float is the same for
+    any denominator of the value, since each ``n / den`` is correctly
+    rounded.
     """
     if min(row) >= 0:
         return 1 if max(row) > 0 else 0
     if max(row) <= 0:
         return -1
-    return 1 if _reduced(basis, tuple(row), den).is_positive() else -1
+    f = _row_float(basis, row, den)
+    if abs(f) <= SIGN_GUARD:
+        raise AmbiguousSignError("cannot certify sign of %s (float %.3e within guard %g)"
+                                 % (_reduced(basis, tuple(row), den), f, SIGN_GUARD))
+    return 1 if f > 0 else -1
 
 
 def _row_float(basis: RealBasis, row: Sequence[int], den: int) -> float:

@@ -84,7 +84,7 @@ class WindowFunction:
     @functools.cached_property
     def table(self) -> Mapping[Word, QVector]:
         """The values keyed by Word, in the rows' order, as a read-only
-        mapping; equal values are one QVector."""
+        mapping."""
         base, den, rows = self._codes
         width = self.past + self.future + 1
         values = from_rows(self.basis, rows.values(), den)
@@ -113,7 +113,7 @@ class WindowFunction:
         return self.value_on_window(w)
 
     def values(self) -> list[QVector]:
-        """The values in table order; equal values are one QVector."""
+        """The values in table order."""
         _, den, rows = self._codes
         return from_rows(self.basis, rows.values(), den)
 
@@ -252,24 +252,22 @@ def _check_table(past: int, future: int, table: dict) -> None:
     """ValueError for negative extents, an empty table, or the first window
     in table order whose length is not past + future + 1, that has a
     negative symbol (a window code has none), or whose value is not
-    positive; each value object is sign-tested once."""
+    positive; each distinct value is sign-tested once."""
     if past < 0 or future < 0:
         raise ValueError("window extents must be non-negative")
     if not table:
         raise ValueError("roof table is empty")
     width = past + future + 1
-    # ids of the values already tested: a config shares one object per
-    # distinct value text, and an id hashes faster than a value
     tested = set()
     for w, v in table.items():
         if len(w) != width:
             raise ValueError("window %s has length %d, expected %d" % (w, len(w), width))
         if isinstance(w, Word) and min(w.symbols) < 0:
             raise ValueError("window %s has a negative symbol" % (w,))
-        if id(v) not in tested:
+        if v not in tested:
             if not v.is_positive():
                 raise ValueError("roof value %s at window %s is not positive" % (v, w))
-            tested.add(id(v))
+            tested.add(v)
 
 
 @dataclass

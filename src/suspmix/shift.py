@@ -505,6 +505,15 @@ def _subset_edges(shift: EdgeShift) -> Iterator[tuple[frozenset, frozenset, int]
                     stack.append(t)
 
 
+class _Subset(frozenset):
+    """A subset vertex's name: a frozenset of names whose text lists them
+    sorted, so that a root or an order taken from the texts does not
+    follow string hashing."""
+
+    def __repr__(self) -> str:
+        return "frozenset({%s})" % ", ".join(sorted(map(repr, self)))
+
+
 def determinize(shift: EdgeShift) -> EdgeShift:
     """Right-resolving presentation of the same language by subset construction.
 
@@ -516,7 +525,7 @@ def determinize(shift: EdgeShift) -> EdgeShift:
     number = {frozenset(shift.vertices): 0}
     edges = [(number.setdefault(s, len(number)), number.setdefault(t, len(number)), c)
              for s, t, c in _subset_edges(shift)]
-    names = [frozenset(map(shift.names.__getitem__, s)) for s in number]
+    names = [_Subset(map(shift.names.__getitem__, s)) for s in number]
     subsets = EdgeShift(names, edges, shift.alphabet, numbered=True)
     if not is_transitive(shift):
         return subsets

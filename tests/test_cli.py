@@ -143,6 +143,40 @@ class TestReaderNeedsNoNumpy:
         assert done.stdout.split() == ["False", "True"]
 
 
+# a graph that is not right-resolving, so decide determinizes it; its subset
+# vertices are named by frozensets of names
+SUBSET_NAMED = """\
+[shift]
+kind = edges
+alphabet = 2
+edges = p q 0, p r 0, p p 0, q p 1, q q 1, q p 0, r s 0, r r 0, s q 1, s r 0, s s 0
+
+[basis]
+constants = a 1.4142135623730951
+
+[roof]
+past = 0
+future = 0
+0 = 1
+1 = a
+"""
+
+
+def test_decide_does_not_follow_string_hashing(tmp_path):
+    # the subset names' texts pick cycle_data's root and order block ends
+    cfg = tmp_path / "subsets.cfg"
+    cfg.write_text(SUBSET_NAMED)
+    src = str(Path(suspmix.cli.__file__).resolve().parents[1])
+    runs = {
+        subprocess.run([sys.executable, "-m", "suspmix.cli", "decide", "--json", "--config", str(cfg)],
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)))
+        .stdout for seed in range(4)
+    }
+    assert len(runs) == 1
+    assert '"TopMixing"' in runs.pop()
+
+
 def one_error_line(capsys):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -234,6 +268,15 @@ class TestInputErrors:
         assert one_error_line(capsys) == "error: period bound must be at least 1, got 0"
         # an explicit bound is used whenever it is given
         assert main(command.split() + ["--config", str(cfg), "--bound", "1"]) in (0, 10)
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["decide", "beta"])
+    def test_a_beta_depth_below_one(self, tmp_path, capsys, command, depth):
+        # depth = 0 is not read as absent, nor -1 as a graph with no walks
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text(PRESETS["golden-beta"].replace("depth = 2", "depth = " + depth))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert one_error_line(capsys) == "error: beta depth must be at least 1, got " + depth
 
     @pytest.mark.parametrize("shift, roof, message", [
         ("kind = full\nalphabet = 2", "0 = 1/0\n1 = 1", "zero denominator in '1/0'"),

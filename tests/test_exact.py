@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from suspmix.exact import (
+    SIGN_GUARD,
     AmbiguousSignError,
     QVector,
     RealBasis,
@@ -329,6 +331,19 @@ def row_cases(draw):
     return basis, draw(st.integers(1, 60)), row, unit
 
 
+@st.composite
+def near_zero_rows(draw):
+    """A basis, a denominator between 2**24 and 2**35 and a row with entries
+    below 2**16 in size whose first entry nearly cancels the rest, so that
+    the value often lies within a few guard bands of zero."""
+    basis = draw(row_bases)
+    den = draw(st.integers(24, 34).flatmap(lambda k: st.integers(2**k, 2**(k + 1))))
+    rest = draw(st.lists(st.integers(-20000, 20000), min_size=len(basis) - 1,
+                         max_size=len(basis) - 1))
+    first = -round(math.fsum(n * a for n, a in zip(rest, basis.approx[1:])))
+    return basis, den, [first + draw(st.integers(-2, 2))] + rest
+
+
 class TestRowForms:
     @given(row_cases())
     def test_row_multiple_is_an_integer_ratio_to(self, case):
@@ -342,17 +357,18 @@ class TestRowForms:
         assert _row_multiple((0, 0), (0, 0), None) == 0
         assert _row_multiple((0, 1), (0, 0), None) is None
 
-    @given(row_cases())
-    def test_row_sign_is_the_qvector_sign(self, case):
-        basis, den, row, _ = case
-        value = _reduced(basis, tuple(row), den)
-        try:
-            want = value.sign()
-        except AmbiguousSignError:
+    @given(st.one_of(row_cases().map(lambda case: case[:3]), near_zero_rows()))
+    def test_row_sign_is_the_exact_sign_of_the_basis_floats(self, case):
+        # with |n| < 2**16 the float sum is off by under 1e-10, so outside
+        # a 1e-10 margin around the guard band the float decides exactly
+        basis, den, row = case
+        exact = sum(Fraction(n, den) * Fraction(a) for n, a in zip(row, basis.approx))
+        mixed = min(row) < 0 < max(row)
+        if mixed and abs(exact) < SIGN_GUARD - 1e-10:
             with pytest.raises(AmbiguousSignError):
                 _row_sign(basis, row, den)
-        else:
-            assert _row_sign(basis, row, den) == want
+        elif not mixed or abs(exact) > SIGN_GUARD + 1e-10:
+            assert _row_sign(basis, row, den) == (exact > 0) - (exact < 0)
 
     @given(row_cases())
     def test_row_floor_mod_is_floor_mod(self, case):
@@ -366,11 +382,18 @@ class TestRowForms:
     def test_an_ambiguous_sign_still_raises(self):
         # 10**16 * a - 14142135623730951: mixed signs, float 0 within the guard
         row, one = (-14142135623730951, 10**16), (1, 0)
-        with pytest.raises(AmbiguousSignError):
+        message = re.escape("cannot certify sign of -14142135623730951 + 10000000000000000*a"
+                            " (float 0.000e+00 within guard 1e-09)")
+        with pytest.raises(AmbiguousSignError, match="^%s$" % message):
             _reduced(SQRT2, row, 1).sign()
-        with pytest.raises(AmbiguousSignError):
+        with pytest.raises(AmbiguousSignError, match="^%s$" % message):
+            _reduced(SQRT2, row, 1).is_positive()
+        with pytest.raises(AmbiguousSignError, match="^%s$" % message):
             _row_sign(SQRT2, row, 1)
-        with pytest.raises(AmbiguousSignError):
+        # the message names the value in lowest terms, whatever the denominator
+        with pytest.raises(AmbiguousSignError, match="^%s$" % message):
+            _row_sign(SQRT2, [3 * n for n in row], 3)
+        with pytest.raises(AmbiguousSignError, match="^%s$" % message):
             floor_mod(_reduced(SQRT2, row, 1), SQRT2.unit(0))
-        with pytest.raises(AmbiguousSignError):
+        with pytest.raises(AmbiguousSignError, match="^%s$" % message):
             _row_floor_mod(SQRT2, row, one, 1)

@@ -2,8 +2,9 @@
 
 A QVector keeps integer numerators over one common denominator; these
 tests compare every operation with the same operation on a tuple of
-Fractions (``tests/reference.py``), and check that ``Word`` hashes as the
-dataclass did.
+Fractions (``tests/reference.py``), check that ``Word`` hashes as the
+dataclass did, and that equal values hash alike however they were made, so
+that code may dedupe them by value.
 """
 
 import math
@@ -13,7 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from suspmix.exact import QVector, RealBasis, parse_qvector, span_rank
+from suspmix.decider import grid_verdict
+from suspmix.exact import QVector, RealBasis, common_rows, from_rows, parse_qvector, span_rank
+from suspmix.roofs import _check_table
 from suspmix.shift import Word
 
 from reference import (
@@ -199,3 +202,66 @@ def test_basis_hash_is_the_dataclass_hash_and_is_rebuilt_on_unpickling():
         assert b"_hash" not in pickle.dumps(basis)
         copy = pickle.loads(pickle.dumps(basis))
         assert copy == basis and hash(copy) == hash(basis)
+
+
+# -- one identity: equal values hash alike, however they were made ------------
+
+
+def routes(basis: RealBasis, x: tuple, y: tuple, k: Fraction) -> list[QVector]:
+    """Values made from x and y by every route that makes a QVector."""
+    u, v = QVector(basis, x), QVector(basis, y)
+    m = 6  # from_rows is handed each row unreduced, times m
+    made = [u, v, u + v, v + u, (u + v) - v, u - v, -(v - u), -u, -(-u), u.scale(k), k * u,
+            u.scale(1), u.scale(0), u - u, parse_qvector(u.render(), basis),
+            parse_qvector(v.render(), basis), basis.zero(), QVector(basis, [0] * len(basis))]
+    made += from_rows(basis, [[m * n for n in u.num], [m * n for n in v.num]], m * u.den)
+    made += [basis.unit(i) for i in range(len(basis))]
+    made += [QVector(basis, [int(i == j) for j in range(len(basis))]) for i in range(len(basis))]
+    made += [basis.from_rational(x[0]), QVector(basis, [x[0]] + [0] * (len(basis) - 1))]
+    return made + [pickle.loads(pickle.dumps(w)) for w in made]
+
+
+@given(vector_pairs(), coefficients)
+def test_equal_values_hash_alike(pair, k):
+    basis, x, y = pair
+    # two equal but distinct bases, and the pickles make more of them
+    twin = RealBasis(basis.names, basis.approx)
+    made = routes(basis, x, y, k) + routes(twin, x, y, k)
+    for a in made:
+        for b in made:
+            if a == b:
+                assert hash(a) == hash(b)
+    # over equal bases, values are equal exactly when their coefficients are
+    assert len(set(made)) == len({w.coords for w in made})
+
+
+def test_the_roof_check_sign_tests_each_distinct_value_once(monkeypatch):
+    tested = []
+    is_positive = QVector.is_positive
+    monkeypatch.setattr(QVector, "is_positive", lambda v: tested.append(v) or is_positive(v))
+    half = (Fraction(1, 2), 0, 1)
+    # three windows, two equal values that are not one object
+    _check_table(0, 0, {Word([0]): QVector(AB, half), Word([1]): QVector(AB, half),
+                        Word([2]): AB.unit(1)})
+    assert tested == [QVector(AB, half), AB.unit(1)]
+
+
+def test_common_rows_scales_each_distinct_value_once():
+    half = (Fraction(1, 2), 0, Fraction(1, 3))
+    values = [QVector(AB, half), AB.unit(2), QVector(AB, half)]
+    den, rows = common_rows(values)
+    assert (den, rows) == (6, [(3, 0, 2), (0, 0, 6), (3, 0, 2)])
+    assert rows[0] is rows[2]
+
+
+palette = st.lists(st.tuples(*[st.integers(-4, 4)] * 3).filter(any), min_size=1, max_size=4)
+
+
+@given(palette, st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_grid_verdicts_do_not_ask_which_object_is_a_value(coords, picks):
+    shared = [QVector(AB, c) for c in coords]
+    one_object = [shared[i % len(shared)] for i in picks]
+    fresh = [QVector(AB, g.coords) for g in one_object]
+    a, b = grid_verdict(one_object, "NotTopMixing"), grid_verdict(fresh, "NotTopMixing")
+    assert a.delta == b.delta
+    assert a.to_record() == b.to_record()
